@@ -101,13 +101,6 @@ def _solution_injections(
         beta = solution.values[artifacts.pickup_vars[load.bus]]
         p, q = injections.get(load.bus, (0.0, 0.0))
         injections[load.bus] = (p - beta * load.p_pu, q - beta * load.q_pu)
-    if artifacts.root_injection_vars is not None:
-        pr, qr = artifacts.root_injection_vars
-        p, q = injections.get(case.root, (0.0, 0.0))
-        injections[case.root] = (
-            p + solution.values[pr],
-            q + solution.values[qr],
-        )
     return injections
 
 

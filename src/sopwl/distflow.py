@@ -43,8 +43,6 @@ class BuildOptions:
     objective: str = OBJECTIVE_RESTORATION
     loss_weight: float = 1.0
     restorable_buses: Optional[frozenset[int]] = None  # None = all load buses
-    binary_pickup: bool = False
-    allow_root_injection: bool = False
 
     def __post_init__(self) -> None:
         if self.num_segments < 1:
@@ -55,8 +53,6 @@ class BuildOptions:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.big_m is not None and self.big_m <= 0:
             raise ValueError("big_m must be positive")
-        if self.binary_pickup:
-            raise NotImplementedError("binary load pickup is not implemented")
 
     def block_big_m(self, grid: PwlGrid) -> float:
         # tightest valid M: with it the deactivated row is exactly vacuous
@@ -104,7 +100,6 @@ class DistflowArtifacts:
     pickup_vars: dict[int, str]  # load bus -> beta var
     gen_vars: dict[int, tuple[str, str]]  # bus -> (gp, gq)
     grids: dict[str, PwlGrid]
-    root_injection_vars: Optional[tuple[str, str]] = None
 
 
 def flow_bound(branch: Branch, case: NetworkCase, options: BuildOptions) -> PwlGrid:
@@ -218,6 +213,11 @@ def build_distflow(
     isqr_vars: dict[str, str] = {}
     voltage_vars: dict[int, str] = {}
     grids: dict[str, PwlGrid] = {}
+    # per-bus balance terms, in the order the rows list them: each branch in
+    # file order (arriving flow minus its loss, or leaving flow), then
+    # generation, then load
+    p_terms: dict[int, list[tuple[str, float]]] = {bus.id: [] for bus in case.buses}
+    q_terms: dict[int, list[tuple[str, float]]] = {bus.id: [] for bus in case.buses}
 
     for bus in case.buses:
         voltage_vars[bus.id] = model.add_variable(
@@ -273,11 +273,14 @@ def build_distflow(
             tag=f"vdrop:{key}",
         )
 
+        p_terms[br.from_bus].append((p_var, -1.0))
+        q_terms[br.from_bus].append((q_var, -1.0))
+        p_terms[br.to_bus] += [(p_var, 1.0), (isqr, -br.r_pu)]
+        q_terms[br.to_bus] += [(q_var, 1.0), (isqr, -br.x_pu)]
+
     restorable = options.restorable_buses
     pickup_vars: dict[int, str] = {}
     for load in case.loads:
-        if load.bus in pickup_vars:
-            raise ValueError(f"multiple loads at bus {load.bus}")
         upper = 1.0 if restorable is None or load.bus in restorable else 0.0
         pickup_vars[load.bus] = model.add_variable(
             f"beta_{load.bus}", lower=0.0, upper=upper
@@ -288,40 +291,17 @@ def build_distflow(
         gp = model.add_variable(f"gp_{gen.bus}", lower=0.0, upper=gen.p_max_pu)
         gq = model.add_variable(f"gq_{gen.bus}", lower=0.0, upper=gen.q_max_pu)
         gen_vars[gen.bus] = (gp, gq)
+        p_terms[gen.bus].append((gp, 1.0))
+        q_terms[gen.bus].append((gq, 1.0))
 
-    root_injection = None
-    if options.allow_root_injection:
-        root_injection = (
-            model.add_variable("Proot"),
-            model.add_variable("Qroot"),
-        )
+    for load in case.loads:
+        beta = pickup_vars[load.bus]
+        p_terms[load.bus].append((beta, -load.p_pu))
+        q_terms[load.bus].append((beta, -load.q_pu))
 
-    loads_by_bus = {load.bus: load for load in case.loads}
     for bus in case.buses:
-        p_terms: list[tuple[str, float]] = []
-        q_terms: list[tuple[str, float]] = []
-        for br in case.branches:
-            key = br.key
-            if br.to_bus == bus.id:  # arriving flow minus the branch loss
-                p_terms += [(flow_vars[(key, "P")], 1.0), (isqr_vars[key], -br.r_pu)]
-                q_terms += [(flow_vars[(key, "Q")], 1.0), (isqr_vars[key], -br.x_pu)]
-            elif br.from_bus == bus.id:
-                p_terms.append((flow_vars[(key, "P")], -1.0))
-                q_terms.append((flow_vars[(key, "Q")], -1.0))
-        if bus.id in gen_vars:
-            gp, gq = gen_vars[bus.id]
-            p_terms.append((gp, 1.0))
-            q_terms.append((gq, 1.0))
-        if bus.id in loads_by_bus:
-            load = loads_by_bus[bus.id]
-            beta = pickup_vars[bus.id]
-            p_terms.append((beta, -load.p_pu))
-            q_terms.append((beta, -load.q_pu))
-        if bus.id == case.root and root_injection is not None:
-            p_terms.append((root_injection[0], 1.0))
-            q_terms.append((root_injection[1], 1.0))
-        model.add_constraint(p_terms, "=", 0.0, tag=f"balanceP:{bus.id}")
-        model.add_constraint(q_terms, "=", 0.0, tag=f"balanceQ:{bus.id}")
+        model.add_constraint(p_terms[bus.id], "=", 0.0, tag=f"balanceP:{bus.id}")
+        model.add_constraint(q_terms[bus.id], "=", 0.0, tag=f"balanceQ:{bus.id}")
 
     return DistflowArtifacts(
         case=case,
@@ -334,7 +314,6 @@ def build_distflow(
         pickup_vars=pickup_vars,
         gen_vars=gen_vars,
         grids=grids,
-        root_injection_vars=root_injection,
     )
 
 

@@ -162,9 +162,6 @@ class MilpModel:
     def variable(self, name: str) -> Variable:
         return self._variables[name]
 
-    def has_variable(self, name: str) -> bool:
-        return name in self._variables
-
     def constraints_by_tag(self, prefix: str) -> list[LinearConstraint]:
         return [c for c in self._constraints if c.tag.startswith(prefix)]
 
@@ -176,7 +173,6 @@ class Solution:
     values: dict[str, float]
     missing: frozenset[str] = frozenset()
     solve_seconds: Optional[float] = None
-    log_path: Optional[str] = None
 
     def __getitem__(self, name: str) -> float:
         return self.values[name]
@@ -373,5 +369,4 @@ def solve(
         values=sol.values,
         missing=sol.missing,
         solve_seconds=elapsed,
-        log_path=str(sol_path),
     )

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 __all__ = ["Bus", "Branch", "Load", "Generator", "NetworkCase", "load_case", "bundled_case_path"]
 
@@ -51,6 +51,10 @@ class Generator:
 
 @dataclass(frozen=True)
 class NetworkCase:
+    """A validated radial feeder. Construction rejects anything that is not a
+    tree rooted at the first bus with branches running parent -> child, or
+    that puts more than one load or generator on a bus."""
+
     name: str
     s_base_mva: float
     v_base_kv: float
@@ -58,6 +62,12 @@ class NetworkCase:
     branches: tuple[Branch, ...]
     loads: tuple[Load, ...]
     generators: tuple[Generator, ...]
+    # the branches parents-first (breadth-first from the root, children in
+    # file order); set by validation
+    order: tuple[Branch, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "order", _parents_first(self))
 
     @property
     def root(self) -> int:
@@ -68,25 +78,15 @@ class NetworkCase:
         """Current base: S_base / (sqrt(3) * V_base) for a three-phase system."""
         return self.s_base_mva * 1e6 / (math.sqrt(3) * self.v_base_kv * 1e3)
 
-    @property
-    def z_base_ohm(self) -> float:
-        return self.v_base_kv**2 / self.s_base_mva
-
-    def bus(self, bus_id: int) -> Bus:
-        for b in self.buses:
-            if b.id == bus_id:
-                return b
-        raise KeyError(f"no bus {bus_id}")
-
-    def children(self, bus_id: int) -> list[Branch]:
-        return [br for br in self.branches if br.from_bus == bus_id]
-
 
 class CaseError(ValueError):
     pass
 
 
-def _check_radial(case: NetworkCase) -> None:
+def _parents_first(case: NetworkCase) -> tuple[Branch, ...]:
+    """Validate the feeder tree and return its branches parents-first."""
+    if not case.buses:
+        raise CaseError("case has no buses")
     bus_ids = {b.id for b in case.buses}
     if len(bus_ids) != len(case.buses):
         raise CaseError("duplicate bus ids")
@@ -94,38 +94,48 @@ def _check_radial(case: NetworkCase) -> None:
         raise CaseError(
             f"{len(case.branches)} branches for {len(case.buses)} buses: not a tree"
         )
-    adjacency: dict[int, list[int]] = {b.id: [] for b in case.buses}
+    children: dict[int, list[Branch]] = {b: [] for b in bus_ids}
+    has_parent = {case.root}
     for br in case.branches:
         if br.from_bus not in bus_ids or br.to_bus not in bus_ids:
             raise CaseError(f"branch {br.key} references unknown bus")
-        adjacency[br.from_bus].append(br.to_bus)
-        adjacency[br.to_bus].append(br.from_bus)
-    seen = {case.root}
-    stack = [case.root]
-    while stack:
-        b = stack.pop()
-        for nb in adjacency[b]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    if seen != bus_ids:
+        if br.to_bus in has_parent:
+            raise CaseError(
+                f"branch {br.key} is oriented toward the root; "
+                "branches must run parent -> child"
+            )
+        has_parent.add(br.to_bus)
+        children[br.from_bus].append(br)
+    for what, items in (("load", case.loads), ("generator", case.generators)):
+        seen: set[int] = set()
+        for item in items:
+            if item.bus not in bus_ids:
+                raise CaseError(f"{what} at unknown bus {item.bus}")
+            if item.bus in seen:
+                raise CaseError(f"more than one {what} at bus {item.bus}")
+            seen.add(item.bus)
+    # every non-root bus has exactly one parent, so the walk from the root
+    # misses a bus only when the branches also hold a cycle away from it
+    order: list[Branch] = []
+    frontier = [case.root]
+    for bus in frontier:
+        for br in children[bus]:
+            order.append(br)
+            frontier.append(br.to_bus)
+    if len(order) != len(case.branches):
         raise CaseError("branch graph is disconnected")
-    # connected + |E| = |V| - 1 implies acyclic; orientation must point away
-    # from the root
-    parent = {case.root: None}
-    queue = [case.root]
-    order = {}
-    while queue:
-        b = queue.pop()
-        for br in case.branches:
-            if br.from_bus == b and br.to_bus not in parent:
-                parent[br.to_bus] = b
-                queue.append(br.to_bus)
-            elif br.to_bus == b and br.from_bus not in parent:
-                raise CaseError(
-                    f"branch {br.key} is oriented toward the root; "
-                    "branches must run parent -> child"
-                )
+    return tuple(order)
+
+
+def _number(raw: dict, key: str, default: Optional[float] = None) -> float:
+    """``raw[key]`` as a finite, nonnegative float."""
+    value = raw.get(key, default)
+    if value is None:
+        raise CaseError(f"missing required field {key!r} in {raw}")
+    value = float(value)
+    if not math.isfinite(value) or value < 0:
+        raise CaseError(f"{key} = {value} in {raw} must be finite and nonnegative")
+    return value
 
 
 def load_case(source: Union[str, Path, dict]) -> NetworkCase:
@@ -138,12 +148,10 @@ def load_case(source: Union[str, Path, dict]) -> NetworkCase:
         doc = source
         default_name = "case"
 
-    try:
-        bases = doc["bases"]
-        s_base = float(bases["s_base_mva"])
-        v_base = float(bases["v_base_kv"])
-    except KeyError as exc:
-        raise CaseError(f"missing required field: {exc}") from exc
+    if "bases" not in doc:
+        raise CaseError("missing required field: 'bases'")
+    s_base = _number(doc["bases"], "s_base_mva")
+    v_base = _number(doc["bases"], "v_base_kv")
     if s_base <= 0 or v_base <= 0:
         raise CaseError("bases must be positive")
     z_base = v_base**2 / s_base
@@ -151,49 +159,48 @@ def load_case(source: Union[str, Path, dict]) -> NetworkCase:
     buses = tuple(
         Bus(
             id=int(b["id"]),
-            v_sqr_min=float(b.get("v_sqr_min", DEFAULT_V_SQR_MIN)),
-            v_sqr_max=float(b.get("v_sqr_max", DEFAULT_V_SQR_MAX)),
+            v_sqr_min=_number(b, "v_sqr_min", DEFAULT_V_SQR_MIN),
+            v_sqr_max=_number(b, "v_sqr_max", DEFAULT_V_SQR_MAX),
         )
         for b in doc.get("buses", [])
     )
-    if not buses:
-        raise CaseError("case has no buses")
 
     branches = []
     for raw in doc.get("branches", []):
         if "r_pu" in raw:
-            r_pu, x_pu = float(raw["r_pu"]), float(raw["x_pu"])
+            r_pu, x_pu = _number(raw, "r_pu"), _number(raw, "x_pu")
         elif "r_ohm" in raw:
-            r_pu = float(raw["r_ohm"]) / z_base
-            x_pu = float(raw["x_ohm"]) / z_base
+            r_pu = _number(raw, "r_ohm") / z_base
+            x_pu = _number(raw, "x_ohm") / z_base
         else:
             raise CaseError(f"branch {raw} needs r_pu or r_ohm")
-        if r_pu < 0 or x_pu < 0:
-            raise CaseError("impedances must be nonnegative")
+        i_max_amps = _number(raw, "i_max_amps")
+        if i_max_amps <= 0:
+            raise CaseError(f"branch {raw} needs a positive i_max_amps")
         branches.append(
             Branch(
                 from_bus=int(raw["from"]),
                 to_bus=int(raw["to"]),
                 r_pu=r_pu,
                 x_pu=x_pu,
-                i_max_amps=float(raw["i_max_amps"]),
+                i_max_amps=i_max_amps,
             )
         )
 
     loads = tuple(
-        Load(bus=int(l["bus"]), p_pu=float(l["p_pu"]), q_pu=float(l["q_pu"]))
+        Load(bus=int(l["bus"]), p_pu=_number(l, "p_pu"), q_pu=_number(l, "q_pu"))
         for l in doc.get("loads", [])
     )
     generators = tuple(
         Generator(
             bus=int(g["bus"]),
-            p_max_pu=float(g["p_max_pu"]),
-            q_max_pu=float(g["q_max_pu"]),
+            p_max_pu=_number(g, "p_max_pu"),
+            q_max_pu=_number(g, "q_max_pu"),
         )
         for g in doc.get("generators", [])
     )
 
-    case = NetworkCase(
+    return NetworkCase(
         name=doc.get("name", default_name),
         s_base_mva=s_base,
         v_base_kv=v_base,
@@ -202,8 +209,6 @@ def load_case(source: Union[str, Path, dict]) -> NetworkCase:
         loads=loads,
         generators=generators,
     )
-    _check_radial(case)
-    return case
 
 
 def bundled_case_path(name: str) -> Path:

@@ -208,10 +208,6 @@ class SweepResult:
     iterations: int
     root_injection: tuple[float, float]  # slack power drawn from the root
 
-    @property
-    def converged(self) -> bool:
-        return True  # non-convergence raises instead
-
 
 class SweepDivergence(RuntimeError):
     def __init__(self, trace: list[float]):
@@ -235,16 +231,6 @@ def radial_sweep(
     positive, load negative); the root is the slack bus at ``v_norm``.
     """
     root = case.root
-    # children in BFS order so the forward pass sees parents first
-    order: list = []
-    queue = [root]
-    while queue:
-        b = queue.pop(0)
-        for br in case.branches:
-            if br.from_bus == b:
-                order.append(br)
-                queue.append(br.to_bus)
-
     voltage = {bus.id: complex(v_norm, 0.0) for bus in case.buses}
     currents: dict[str, complex] = {br.key: 0.0j for br in case.branches}
     trace: list[float] = []
@@ -256,12 +242,12 @@ def radial_sweep(
             s_drawn = complex(-p, -q)
             drawn[bus.id] = (s_drawn / voltage[bus.id]).conjugate()
         subtree = dict(drawn)
-        for br in reversed(order):
+        for br in reversed(case.order):
             currents[br.key] = subtree[br.to_bus]
             subtree[br.from_bus] += subtree[br.to_bus]
-        # forward: propagate voltage drops from the root
+        # forward: propagate voltage drops from the root, parents first
         delta = 0.0
-        for br in order:
+        for br in case.order:
             z = complex(br.r_pu, br.x_pu)
             v_new = voltage[br.from_bus] - z * currents[br.key]
             delta = max(delta, abs(v_new - voltage[br.to_bus]))
@@ -273,7 +259,7 @@ def radial_sweep(
         raise SweepDivergence(trace)
 
     flows = {}
-    for br in order:
+    for br in case.order:
         s = voltage[br.from_bus] * currents[br.key].conjugate()
         flows[br.key] = (s.real, s.imag)
     root_current = sum(currents[br.key] for br in case.branches if br.from_bus == root)

@@ -22,6 +22,24 @@ class TestExportLp:
         produced = (out / "twobus_pwl.lp").read_bytes()
         assert produced == (golden_dir / "twobus_pwl.lp.golden").read_bytes()
 
+    @pytest.mark.parametrize("mode", ["pwl", "sopwl"])
+    def test_branching_golden_fixture(self, tmp_path, cases_dir, golden_dir, mode):
+        # branches listed out of parents-first order, a bus with two children:
+        # pins the term order inside each bus-balance row
+        out = tmp_path / "lp"
+        status = main(
+            [
+                "export-lp",
+                "--case", str(cases_dir / "branching6.json"),
+                "--mode", mode,
+                "--segments", "3",
+                "--out", str(out),
+            ]
+        )
+        assert status == 0
+        produced = (out / f"branching6_{mode}.lp").read_bytes()
+        assert produced == (golden_dir / f"branching6_{mode}.lp.golden").read_bytes()
+
     def test_repeat_is_byte_identical(self, tmp_path, cases_dir):
         outs = []
         for sub in ("a", "b"):

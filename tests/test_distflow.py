@@ -163,10 +163,6 @@ class TestBuildDistflow:
         sol = solve(m, ScipyMilpAdapter())
         assert sol.objective_value == pytest.approx(0.0, abs=1e-9)
 
-    def test_binary_pickup_unimplemented(self):
-        with pytest.raises(NotImplementedError):
-            BuildOptions(binary_pickup=True)
-
 
 class TestLossPenaltyObjective:
     def test_terms_include_losses(self, twobus):

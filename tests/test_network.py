@@ -86,3 +86,66 @@ class TestLoadCase:
         }
         with pytest.raises(CaseError):
             load_case(doc)
+
+
+def _doc(branches, loads=(), generators=(), buses=3):
+    return {
+        "bases": {"s_base_mva": 10.0, "v_base_kv": 12.66},
+        "buses": [{"id": b} for b in range(1, buses + 1)],
+        "branches": [
+            {"from": f, "to": t, "r_pu": 0.01, "x_pu": 0.01, "i_max_amps": 50}
+            for f, t in branches
+        ],
+        "loads": list(loads),
+        "generators": list(generators),
+    }
+
+
+class TestTreeRules:
+    def test_branch_into_root(self):
+        with pytest.raises(CaseError, match="oriented toward the root"):
+            load_case(_doc([(1, 2), (3, 1)]))
+
+    def test_bus_with_two_parents(self):
+        # a connected tree, but bus 2 is fed from both 1 and 3
+        with pytest.raises(CaseError, match="oriented toward the root"):
+            load_case(_doc([(1, 2), (3, 2)]))
+
+    def test_cycle_away_from_root(self):
+        # every non-root bus has one parent, but 3 and 4 feed each other
+        doc = _doc([(1, 2), (3, 4), (4, 3)], buses=4)
+        with pytest.raises(CaseError, match="disconnected"):
+            load_case(doc)
+
+    def test_order_is_parents_first(self, cases_dir):
+        case = load_case(cases_dir / "branching6.json")
+        assert [br.key for br in case.branches] == ["2-4", "4-6", "1-2", "3-5", "2-3"]
+        assert [br.key for br in case.order] == ["1-2", "2-4", "2-3", "4-6", "3-5"]
+
+
+_LOAD = {"bus": 2, "p_pu": 0.01, "q_pu": 0.005}
+_GEN = {"bus": 2, "p_max_pu": 0.05, "q_max_pu": 0.03}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda d: d["loads"].append(dict(_LOAD)), id="second-load"),
+        pytest.param(lambda d: d["generators"].append(dict(_GEN)), id="second-generator"),
+        pytest.param(lambda d: d["loads"].append({**_LOAD, "bus": 9}), id="load-unknown-bus"),
+        pytest.param(lambda d: d["loads"][0].update(p_pu=-0.01), id="negative-load"),
+        pytest.param(lambda d: d["generators"][0].update(q_max_pu=-0.1), id="negative-gen-limit"),
+        pytest.param(lambda d: d["loads"][0].update(q_pu=float("nan")), id="nan-load"),
+        pytest.param(lambda d: d["generators"][0].update(p_max_pu=float("inf")), id="inf-gen-limit"),
+        pytest.param(lambda d: d["branches"][0].update(x_pu=float("inf")), id="inf-impedance"),
+        pytest.param(lambda d: d["bases"].update(v_base_kv=float("nan")), id="nan-base"),
+        pytest.param(lambda d: d["branches"][1].update(i_max_amps=0.0), id="zero-ampacity"),
+        pytest.param(lambda d: d["branches"][1].update(i_max_amps=-5.0), id="negative-ampacity"),
+    ],
+)
+def test_bad_per_bus_input_rejected(edit):
+    doc = _doc([(1, 2), (2, 3)], loads=[dict(_LOAD)], generators=[dict(_GEN)])
+    load_case(doc)  # the unedited document is valid
+    edit(doc)
+    with pytest.raises(CaseError):
+        load_case(doc)

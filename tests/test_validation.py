@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -138,6 +139,21 @@ class TestRadialSweep:
         rp, rq = res.root_injection
         assert rp == pytest.approx(p, abs=1e-12)
         assert rq == pytest.approx(q, abs=1e-12)
+
+    def test_branching_frozen(self, cases_dir, golden_dir):
+        # full pickup, DG at nameplate; the sweep must walk the branches
+        # parents first although the file lists them otherwise
+        case = load_case(cases_dir / "branching6.json")
+        injections = {load.bus: (-load.p_pu, -load.q_pu) for load in case.loads}
+        for gen in case.generators:
+            p, q = injections[gen.bus]
+            injections[gen.bus] = (p + gen.p_max_pu, q + gen.q_max_pu)
+        res = radial_sweep(case, injections)
+        frozen = json.loads((golden_dir / "branching6_sweep.json").read_text())
+        assert res.iterations == frozen["iterations"]
+        assert res.voltages == {int(b): v for b, v in frozen["voltages"].items()}
+        assert res.branch_flows == {k: tuple(v) for k, v in frozen["branch_flows"].items()}
+        assert res.root_injection == tuple(frozen["root_injection"])
 
     def test_divergence_reported(self, twobus):
         with pytest.raises(SweepDivergence) as err:
