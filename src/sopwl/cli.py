@@ -141,6 +141,7 @@ def _run_one_mode(case: NetworkCase, config: RunConfig, mode: str) -> tuple[int,
         "solve_seconds": solution.solve_seconds,
         "max_e_p_percent": report.max_e_p,
         "violations": len(violations),
+        **model.arrays.sizes(),
     }
     (out / "run.json").write_text(json.dumps(meta, indent=1) + "\n")
     print(f"[{mode}] status={solution.status} objective={solution.objective_value:.6f}")
@@ -197,6 +198,8 @@ def cmd_validate(config: RunConfig, solution_path: Path) -> int:
     if solution.status not in ("optimal", "feasible"):
         print(f"solution status is {solution.status}; nothing to validate")
         return 1
+    if solution.missing:
+        print(f"{len(solution.missing)} variables missing from the solution, read as 0")
 
     violations = milp.check_solution(model, solution)
     for tag, gap in violations:

@@ -1,21 +1,32 @@
 """Solver-agnostic mixed-integer linear program container, textual LP export,
 solution import, and a feasibility re-check by direct substitution.
+
+The model is stored in integer-indexed form. Variable ``i`` is the ``i``-th
+declared; row ``r`` holds the terms ``cols[s:e]``/``coefs[s:e]`` with
+``s, e = row_start[r], row_start[r + 1]``. :meth:`MilpModel.freeze` turns
+these flat lists into numpy arrays once (:class:`ModelArrays`), which the
+solver adapter and the re-check use as a sparse matrix.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Protocol, Sequence
+from typing import Callable, Mapping, Optional, Protocol, Sequence
+
+import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "Variable",
     "LinearConstraint",
     "MilpModel",
+    "ModelArrays",
     "Solution",
     "SolverAdapter",
     "write_lp",
@@ -27,50 +38,79 @@ __all__ = [
 CONTINUOUS = "continuous"
 BINARY = "binary"
 
+SENSES = ("<=", "=", ">=")
 STATUS_TOKENS = ("optimal", "feasible", "infeasible", "unbounded", "error")
 
 _LP_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
+_TAG_UNSAFE_RE = re.compile(r"[^A-Za-z0-9_.]")
 
 FEASIBILITY_TOL = 1e-6
+
+Terms = Mapping[str, float] | Sequence[tuple[str, float]]
 
 
 @dataclass(frozen=True)
 class Variable:
+    """Read-only view of one declared variable."""
+
     name: str
     lower: float
     upper: float
     kind: str
     index: int
 
-    def __post_init__(self) -> None:
-        if self.lower > self.upper:
-            raise ValueError(f"{self.name}: lower bound {self.lower} > upper {self.upper}")
-        if self.kind == BINARY and not (0 <= self.lower and self.upper <= 1):
-            raise ValueError(f"{self.name}: binary bounds must lie within [0, 1]")
-
 
 @dataclass(frozen=True)
 class LinearConstraint:
+    """Read-only view of one row."""
+
     terms: tuple[tuple[str, float], ...]
     sense: str  # "<=", "=", ">="
     rhs: float
     tag: str
 
-    def __post_init__(self) -> None:
-        if self.sense not in ("<=", "=", ">="):
-            raise ValueError(f"unknown sense {self.sense!r}")
-        names = [n for n, _ in self.terms]
-        if len(set(names)) != len(names):
-            raise ValueError(f"{self.tag}: duplicate variable in constraint terms")
-        for n, c in self.terms:
-            if not math.isfinite(c):
-                raise ValueError(f"{self.tag}: non-finite coefficient on {n}")
-        if not math.isfinite(self.rhs):
-            raise ValueError(f"{self.tag}: non-finite right-hand side")
-
 
 class ModelFrozenError(RuntimeError):
     pass
+
+
+@dataclass(frozen=True)
+class ModelArrays:
+    """A frozen model as numpy arrays, in declaration order."""
+
+    names: tuple[str, ...]
+    lower: np.ndarray
+    upper: np.ndarray
+    binary: np.ndarray  # bool per variable
+    cols: np.ndarray  # column index per nonzero
+    coefs: np.ndarray  # coefficient per nonzero
+    row_start: np.ndarray  # rows + 1 offsets into cols/coefs
+    row_lo: np.ndarray  # -inf for a "<=" row
+    row_hi: np.ndarray  # +inf for a ">=" row
+    obj_cols: np.ndarray  # may repeat a column; repeats add up
+    obj_coefs: np.ndarray
+
+    def matrix(self) -> sp.csr_matrix:
+        """The rows as a CSR matrix, terms in the order they were given."""
+        return sp.csr_matrix(
+            (self.coefs, self.cols, self.row_start),
+            shape=(len(self.row_lo), len(self.names)),
+        )
+
+    def sizes(self) -> dict[str, int]:
+        return {
+            "vars": len(self.names),
+            "rows": len(self.row_lo),
+            "nnz": len(self.coefs),
+            "binaries": int(self.binary.sum()),
+        }
+
+
+def _unzip(terms: Terms) -> tuple[tuple, tuple]:
+    """Names and coefficients of a term mapping or a sequence of pairs."""
+    if type(terms) is dict or isinstance(terms, Mapping):
+        return tuple(terms), tuple(terms.values())
+    return tuple(zip(*terms)) or ((), ())
 
 
 class MilpModel:
@@ -78,16 +118,26 @@ class MilpModel:
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self._variables: dict[str, Variable] = {}
-        self._constraints: list[LinearConstraint] = []
+        self._index: dict[str, int] = {}
+        self._names: list[str] = []
+        self._lower: list[float] = []
+        self._upper: list[float] = []
+        self._binary: list[bool] = []
+        self._cols: list[int] = []
+        self._coefs: list[float] = []
+        self._row_start: list[int] = [0]
+        self._senses: list[str] = []
+        self._rhs: list[float] = []
+        self._tags: list[str] = []
         self.objective_sense: str = "min"
         self.objective_terms: tuple[tuple[str, float], ...] = ()
-        self._frozen = False
+        self._obj_cols: list[int] = []
+        self._arrays: Optional[ModelArrays] = None
 
     # -- construction ------------------------------------------------------
 
     def _require_unfrozen(self) -> None:
-        if self._frozen:
+        if self._arrays is not None:
             raise ModelFrozenError("model is frozen")
 
     def add_variable(
@@ -98,72 +148,116 @@ class MilpModel:
         kind: str = CONTINUOUS,
     ) -> str:
         self._require_unfrozen()
-        if name in self._variables:
+        if name in self._index:
             raise ValueError(f"duplicate variable name {name!r}")
         if kind not in (CONTINUOUS, BINARY):
             raise ValueError(f"unknown variable kind {kind!r}")
-        self._variables[name] = Variable(
-            name=name, lower=lower, upper=upper, kind=kind, index=len(self._variables)
-        )
+        if lower > upper:
+            raise ValueError(f"{name}: lower bound {lower} > upper {upper}")
+        binary = kind == BINARY
+        if binary and not (0 <= lower and upper <= 1):
+            raise ValueError(f"{name}: binary bounds must lie within [0, 1]")
+        self._index[name] = len(self._names)
+        self._names.append(name)
+        self._lower.append(lower)
+        self._upper.append(upper)
+        self._binary.append(binary)
         return name
 
-    def _check_refs(self, terms: Iterable[tuple[str, float]], where: str) -> None:
-        for n, _ in terms:
-            if n not in self._variables:
-                raise ValueError(f"{where}: reference to undeclared variable {n!r}")
+    def _columns(self, names: tuple[str, ...], where: str) -> list[int]:
+        try:
+            return list(map(self._index.__getitem__, names))
+        except KeyError as exc:
+            raise ValueError(
+                f"{where}: reference to undeclared variable {exc.args[0]!r}"
+            ) from None
 
-    def add_constraint(
-        self,
-        terms: Mapping[str, float] | Sequence[tuple[str, float]],
-        sense: str,
-        rhs: float,
-        tag: str,
-    ) -> LinearConstraint:
+    def add_constraint(self, terms: Terms, sense: str, rhs: float, tag: str) -> int:
+        """Append a row and return its index."""
         self._require_unfrozen()
-        if isinstance(terms, Mapping):
-            terms = list(terms.items())
-        con = LinearConstraint(terms=tuple(terms), sense=sense, rhs=rhs, tag=tag)
-        self._check_refs(con.terms, tag)
-        self._constraints.append(con)
-        return con
+        if sense not in SENSES:
+            raise ValueError(f"unknown sense {sense!r}")
+        names, coefs = _unzip(terms)
+        if len(set(names)) != len(names):
+            raise ValueError(f"{tag}: duplicate variable in constraint terms")
+        if not all(map(math.isfinite, coefs)):
+            bad = next(n for n, c in zip(names, coefs) if not math.isfinite(c))
+            raise ValueError(f"{tag}: non-finite coefficient on {bad}")
+        if not math.isfinite(rhs):
+            raise ValueError(f"{tag}: non-finite right-hand side")
+        self._cols.extend(self._columns(names, tag))
+        self._coefs.extend(coefs)
+        self._row_start.append(len(self._cols))
+        self._senses.append(sense)
+        self._rhs.append(rhs)
+        self._tags.append(tag)
+        return len(self._tags) - 1
 
-    def set_objective(
-        self,
-        sense: str,
-        terms: Mapping[str, float] | Sequence[tuple[str, float]],
-    ) -> None:
+    def set_objective(self, sense: str, terms: Terms) -> None:
         self._require_unfrozen()
         if sense not in ("min", "max"):
             raise ValueError(f"objective sense must be 'min' or 'max', got {sense!r}")
-        if isinstance(terms, Mapping):
-            terms = list(terms.items())
-        self._check_refs(terms, "objective")
+        names, coefs = _unzip(terms)
+        self._obj_cols = self._columns(names, "objective")
         self.objective_sense = sense
-        self.objective_terms = tuple(terms)
+        self.objective_terms = tuple(zip(names, coefs))
 
     def freeze(self) -> "MilpModel":
-        self._frozen = True
+        if self._arrays is None:
+            senses = np.asarray(self._senses, dtype="<U2")
+            rhs = np.asarray(self._rhs, dtype=float)
+            self._arrays = ModelArrays(
+                names=tuple(self._names),
+                lower=np.asarray(self._lower, dtype=float),
+                upper=np.asarray(self._upper, dtype=float),
+                binary=np.asarray(self._binary, dtype=bool),
+                cols=np.asarray(self._cols, dtype=np.intp),
+                coefs=np.asarray(self._coefs, dtype=float),
+                row_start=np.asarray(self._row_start, dtype=np.intp),
+                row_lo=np.where(senses == "<=", -np.inf, rhs),
+                row_hi=np.where(senses == ">=", np.inf, rhs),
+                obj_cols=np.asarray(self._obj_cols, dtype=np.intp),
+                obj_coefs=np.asarray([c for _, c in self.objective_terms], dtype=float),
+            )
         return self
 
     @property
     def frozen(self) -> bool:
-        return self._frozen
+        return self._arrays is not None
 
-    # -- retrieval ---------------------------------------------------------
+    @property
+    def arrays(self) -> ModelArrays:
+        if self._arrays is None:
+            raise ModelFrozenError("freeze the model before reading its arrays")
+        return self._arrays
+
+    # -- read-only views, for tests and small models -----------------------
+
+    def _variable(self, i: int) -> Variable:
+        kind = BINARY if self._binary[i] else CONTINUOUS
+        return Variable(self._names[i], self._lower[i], self._upper[i], kind, i)
+
+    def _row(self, r: int) -> LinearConstraint:
+        s, e = self._row_start[r], self._row_start[r + 1]
+        names = self._names
+        terms = tuple(
+            (names[j], c) for j, c in zip(self._cols[s:e], self._coefs[s:e])
+        )
+        return LinearConstraint(terms, self._senses[r], self._rhs[r], self._tags[r])
 
     @property
     def variables(self) -> tuple[Variable, ...]:
-        return tuple(self._variables.values())
+        return tuple(map(self._variable, range(len(self._names))))
 
     @property
     def constraints(self) -> tuple[LinearConstraint, ...]:
-        return tuple(self._constraints)
+        return tuple(map(self._row, range(len(self._tags))))
 
     def variable(self, name: str) -> Variable:
-        return self._variables[name]
+        return self._variable(self._index[name])
 
     def constraints_by_tag(self, prefix: str) -> list[LinearConstraint]:
-        return [c for c in self._constraints if c.tag.startswith(prefix)]
+        return [self._row(r) for r, t in enumerate(self._tags) if t.startswith(prefix)]
 
 
 @dataclass(frozen=True)
@@ -181,83 +275,98 @@ class Solution:
 # -- LP export -------------------------------------------------------------
 
 
-def _lp_safe(name: str) -> str:
-    if not _LP_NAME_RE.match(name):
-        raise ValueError(f"name {name!r} is not LP-format-safe")
-    return name
-
-
-def _sanitize_tag(tag: str) -> str:
-    out = re.sub(r"[^A-Za-z0-9_.]", "_", tag)
-    if not out or not re.match(r"[A-Za-z_]", out[0]):
-        out = "c_" + out
-    return out
+def _row_bases(tags: list[str]) -> list[str]:
+    """LP row names before de-duplication: each tag with every character
+    outside ``[A-Za-z0-9_.]`` replaced by ``_``, and ``c_`` in front of one
+    that would not start with a letter or ``_``."""
+    bases = [_TAG_UNSAFE_RE.sub("_", tag) for tag in tags]
+    return [b if b and b[0] not in "0123456789." else "c_" + b for b in bases]
 
 
 def _format_coef(c: float) -> str:
     return repr(c) if c != int(c) else str(int(c))
 
 
-def _format_terms(terms: Sequence[tuple[str, float]]) -> str:
-    if not terms:
-        return "0 __dummy__"
-    parts: list[str] = []
-    for i, (name, coef) in enumerate(terms):
-        sign = "-" if coef < 0 else "+"
-        mag = _format_coef(abs(coef))
-        if i == 0 and sign == "+":
-            parts.append(f"{mag} {name}")
-        else:
-            parts.append(f"{sign} {mag} {name}")
-    return " ".join(parts)
+def _term_prefix(c: float) -> str:
+    """The signed coefficient that precedes a name in an expression."""
+    return ("- " if c < 0 else "+ ") + _format_coef(abs(c)) + " "
+
+
+class _Memo(dict):
+    """Memo of a number formatter for one export. Numbers that compare equal
+    format alike (``-0.0`` and ``0.0`` both give ``0``), so a value is a safe
+    key."""
+
+    def __init__(self, text: Callable[[float], str]):
+        self.text = text
+
+    def __missing__(self, c: float) -> str:
+        text = self[c] = self.text(c)
+        return text
 
 
 def write_lp(model: MilpModel) -> str:
     """Deterministic CPLEX-style LP text; ordering follows declaration order."""
     if not model.frozen:
         raise ModelFrozenError("freeze the model before exporting")
-    for v in model.variables:
-        _lp_safe(v.name)
+    names = model._names
+    if not all(map(_LP_NAME_RE.match, names)):
+        bad = next(n for n in names if not _LP_NAME_RE.match(n))
+        raise ValueError(f"name {bad!r} is not LP-format-safe")
+    prefix = _Memo(_term_prefix)
+    number = _Memo(_format_coef)
+    # every nonzero as "+ coef name"; a row joins its slice and drops a
+    # leading "+ "
+    terms = [prefix[c] + names[j] for j, c in zip(model._cols, model._coefs)]
+    obj_terms = [
+        prefix[c] + names[j] for j, (_, c) in zip(model._obj_cols, model.objective_terms)
+    ]
+
+    def expression(parts: list[str]) -> str:
+        if not parts:
+            return "0 __dummy__"
+        text = " ".join(parts)
+        return text[2:] if text[0] == "+" else text
 
     lines: list[str] = [f"\\ {model.name}"]
     lines.append("Maximize" if model.objective_sense == "max" else "Minimize")
-    obj_terms = model.objective_terms
     if obj_terms:
-        lines.append(f" obj: {_format_terms(obj_terms)}")
+        lines.append(f" obj: {expression(obj_terms)}")
     else:
         # LP format requires a non-empty objective row
-        first = model.variables[0].name if model.variables else None
-        lines.append(f" obj: 0 {first}" if first else " obj: 0 __zero__")
+        lines.append(f" obj: 0 {names[0]}" if names else " obj: 0 __zero__")
 
     lines.append("Subject To")
+    start = model._row_start
     used_names: dict[str, int] = {}
-    for con in model.constraints:
-        base = _sanitize_tag(con.tag)
+    for s, e, sense, rhs, base in zip(
+        start, start[1:], model._senses, model._rhs, _row_bases(model._tags)
+    ):
         n = used_names.get(base, 0)
         used_names[base] = n + 1
         cname = base if n == 0 else f"{base}__{n}"
-        lines.append(
-            f" {cname}: {_format_terms(con.terms)} {con.sense} {_format_coef(con.rhs)}"
-        )
+        lines.append(f" {cname}: {expression(terms[s:e])} {sense} {number[rhs]}")
+    del terms
 
     lines.append("Bounds")
-    for v in model.variables:
-        if v.kind == BINARY:
+    for name, lo, hi, binary in zip(names, model._lower, model._upper, model._binary):
+        if binary:
             continue
-        lo = "-inf" if v.lower == -math.inf else _format_coef(v.lower)
-        hi = "+inf" if v.upper == math.inf else _format_coef(v.upper)
-        if v.lower == -math.inf and v.upper == math.inf:
-            lines.append(f" {v.name} free")
+        if lo == -math.inf and hi == math.inf:
+            lines.append(f" {name} free")
         else:
-            lines.append(f" {lo} <= {v.name} <= {hi}")
+            lo_text = "-inf" if lo == -math.inf else number[lo]
+            hi_text = "+inf" if hi == math.inf else number[hi]
+            lines.append(f" {lo_text} <= {name} <= {hi_text}")
 
-    binaries = [v.name for v in model.variables if v.kind == BINARY]
+    binaries = [name for name, binary in zip(names, model._binary) if binary]
     if binaries:
         lines.append("Binary")
-        for name in binaries:
-            lines.append(f" {name}")
+        lines.extend(f" {name}" for name in binaries)
     lines.append("End")
-    return "\n".join(lines) + "\n"
+    # the empty last line ends the text with "\n" without copying it again
+    lines.append("")
+    return "\n".join(lines)
 
 
 # -- solution import -------------------------------------------------------
@@ -267,7 +376,11 @@ def parse_solution(
     text: str, model: MilpModel, tol: float = FEASIBILITY_TOL
 ) -> Solution:
     """Parse the adapter solution format: status line, optional ``obj <v>``
-    line, then one ``name value`` pair per line."""
+    line, then one ``name value`` pair per line.
+
+    Every name must be a variable of ``model``. A variable the text leaves
+    out reads as 0, which must lie within its bounds like any other value.
+    """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty solution text")
@@ -279,37 +392,46 @@ def parse_solution(
     values: dict[str, float] = {}
     body = lines[1:]
     if body and body[0].lower().startswith("obj"):
-        objective = float(body[0].split()[1])
+        parts = body[0].split()
+        try:
+            (objective,) = map(float, parts[1:])
+        except ValueError as exc:
+            raise ValueError(f"unparseable objective line {body[0]!r}") from exc
         body = body[1:]
+    index = model._index
     for ln in body:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"unparseable solution line {ln!r}")
         name, raw = parts
+        if name not in index:
+            raise ValueError(f"solution line {ln!r} names no variable of the model")
         try:
             values[name] = float(raw)
         except ValueError as exc:
             raise ValueError(f"unparseable value in line {ln!r}") from exc
 
-    if status in ("optimal", "feasible"):
-        missing = set()
-        for v in model.variables:
-            if v.name not in values:
-                values[v.name] = 0.0
-                missing.add(v.name)
-                continue
-            val = values[v.name]
-            if val < v.lower - tol or val > v.upper + tol:
-                raise ValueError(
-                    f"{v.name}={val} violates bounds [{v.lower}, {v.upper}]"
-                )
-        return Solution(
-            status=status,
-            objective_value=objective,
-            values=values,
-            missing=frozenset(missing),
-        )
-    return Solution(status=status, objective_value=objective, values={})
+    if status not in ("optimal", "feasible"):
+        return Solution(status=status, objective_value=objective, values={})
+    arrays = model.arrays
+    missing = [name for name in arrays.names if name not in values]
+    for name in missing:
+        values[name] = 0.0
+    x = np.array([values[name] for name in arrays.names], dtype=float)
+    bad = np.flatnonzero((x < arrays.lower - tol) | (x > arrays.upper + tol))
+    if bad.size:
+        i = int(bad[0])
+        name = arrays.names[i]
+        bounds = f"bounds [{model._lower[i]}, {model._upper[i]}]"
+        if name in missing:
+            raise ValueError(f"{name} is missing; its default 0.0 violates {bounds}")
+        raise ValueError(f"{name}={values[name]} violates {bounds}")
+    return Solution(
+        status=status,
+        objective_value=objective,
+        values=values,
+        missing=frozenset(missing),
+    )
 
 
 def check_solution(
@@ -318,21 +440,18 @@ def check_solution(
     """Re-check every constraint by direct substitution.
 
     Returns (tag, violation amount) for each violated constraint; an empty
-    list means the solution is feasible within ``tol``.
+    list means the solution is feasible within ``tol``. A variable the
+    solution lacks counts as 0.
     """
-    violations: list[tuple[str, float]] = []
+    arrays = model.arrays
     vals = solution.values
-    for con in model.constraints:
-        lhs = sum(coef * vals.get(name, 0.0) for name, coef in con.terms)
-        if con.sense == "<=":
-            gap = lhs - con.rhs
-        elif con.sense == ">=":
-            gap = con.rhs - lhs
-        else:
-            gap = abs(lhs - con.rhs)
-        if gap > tol:
-            violations.append((con.tag, gap))
-    return violations
+    x = np.array([vals.get(name, 0.0) for name in arrays.names], dtype=float)
+    lhs = arrays.matrix() @ x
+    # the infinite bound of an inequality gives -inf; for an equality the
+    # two differences are exact negatives, so this is |lhs - rhs|
+    gap = np.maximum(arrays.row_lo - lhs, lhs - arrays.row_hi)
+    tags = model._tags
+    return [(tags[r], float(gap[r])) for r in np.flatnonzero(gap > tol)]
 
 
 # -- solving ---------------------------------------------------------------
@@ -350,10 +469,20 @@ def solve(
     adapter: SolverAdapter,
     workdir: Optional[Path] = None,
 ) -> Solution:
+    """Write the LP file and the solution text to ``workdir``. When it is
+    None, use a temporary directory, removed after a successful solve and
+    kept, with the solver's files, when the solve raises."""
     if not model.frozen:
         raise ModelFrozenError("freeze the model before solving")
-    if workdir is None:
-        workdir = Path(tempfile.mkdtemp(prefix="sopwl_"))
+    if workdir is not None:
+        return _solve_in(model, adapter, workdir)
+    tmp = Path(tempfile.mkdtemp(prefix="sopwl_"))
+    solution = _solve_in(model, adapter, tmp)
+    shutil.rmtree(tmp)
+    return solution
+
+
+def _solve_in(model: MilpModel, adapter: SolverAdapter, workdir: Path) -> Solution:
     workdir.mkdir(parents=True, exist_ok=True)
     lp_path = workdir / f"{model.name}.lp"
     lp_path.write_text(write_lp(model))

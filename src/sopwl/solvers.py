@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import shlex
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.optimize as sopt
-import scipy.sparse as sp
 
-from .milp import BINARY, MilpModel
+from .milp import MilpModel
 
 __all__ = ["ScipyMilpAdapter", "SubprocessAdapter", "format_solution_text"]
 
@@ -42,45 +41,20 @@ class ScipyMilpAdapter:
     mip_rel_gap: float = 1e-4
 
     def run(self, model: MilpModel, lp_path: Path, workdir: Path) -> str:
-        variables = model.variables
-        n = len(variables)
-        index = {v.name: i for i, v in enumerate(variables)}
+        a = model.arrays
+        n = len(a.names)
 
         c = np.zeros(n)
-        for name, coef in model.objective_terms:
-            c[index[name]] += coef
-        sign = -1.0 if model.objective_sense == "max" else 1.0
-        c *= sign
-
-        rows, cols, data, lo, hi = [], [], [], [], []
-        for r, con in enumerate(model.constraints):
-            for name, coef in con.terms:
-                rows.append(r)
-                cols.append(index[name])
-                data.append(coef)
-            if con.sense == "<=":
-                lo.append(-np.inf)
-                hi.append(con.rhs)
-            elif con.sense == ">=":
-                lo.append(con.rhs)
-                hi.append(np.inf)
-            else:
-                lo.append(con.rhs)
-                hi.append(con.rhs)
+        np.add.at(c, a.obj_cols, a.obj_coefs)
+        if model.objective_sense == "max":
+            c *= -1.0
 
         constraints = []
-        if model.constraints:
-            a = sp.csr_matrix(
-                (data, (rows, cols)), shape=(len(model.constraints), n)
-            )
-            constraints = [sopt.LinearConstraint(a, lo, hi)]
+        if len(a.row_lo):
+            constraints = [sopt.LinearConstraint(a.matrix(), a.row_lo, a.row_hi)]
 
-        bounds = sopt.Bounds(
-            [v.lower for v in variables], [v.upper for v in variables]
-        )
-        integrality = np.array(
-            [1 if v.kind == BINARY else 0 for v in variables]
-        )
+        bounds = sopt.Bounds(a.lower, a.upper)
+        integrality = a.binary.astype(int)
 
         res = sopt.milp(
             c=c,
@@ -109,17 +83,16 @@ class ScipyMilpAdapter:
 
         x = np.asarray(res.x, dtype=float)
         # snap binaries and clip integrality dust so downstream bound checks
-        # see clean values
-        for i, v in enumerate(variables):
-            if v.kind == BINARY:
-                x[i] = round(x[i])
-            x[i] = min(max(x[i], v.lower), v.upper)
-        # recompute the objective from snapped values for consistency
-        objective = float(
-            sum(coef * x[index[name]] for name, coef in model.objective_terms)
-        )
-        values = {v.name: float(x[i]) for i, v in enumerate(variables)}
-        return format_solution_text(status, objective, values)
+        # see clean values. "+ 0.0" turns a rounded -0.0 into 0.0, and the
+        # clip keeps x where it is not beyond a bound, -0.0 included
+        x[a.binary] = np.round(x[a.binary]) + 0.0
+        x = np.where(x < a.lower, a.lower, x)
+        x = np.where(x > a.upper, a.upper, x)
+        # recompute the objective from snapped values for consistency, summed
+        # term by term in the objective's order
+        obj_values = x[a.obj_cols].tolist()
+        objective = float(sum(c * v for c, v in zip(a.obj_coefs.tolist(), obj_values)))
+        return format_solution_text(status, objective, dict(zip(a.names, x.tolist())))
 
 
 @dataclass

@@ -98,8 +98,14 @@ class TestSolve:
         comparison = (out / "comparison.csv").read_text()
         header = comparison.splitlines()[0]
         assert header == "feeder,E_p_pwl,E_p_sopwl,E_q_pwl,E_q_sopwl"
-        assert (out / "pwl" / "run.json").exists()
-        assert (out / "sopwl" / "run.json").exists()
+        sizes = {
+            "pwl": {"vars": 26, "rows": 17, "nnz": 59, "binaries": 4},
+            # ten ordering binaries and 2 * (5 + 4) eq20/eq21 rows on top
+            "sopwl": {"vars": 36, "rows": 35, "nnz": 95, "binaries": 14},
+        }
+        for mode, expected in sizes.items():
+            meta = json.loads((out / mode / "run.json").read_text())
+            assert {k: meta[k] for k in expected} == expected
 
     def test_config_file_overrides_flags(self, tmp_path, cases_dir):
         cfg = tmp_path / "cfg.json"
@@ -151,6 +157,28 @@ class TestValidate:
         assert status == 0
         assert "sweep converged" in out
         assert "root slack injection" in out
+
+    def test_missing_variables_counted(self, tmp_path, cases_dir, capsys):
+        sol_path = self._solve(tmp_path, cases_dir)
+        # the solution leaves the reactive-power segments at zero: dropping
+        # their lines changes no value
+        lines = sol_path.read_text().splitlines()
+        kept = [ln for ln in lines if not (ln.startswith("Q_1_2_d") and float(ln.split()[1]) == 0.0)]
+        dropped = len(lines) - len(kept)
+        assert dropped > 0
+        sol_path.write_text("\n".join(kept) + "\n")
+        status = main(
+            [
+                "validate",
+                "--case", str(cases_dir / "twobus.json"),
+                "--mode", "sopwl",
+                "--segments", "10",
+                "--solution", str(sol_path),
+            ]
+        )
+        out = capsys.readouterr().out
+        assert status == 0
+        assert f"{dropped} variables missing from the solution, read as 0" in out
 
     def test_tampered_solution(self, tmp_path, cases_dir, capsys):
         sol_path = self._solve(tmp_path, cases_dir)

@@ -1,9 +1,21 @@
+import collections
+import hashlib
 import math
+import re
+import tempfile
+import types
+from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sopwl.distflow import BuildOptions, build_distflow, build_restoration_objective
 from sopwl.milp import (
     BINARY,
+    LinearConstraint,
     MilpModel,
     ModelFrozenError,
     Solution,
@@ -12,6 +24,8 @@ from sopwl.milp import (
     solve,
     write_lp,
 )
+from sopwl import solvers
+from sopwl.network import bundled_case_path, load_case
 from sopwl.solvers import ScipyMilpAdapter, SubprocessAdapter
 
 
@@ -53,11 +67,61 @@ class TestBuild:
         with pytest.raises(ValueError):
             m.add_variable("z", lower=0.0, upper=2.0, kind=BINARY)
 
+    @pytest.mark.parametrize(
+        "wrap",
+        [collections.OrderedDict, types.MappingProxyType, collections.Counter],
+        ids=["OrderedDict", "MappingProxyType", "Counter"],
+    )
+    def test_non_dict_mapping_terms(self, wrap):
+        m = MilpModel()
+        m.add_variable("xa")
+        m.add_variable("yb")
+        m.add_constraint(wrap({"xa": 1.0, "yb": -2.0}), "<=", 1.0, tag="t")
+        m.set_objective("min", wrap({"yb": 3.0}))
+        assert m.constraints[0].terms == (("xa", 1.0), ("yb", -2.0))
+        assert m.objective_terms == (("yb", 3.0),)
+
     def test_duplicate_term(self):
         m = MilpModel()
         m.add_variable("x")
         with pytest.raises(ValueError, match="duplicate"):
             m.add_constraint([("x", 1.0), ("x", 2.0)], "<=", 1.0, tag="t")
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coefficient(self, bad):
+        m = MilpModel()
+        m.add_variable("x")
+        with pytest.raises(ValueError, match="t: non-finite coefficient on x"):
+            m.add_constraint({"x": bad}, "<=", 1.0, tag="t")
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rhs(self, bad):
+        m = MilpModel()
+        m.add_variable("x")
+        with pytest.raises(ValueError, match="t: non-finite right-hand side"):
+            m.add_constraint({"x": 1.0}, "<=", bad, tag="t")
+
+    def test_unknown_sense(self):
+        m = MilpModel()
+        m.add_variable("x")
+        with pytest.raises(ValueError, match="unknown sense '<'"):
+            m.add_constraint({"x": 1.0}, "<", 1.0, tag="t")
+
+    def test_undeclared_objective_variable(self):
+        m = MilpModel()
+        m.add_variable("x")
+        with pytest.raises(ValueError, match="objective: reference to undeclared variable 'ghost'"):
+            m.set_objective("max", [("x", 1.0), ("ghost", 1.0)])
+
+    def test_rejected_row_leaves_no_trace(self):
+        m = MilpModel()
+        m.add_variable("x")
+        with pytest.raises(ValueError, match="undeclared"):
+            m.add_constraint([("x", 1.0), ("ghost", 1.0)], "<=", 1.0, tag="t")
+        m.add_constraint({"x": 2.0}, ">=", 0.0, tag="ok")
+        m.freeze()
+        assert m.constraints == (LinearConstraint((("x", 2.0),), ">=", 0.0, "ok"),)
+        assert m.arrays.sizes() == {"vars": 1, "rows": 1, "nnz": 1, "binaries": 0}
 
     def test_frozen_is_immutable(self):
         m = simple_model()
@@ -97,6 +161,38 @@ class TestWriteLp:
         text = write_lp(m)
         assert "<= 4" in text and ">= 1" in text and "= 2" in text
 
+    # sha256 of the LP text, pinned when the model moved to index arrays
+    IEEE33_LP_SHA256 = {
+        "pwl": "4fe0fa276dd5835d13370bf7d5d46f74c5efd524cf994032897a1f2738631e6c",
+        "sopwl": "8c783da93efbf9edb0bcf03c5d69b6f39271b32a6dfc7ad42449a4af1ed4b757",
+    }
+
+    @pytest.mark.parametrize("mode", ["pwl", "sopwl"])
+    def test_ieee33_text_pinned(self, mode):
+        case = load_case(bundled_case_path("ieee33_4dg"))
+        m = MilpModel(name=f"ieee33_4dg_{mode}")
+        art = build_distflow(m, case, BuildOptions(num_segments=50, mode=mode))
+        build_restoration_objective(m, art)
+        text = write_lp(m.freeze())
+        assert hashlib.sha256(text.encode()).hexdigest() == self.IEEE33_LP_SHA256[mode]
+
+    @pytest.mark.parametrize(
+        "tags, names",
+        [
+            (["1a", ".b", "a:b", "a-b", "a_b", ""], ["c_1a", "c_.b", "a_b", "a_b__1", "a_b__2", "c_"]),
+            # a non-ASCII tag and a tag holding a newline take the per-tag path
+            (["\u00e9:x", "a:b"], ["__x", "a_b"]),
+            (["a\nb", "a:b"], ["a_b", "a_b__1"]),
+        ],
+    )
+    def test_row_names(self, tags, names):
+        m = MilpModel()
+        m.add_variable("x")
+        for tag in tags:
+            m.add_constraint({"x": 1.0}, "<=", 1.0, tag=tag)
+        rows = write_lp(m.freeze()).split("Subject To\n")[1].split("Bounds")[0]
+        assert [ln.split(":")[0].strip() for ln in rows.splitlines()] == names
+
     def test_unsafe_name(self):
         m = MilpModel()
         m.add_variable("bad name")
@@ -125,6 +221,26 @@ class TestParseSolution:
         assert sol.values["x"] == 0.0
         assert "x" in sol.missing
 
+    def test_missing_checked_against_bounds(self, cases_dir):
+        case = load_case(cases_dir / "twobus.json")
+        m = MilpModel()
+        build_distflow(m, case, BuildOptions(num_segments=5))
+        m.freeze()
+        # every other variable reads 0, within its bounds; V_2 >= 0.81 does not
+        with pytest.raises(ValueError, match=r"V_2 is missing; its default 0.0 violates bounds \[0.81, "):
+            parse_solution("optimal\nobj 0\nV_1 1.0\n", m)
+
+    @pytest.mark.parametrize("line", ["obj", "obj 1 2", "obj one"])
+    def test_bad_objective_line(self, line):
+        m = simple_model().freeze()
+        with pytest.raises(ValueError, match="unparseable objective line"):
+            parse_solution(f"optimal\n{line}\nx 1\n", m)
+
+    def test_unknown_name_rejected(self):
+        m = simple_model().freeze()
+        with pytest.raises(ValueError, match="'ghost 1' names no variable"):
+            parse_solution("optimal\nobj 1\nx 1\nghost 1\n", m)
+
     def test_unknown_status(self):
         m = simple_model().freeze()
         with pytest.raises(ValueError, match="status"):
@@ -150,6 +266,51 @@ class TestCheckSolution:
         sol = Solution(status="feasible", objective_value=0.0, values={"x": 3.0})
         violations = check_solution(m, sol)
         assert violations == [("cap:branch", pytest.approx(2.0))]
+
+
+# dyadic values keep every sum exact, so the reference and the sparse product
+# agree to the bit and no gap sits on the tolerance by rounding
+_dyadic = st.integers(-16, 16).map(lambda k: k / 4)
+
+
+@st.composite
+def _small_models(draw):
+    n = draw(st.integers(1, 5))
+    names = [f"v{i}" for i in range(n)]
+    rows = []
+    for r in range(draw(st.integers(0, 6))):
+        cols = draw(st.lists(st.sampled_from(names), unique=True, max_size=n))
+        terms = [(name, draw(_dyadic)) for name in cols]
+        # repeated tags: the check reports each violated row, not each tag
+        rows.append((terms, draw(st.sampled_from(["<=", "=", ">="])), draw(_dyadic), f"r{r % 3}"))
+    values = {name: draw(_dyadic) for name in names if draw(st.booleans())}
+    return names, rows, values
+
+
+class TestCheckSolutionProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(_small_models())
+    def test_matches_row_by_row_substitution(self, drawn):
+        names, rows, values = drawn
+        m = MilpModel()
+        for name in names:
+            m.add_variable(name)
+        for terms, sense, rhs, tag in rows:
+            m.add_constraint(terms, sense, rhs, tag=tag)
+        m.freeze()
+
+        expected = []
+        for terms, sense, rhs, tag in rows:
+            lhs = sum(c * values.get(name, 0.0) for name, c in terms)
+            gap = {"<=": lhs - rhs, ">=": rhs - lhs, "=": abs(lhs - rhs)}[sense]
+            if gap > 0.1:
+                expected.append((tag, gap))
+        sol = Solution(status="feasible", objective_value=0.0, values=values)
+        assert check_solution(m, sol, tol=0.1) == expected
+
+        assert m.constraints == tuple(
+            LinearConstraint(tuple(terms), sense, rhs, tag) for terms, sense, rhs, tag in rows
+        )
 
 
 class TestSolve:
@@ -186,6 +347,40 @@ class TestSolve:
     def test_requires_frozen(self):
         with pytest.raises(ModelFrozenError):
             solve(simple_model(), ScipyMilpAdapter())
+
+    def test_temporary_workdir_removed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        sol = solve(simple_model().freeze(), ScipyMilpAdapter())
+        assert sol.status == "optimal"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_temporary_workdir_kept_on_failure(self, tmp_path, monkeypatch):
+        # the error names the solver log, which must still be there to read
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        adapter = SubprocessAdapter(command="false", arg_template="{lp} {sol}")
+        with pytest.raises(RuntimeError, match="exited") as err:
+            solve(simple_model().freeze(), adapter)
+        log = re.search(r"log at (\S+)$", str(err.value)).group(1)
+        assert Path(log).is_file()
+        (workdir,) = tmp_path.iterdir()
+        assert Path(log).parent == workdir
+
+
+class TestScipyAdapter:
+    def test_snap_and_clip_keep_python_semantics(self, tmp_path, monkeypatch):
+        # min(max(x, lo), hi) keeps -0.0 at a zero bound, and round() of a
+        # binary gives an int, so a binary never reads -0.0
+        m = MilpModel(name="snap")
+        m.add_variable("b", 0, 1, kind=BINARY)
+        m.add_variable("c", 0, 1, kind=BINARY)
+        m.add_variable("y", lower=0.0, upper=2.0)
+        m.add_variable("z", lower=-1.0, upper=1.0)
+        m.set_objective("max", {"y": 1.0, "z": 0.5})
+        m.freeze()
+        fake = scipy.optimize.OptimizeResult(status=0, x=np.array([-0.0, 0.5000001, -0.0, 2.5]))
+        monkeypatch.setattr(solvers.sopt, "milp", lambda **kwargs: fake)
+        text = ScipyMilpAdapter().run(m, tmp_path / "snap.lp", tmp_path)
+        assert text == "optimal\nobj 0.5\nb 0.0\nc 1.0\ny -0.0\nz 1.0\n"
 
 
 class TestSubprocessAdapter:
