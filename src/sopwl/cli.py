@@ -114,6 +114,7 @@ def _run_one_mode(case: NetworkCase, config: RunConfig, mode: str) -> tuple[int,
     except Exception as exc:
         print(f"[{mode}] solver failure: {exc}", file=sys.stderr)
         return 1, {}
+    (out / f"{model.name}.sol").write_text(milp.format_solution(solution))
     if solution.status not in ("optimal", "feasible"):
         print(f"[{mode}] solve ended with status {solution.status}", file=sys.stderr)
         return 1, {}
@@ -139,6 +140,9 @@ def _run_one_mode(case: NetworkCase, config: RunConfig, mode: str) -> tuple[int,
         "status": solution.status,
         "objective_value": solution.objective_value,
         "solve_seconds": solution.solve_seconds,
+        "mip_node_count": solution.mip_node_count,
+        "mip_gap": solution.mip_gap,
+        "mip_dual_bound": solution.mip_dual_bound,
         "max_e_p_percent": report.max_e_p,
         "violations": len(violations),
         **model.arrays.sizes(),

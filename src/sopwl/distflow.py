@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from .milp import BINARY, CONTINUOUS, MilpModel
 from .network import Branch, NetworkCase
@@ -21,6 +21,7 @@ __all__ = [
     "PwlBlockHandle",
     "DistflowArtifacts",
     "flow_bound",
+    "epsilon_plus",
     "emit_pwl_block",
     "build_distflow",
     "build_restoration_objective",
@@ -38,8 +39,6 @@ class BuildOptions:
     num_segments: int = 50
     mode: str = MODE_PWL
     v_norm: float = 1.0
-    big_m: Optional[float] = None  # default: one segment width per block
-    epsilon_plus: Optional[float] = None  # default: 1e-6 * segment width
     objective: str = OBJECTIVE_RESTORATION
     loss_weight: float = 1.0
     restorable_buses: Optional[frozenset[int]] = None  # None = all load buses
@@ -51,19 +50,10 @@ class BuildOptions:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.objective not in (OBJECTIVE_RESTORATION, OBJECTIVE_RESTORATION_LOSS):
             raise ValueError(f"unknown objective {self.objective!r}")
-        if self.big_m is not None and self.big_m <= 0:
-            raise ValueError("big_m must be positive")
 
-    def block_big_m(self, grid: PwlGrid) -> float:
-        # tightest valid M: with it the deactivated row is exactly vacuous
-        return self.big_m if self.big_m is not None else grid.seg_width
-
-    def block_epsilon(self, grid: PwlGrid) -> float:
-        return (
-            self.epsilon_plus
-            if self.epsilon_plus is not None
-            else 1e-6 * grid.seg_width
-        )
+def epsilon_plus(grid: PwlGrid) -> float:
+    """The margin by which an active ``eq20`` row asks a segment to be full."""
+    return 1e-6 * grid.seg_width
 
 
 @dataclass(frozen=True)
@@ -123,8 +113,6 @@ def emit_pwl_block(
     mode: str,
     branch_key: str = "y",
     kind: str = "y",
-    big_m: Optional[float] = None,
-    epsilon_plus: Optional[float] = None,
 ) -> PwlBlockHandle:
     """Declare segment/sign/binary variables and constraint rows for one
     linearized square, returning a handle to everything emitted."""
@@ -165,8 +153,9 @@ def emit_pwl_block(
 
     x_names: tuple[str, ...] = ()
     if mode == MODE_SOPWL:
-        m_const = big_m if big_m is not None else h
-        eps = epsilon_plus if epsilon_plus is not None else 1e-6 * h
+        # tightest valid M: with it the deactivated row is exactly vacuous
+        m_const = h
+        eps = epsilon_plus(grid)
         x_names = tuple(
             model.add_variable(f"{prefix}_x{lam}", lower=0.0, upper=1.0, kind=BINARY)
             for lam in range(1, grid.num_segments + 1)
@@ -243,14 +232,7 @@ def build_distflow(
 
         for kind, y_var in (("P", p_var), ("Q", q_var)):
             blocks[(key, kind)] = emit_pwl_block(
-                model,
-                y_var,
-                grid,
-                options.mode,
-                branch_key=key,
-                kind=kind,
-                big_m=options.block_big_m(grid),
-                epsilon_plus=options.block_epsilon(grid),
+                model, y_var, grid, options.mode, branch_key=key, kind=kind
             )
 
         # squared-current coupling: v_norm^2 * Isqr = f(P) + f(Q)

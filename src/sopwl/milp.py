@@ -1,5 +1,6 @@
 """Solver-agnostic mixed-integer linear program container, textual LP export,
-solution import, and a feasibility re-check by direct substitution.
+the solution text format (export and import), and a feasibility re-check by
+direct substitution.
 
 The model is stored in integer-indexed form. Variable ``i`` is the ``i``-th
 declared; row ``r`` holds the terms ``cols[s:e]``/``coefs[s:e]`` with
@@ -12,10 +13,8 @@ from __future__ import annotations
 
 import math
 import re
-import shutil
-import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Protocol, Sequence
 
@@ -30,6 +29,7 @@ __all__ = [
     "Solution",
     "SolverAdapter",
     "write_lp",
+    "format_solution",
     "parse_solution",
     "check_solution",
     "solve",
@@ -267,6 +267,11 @@ class Solution:
     values: dict[str, float]
     missing: frozenset[str] = frozenset()
     solve_seconds: Optional[float] = None
+    # branch-and-bound statistics, None when the solver does not report them;
+    # the dual bound is in the model's objective sense
+    mip_node_count: Optional[int] = None
+    mip_gap: Optional[float] = None
+    mip_dual_bound: Optional[float] = None
 
     def __getitem__(self, name: str) -> float:
         return self.values[name]
@@ -369,14 +374,31 @@ def write_lp(model: MilpModel) -> str:
     return "\n".join(lines)
 
 
-# -- solution import -------------------------------------------------------
+# -- solution text ---------------------------------------------------------
+
+
+def format_solution(solution: Solution) -> str:
+    """The solution text format, which ``validate`` reads and an external
+    solver command writes::
+
+        optimal|feasible|infeasible|unbounded|error
+        obj <value>
+        <name> <value>
+        ...
+
+    Numbers are written with ``repr``, so :func:`parse_solution` reads back
+    the same floats, ``-0.0`` included.
+    """
+    lines = [solution.status, f"obj {solution.objective_value!r}"]
+    lines.extend(f"{name} {val!r}" for name, val in solution.values.items())
+    return "\n".join(lines) + "\n"
 
 
 def parse_solution(
     text: str, model: MilpModel, tol: float = FEASIBILITY_TOL
 ) -> Solution:
-    """Parse the adapter solution format: status line, optional ``obj <v>``
-    line, then one ``name value`` pair per line.
+    """Parse the solution text format: status line, optional ``obj <v>``
+    line (the token ``obj`` exactly), then one ``name value`` pair per line.
 
     Every name must be a variable of ``model``. A variable the text leaves
     out reads as 0, which must lie within its bounds like any other value.
@@ -391,8 +413,8 @@ def parse_solution(
     objective = 0.0
     values: dict[str, float] = {}
     body = lines[1:]
-    if body and body[0].lower().startswith("obj"):
-        parts = body[0].split()
+    parts = body[0].split() if body else []
+    if parts and parts[0].lower() == "obj":
         try:
             (objective,) = map(float, parts[1:])
         except ValueError as exc:
@@ -458,10 +480,11 @@ def check_solution(
 
 
 class SolverAdapter(Protocol):
-    """Contract for backends: given a frozen model and the path of its LP
-    export, return solution text in the adapter solution format."""
+    """Contract for backends: solve a frozen model and return its
+    :class:`Solution`. ``workdir`` is where an adapter that works with files
+    keeps them; when it is None, the adapter chooses."""
 
-    def run(self, model: MilpModel, lp_path: Path, workdir: Path) -> str: ...
+    def run(self, model: MilpModel, workdir: Optional[Path]) -> Solution: ...
 
 
 def solve(
@@ -469,33 +492,10 @@ def solve(
     adapter: SolverAdapter,
     workdir: Optional[Path] = None,
 ) -> Solution:
-    """Write the LP file and the solution text to ``workdir``. When it is
-    None, use a temporary directory, removed after a successful solve and
-    kept, with the solver's files, when the solve raises."""
+    """Run ``adapter`` on the frozen ``model`` and time it."""
     if not model.frozen:
         raise ModelFrozenError("freeze the model before solving")
-    if workdir is not None:
-        return _solve_in(model, adapter, workdir)
-    tmp = Path(tempfile.mkdtemp(prefix="sopwl_"))
-    solution = _solve_in(model, adapter, tmp)
-    shutil.rmtree(tmp)
-    return solution
-
-
-def _solve_in(model: MilpModel, adapter: SolverAdapter, workdir: Path) -> Solution:
-    workdir.mkdir(parents=True, exist_ok=True)
-    lp_path = workdir / f"{model.name}.lp"
-    lp_path.write_text(write_lp(model))
     start = time.perf_counter()
-    text = adapter.run(model, lp_path, workdir)
+    solution = adapter.run(model, workdir)
     elapsed = time.perf_counter() - start
-    sol_path = workdir / f"{model.name}.sol"
-    sol_path.write_text(text)
-    sol = parse_solution(text, model)
-    return Solution(
-        status=sol.status,
-        objective_value=sol.objective_value,
-        values=sol.values,
-        missing=sol.missing,
-        solve_seconds=elapsed,
-    )
+    return replace(solution, solve_seconds=elapsed)

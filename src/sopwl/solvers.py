@@ -1,36 +1,29 @@
-"""Solver backends: an in-process HiGHS adapter (via scipy) and a generic
-subprocess adapter for any external MILP solver speaking LP files.
+"""Solver backends. Each adapter returns a :class:`sopwl.milp.Solution`.
 
-Both produce the same textual solution format consumed by
-:func:`sopwl.milp.parse_solution`:
-
-    optimal|feasible|infeasible|unbounded|error
-    obj <value>
-    <name> <value>
-    ...
+:class:`ScipyMilpAdapter` solves in process with HiGHS (via scipy) and reads
+and writes no file. :class:`SubprocessAdapter` runs any external MILP solver
+that reads an LP file and writes the solution text format of
+:func:`sopwl.milp.format_solution`.
 """
 
 from __future__ import annotations
 
 import shlex
+import shutil
 import subprocess
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import scipy.optimize as sopt
 
-from .milp import MilpModel
+from . import milp
 
-__all__ = ["ScipyMilpAdapter", "SubprocessAdapter", "format_solution_text"]
+__all__ = ["ScipyMilpAdapter", "SubprocessAdapter"]
 
 DEFAULT_TIMEOUT_SECONDS = 600.0
-
-
-def format_solution_text(status: str, objective: float, values: dict[str, float]) -> str:
-    lines = [status, f"obj {objective!r}"]
-    lines.extend(f"{name} {val!r}" for name, val in values.items())
-    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -40,7 +33,9 @@ class ScipyMilpAdapter:
     time_limit: float = DEFAULT_TIMEOUT_SECONDS
     mip_rel_gap: float = 1e-4
 
-    def run(self, model: MilpModel, lp_path: Path, workdir: Path) -> str:
+    def run(
+        self, model: milp.MilpModel, workdir: Optional[Path] = None
+    ) -> milp.Solution:
         a = model.arrays
         n = len(a.names)
 
@@ -53,33 +48,30 @@ class ScipyMilpAdapter:
         if len(a.row_lo):
             constraints = [sopt.LinearConstraint(a.matrix(), a.row_lo, a.row_hi)]
 
-        bounds = sopt.Bounds(a.lower, a.upper)
-        integrality = a.binary.astype(int)
-
         res = sopt.milp(
             c=c,
             constraints=constraints,
-            bounds=bounds if n else None,
-            integrality=integrality if n else None,
-            options={
-                "time_limit": self.time_limit,
-                "mip_rel_gap": self.mip_rel_gap,
-            },
+            bounds=sopt.Bounds(a.lower, a.upper) if n else None,
+            integrality=a.binary.astype(int) if n else None,
+            options={"time_limit": self.time_limit, "mip_rel_gap": self.mip_rel_gap},
         )
+        status = {
+            0: "optimal",
+            1: "error" if res.x is None else "feasible",  # a limit hit, incumbent or not
+            2: "infeasible",
+            3: "unbounded",
+        }.get(res.status, "error")
 
-        if res.status == 0:
-            status = "optimal"
-        elif res.status == 1 and res.x is not None:
-            status = "feasible"  # hit time limit with an incumbent
-        elif res.status == 2:
-            status = "infeasible"
-        elif res.status == 3:
-            status = "unbounded"
-        else:
-            status = "error"
-
+        bound = res.get("mip_dual_bound")
+        if bound is not None and model.objective_sense == "max":
+            bound = -bound  # HiGHS bounds c @ x, the negated objective
+        stats = {
+            "mip_node_count": res.get("mip_node_count"),
+            "mip_gap": res.get("mip_gap"),
+            "mip_dual_bound": bound,
+        }
         if res.x is None or status in ("infeasible", "unbounded", "error"):
-            return format_solution_text(status, 0.0, {})
+            return milp.Solution(status, 0.0, {}, **stats)
 
         x = np.asarray(res.x, dtype=float)
         # snap binaries and clip integrality dust so downstream bound checks
@@ -92,7 +84,7 @@ class ScipyMilpAdapter:
         # term by term in the objective's order
         obj_values = x[a.obj_cols].tolist()
         objective = float(sum(c * v for c, v in zip(a.obj_coefs.tolist(), obj_values)))
-        return format_solution_text(status, objective, dict(zip(a.names, x.tolist())))
+        return milp.Solution(status, objective, dict(zip(a.names, x.tolist())), **stats)
 
 
 @dataclass
@@ -101,14 +93,31 @@ class SubprocessAdapter:
 
     ``arg_template`` is a shell-style template; ``{lp}`` and ``{sol}`` expand
     to the LP input path and the expected solution output path. The external
-    command must write the textual solution format to ``{sol}``.
+    command must write the solution text format to ``{sol}``.
+
+    The LP file, the solution file and the solver log go to ``workdir``. When
+    it is None, they go to a temporary directory, removed after a successful
+    solve and kept, with the solver log, when the solve raises.
     """
 
     command: str
     arg_template: str = "{lp} {sol}"
     timeout: float = DEFAULT_TIMEOUT_SECONDS
 
-    def run(self, model: MilpModel, lp_path: Path, workdir: Path) -> str:
+    def run(
+        self, model: milp.MilpModel, workdir: Optional[Path] = None
+    ) -> milp.Solution:
+        if workdir is not None:
+            return self._run_in(model, workdir)
+        tmp = Path(tempfile.mkdtemp(prefix="sopwl_"))
+        solution = self._run_in(model, tmp)
+        shutil.rmtree(tmp)
+        return solution
+
+    def _run_in(self, model: milp.MilpModel, workdir: Path) -> milp.Solution:
+        workdir.mkdir(parents=True, exist_ok=True)
+        lp_path = workdir / f"{model.name}.lp"
+        lp_path.write_text(milp.write_lp(model))
         sol_path = workdir / f"{model.name}.adapter.sol"
         args = [self.command] + [
             part.format(lp=str(lp_path), sol=str(sol_path))
@@ -129,4 +138,4 @@ class SubprocessAdapter:
             )
         if not sol_path.exists():
             raise RuntimeError(f"solver produced no solution file at {sol_path}")
-        return sol_path.read_text()
+        return milp.parse_solution(sol_path.read_text(), model)

@@ -15,6 +15,7 @@ from .distflow import (
     DistflowArtifacts,
     PwlBlockHandle,
     emit_pwl_block,
+    epsilon_plus,
 )
 from .milp import MilpModel, Solution, check_solution
 from .network import NetworkCase
@@ -129,7 +130,7 @@ def branch_errors(
     for br in artifacts.case.branches:
         key = br.key
         grid = artifacts.grids[key]
-        eso_tol = artifacts.options.block_epsilon(grid) + ESO_CHECK_EXTRA_TOL
+        eso_tol = epsilon_plus(grid) + ESO_CHECK_EXTRA_TOL
         row: dict[str, object] = {"branch_key": key}
         for kind in ("P", "Q"):
             state = extract_filling(solution, artifacts.blocks[(key, kind)])
@@ -163,10 +164,7 @@ def filling_dump(solution: Solution, artifacts: DistflowArtifacts) -> str:
 
 
 def check_unordered_feasibility(
-    state: FillingState,
-    big_m: Optional[float] = None,
-    epsilon_plus: Optional[float] = None,
-    tol: float = 1e-6,
+    state: FillingState, tol: float = 1e-6
 ) -> tuple[bool, bool]:
     """Substitute a candidate filling into a standalone linearized-square
     block in each mode and report (feasible in plain mode, feasible in
@@ -178,9 +176,7 @@ def check_unordered_feasibility(
     for mode in (MODE_PWL, MODE_SOPWL):
         model = MilpModel(name=f"witness_{mode}")
         y_var = model.add_variable("y", lower=-grid.y_max, upper=grid.y_max)
-        block = emit_pwl_block(
-            model, y_var, grid, mode, big_m=big_m, epsilon_plus=epsilon_plus
-        )
+        block = emit_pwl_block(model, y_var, grid, mode)
         values = {y_var: total, block.pos_name: total, block.neg_name: 0.0,
                   block.z_pos_name: 1.0, block.z_neg_name: 0.0}
         for name, d in zip(block.delta_names, state.deltas):

@@ -106,6 +106,35 @@ class TestSolve:
         for mode, expected in sizes.items():
             meta = json.loads((out / mode / "run.json").read_text())
             assert {k: meta[k] for k in expected} == expected
+            # HiGHS's branch-and-bound statistics; the dual bound is in the
+            # model's (maximizing) sense
+            assert isinstance(meta["mip_node_count"], int)
+            assert 0.0 <= meta["mip_gap"] <= 1e-4
+            assert meta["mip_dual_bound"] == pytest.approx(meta["objective_value"], rel=1e-4)
+            # the built-in solver leaves the solution file but no LP file
+            assert (out / mode / f"twobus_{mode}.sol").is_file()
+            assert not list((out / mode).glob("*.lp"))
+
+    def test_external_solver_files(self, tmp_path, cases_dir):
+        # the subprocess adapter leaves the LP file and the solver's own
+        # output; solve writes the solution file from the parsed solution
+        script = tmp_path / "infeasible.py"
+        script.write_text("import sys\nopen(sys.argv[2], 'w').write('Infeasible\\n')\n")
+        out = tmp_path / "run"
+        status = main(
+            [
+                "solve",
+                "--case", str(cases_dir / "twobus.json"),
+                "--segments", "5",
+                "--out", str(out),
+                "--adapter-cmd", f"python3 {script} {{lp}} {{sol}}",
+            ]
+        )
+        assert status == 1
+        run = out / "pwl"
+        assert (run / "twobus_pwl.lp").read_text().startswith("\\ twobus_pwl\n")
+        assert (run / "twobus_pwl.adapter.sol").read_text() == "Infeasible\n"
+        assert (run / "twobus_pwl.sol").read_text() == "infeasible\nobj 0.0\n"
 
     def test_config_file_overrides_flags(self, tmp_path, cases_dir):
         cfg = tmp_path / "cfg.json"

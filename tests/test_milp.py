@@ -18,13 +18,15 @@ from sopwl.milp import (
     LinearConstraint,
     MilpModel,
     ModelFrozenError,
+    STATUS_TOKENS,
     Solution,
     check_solution,
+    format_solution,
     parse_solution,
     solve,
     write_lp,
 )
-from sopwl import solvers
+from sopwl import milp, solvers
 from sopwl.network import bundled_case_path, load_case
 from sopwl.solvers import ScipyMilpAdapter, SubprocessAdapter
 
@@ -236,6 +238,23 @@ class TestParseSolution:
         with pytest.raises(ValueError, match="unparseable objective line"):
             parse_solution(f"optimal\n{line}\nx 1\n", m)
 
+    def test_objective_token_matched_exactly(self):
+        # a variable whose name starts with "obj" is a variable, not the
+        # objective
+        m = MilpModel()
+        m.add_variable("objx", lower=0.0, upper=5.0)
+        m.add_variable("y", lower=0.0, upper=5.0)
+        m.freeze()
+        sol = parse_solution("optimal\nobjx 3\ny 1\n", m)
+        assert sol.objective_value == 0.0
+        assert sol.values == {"objx": 3.0, "y": 1.0}
+        assert sol.missing == frozenset()
+
+    def test_objective_spelled_out_rejected(self):
+        m = simple_model().freeze()
+        with pytest.raises(ValueError, match="'objective 1.5' names no variable"):
+            parse_solution("optimal\nobjective 1.5\nx 1\n", m)
+
     def test_unknown_name_rejected(self):
         m = simple_model().freeze()
         with pytest.raises(ValueError, match="'ghost 1' names no variable"):
@@ -250,6 +269,40 @@ class TestParseSolution:
         m = simple_model().freeze()
         with pytest.raises(ValueError, match="bounds"):
             parse_solution("optimal\nobj 5\nx 5\n", m)
+
+
+# names that start like the objective token, and "obj" itself, which is a
+# variable anywhere but on the line after the status
+_names = st.lists(st.sampled_from(["obj", "objx", "OBJ_1", "x", "y_2"]), min_size=1, unique=True)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _solutions(draw):
+    names = draw(_names)
+    status = draw(st.sampled_from(STATUS_TOKENS))
+    values = {}
+    if status in ("optimal", "feasible"):
+        values = {name: draw(_finite) for name in names}
+    return names, Solution(status, draw(_finite), values)
+
+
+class TestSolutionText:
+    @settings(max_examples=200, deadline=None)
+    @given(_solutions())
+    def test_round_trip(self, drawn):
+        names, solution = drawn
+        m = MilpModel()
+        for name in names:
+            m.add_variable(name)
+        m.freeze()
+        back = parse_solution(format_solution(solution), m)
+        assert back.status == solution.status
+        # repr round-trips every float; compare the text to keep -0.0 apart
+        assert repr(back.objective_value) == repr(solution.objective_value)
+        assert list(map(repr, back.values.values())) == list(map(repr, solution.values.values()))
+        assert list(back.values) == list(solution.values)
+        assert back.missing == frozenset()
 
 
 class TestCheckSolution:
@@ -348,11 +401,32 @@ class TestSolve:
         with pytest.raises(ModelFrozenError):
             solve(simple_model(), ScipyMilpAdapter())
 
+    def test_in_process_solve_uses_no_text_or_file(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the in-process solve touched the text format")
+
+        monkeypatch.setattr(milp, "write_lp", refuse)
+        monkeypatch.setattr(milp, "parse_solution", refuse)
+        tmp = tmp_path / "tmp"
+        workdir = tmp_path / "work"
+        tmp.mkdir()
+        workdir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        for where in (None, workdir):
+            sol = solve(simple_model().freeze(), ScipyMilpAdapter(), workdir=where)
+            assert sol.status == "optimal"
+            assert sol.values == {"x": 1.0}
+        assert list(tmp.iterdir()) == []
+        assert list(workdir.iterdir()) == []
+
     def test_temporary_workdir_removed(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        sol = solve(simple_model().freeze(), ScipyMilpAdapter())
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        sol = solve(simple_model().freeze(), _fake_solver(tmp_path))
         assert sol.status == "optimal"
-        assert list(tmp_path.iterdir()) == []
+        assert sol.values == {"x": 1.0}
+        assert list(tmp.iterdir()) == []
 
     def test_temporary_workdir_kept_on_failure(self, tmp_path, monkeypatch):
         # the error names the solver log, which must still be there to read
@@ -367,7 +441,7 @@ class TestSolve:
 
 
 class TestScipyAdapter:
-    def test_snap_and_clip_keep_python_semantics(self, tmp_path, monkeypatch):
+    def test_snap_and_clip_keep_python_semantics(self, monkeypatch):
         # min(max(x, lo), hi) keeps -0.0 at a zero bound, and round() of a
         # binary gives an int, so a binary never reads -0.0
         m = MilpModel(name="snap")
@@ -379,28 +453,54 @@ class TestScipyAdapter:
         m.freeze()
         fake = scipy.optimize.OptimizeResult(status=0, x=np.array([-0.0, 0.5000001, -0.0, 2.5]))
         monkeypatch.setattr(solvers.sopt, "milp", lambda **kwargs: fake)
-        text = ScipyMilpAdapter().run(m, tmp_path / "snap.lp", tmp_path)
-        assert text == "optimal\nobj 0.5\nb 0.0\nc 1.0\ny -0.0\nz 1.0\n"
+        sol = ScipyMilpAdapter().run(m)
+        assert sol.status == "optimal"
+        assert sol.objective_value == 0.5
+        assert sol.values == {"b": 0.0, "c": 1.0, "y": 0.0, "z": 1.0}
+        signs = {name: math.copysign(1.0, v) for name, v in sol.values.items()}
+        assert signs == {"b": 1.0, "c": 1.0, "y": -1.0, "z": 1.0}
+        assert sol.missing == frozenset()
+        assert format_solution(sol) == "optimal\nobj 0.5\nb 0.0\nc 1.0\ny -0.0\nz 1.0\n"
+
+    def test_solver_statistics(self):
+        # the dual bound is reported in the model's sense: HiGHS minimizes
+        # the negated objective of a "max" model
+        m = MilpModel(name="pack")
+        m.add_variable("x", 0, 1, kind=BINARY)
+        m.add_variable("y", 0, 1, kind=BINARY)
+        m.add_constraint({"x": 1.0, "y": 1.0}, "<=", 1.0, tag="one")
+        m.set_objective("max", {"x": 1.0, "y": 1.0})
+        m.freeze()
+        sol = ScipyMilpAdapter().run(m)
+        assert isinstance(sol.mip_node_count, int)
+        assert sol.mip_gap == pytest.approx(0.0)
+        assert sol.mip_dual_bound == pytest.approx(1.0)
+
+
+def _fake_solver(where: Path) -> SubprocessAdapter:
+    """An external solver that checks the LP file exists and emits a fixed
+    solution in the documented format."""
+    script = where / "fakesolver.py"
+    script.write_text(
+        "import sys\n"
+        "lp, out = sys.argv[1], sys.argv[2]\n"
+        "assert open(lp).readline().startswith('\\\\')\n"
+        "open(out, 'w').write('optimal\\nobj 1\\nx 1\\n')\n"
+    )
+    return SubprocessAdapter(command="python3", arg_template=f"{script} {{lp}} {{sol}}")
 
 
 class TestSubprocessAdapter:
     def test_round_trip(self, tmp_path):
-        # fake external solver: checks the LP file exists, emits a fixed
-        # solution in the documented format
-        script = tmp_path / "fakesolver.py"
-        script.write_text(
-            "import sys\n"
-            "lp, out = sys.argv[1], sys.argv[2]\n"
-            "assert open(lp).readline().startswith('\\\\')\n"
-            "open(out, 'w').write('optimal\\nobj 1\\nx 1\\n')\n"
-        )
         m = simple_model().freeze()
-        adapter = SubprocessAdapter(
-            command="python3", arg_template=f"{script} {{lp}} {{sol}}"
-        )
-        sol = solve(m, adapter, workdir=tmp_path)
+        sol = solve(m, _fake_solver(tmp_path), workdir=tmp_path / "run")
         assert sol.status == "optimal"
         assert sol.values["x"] == 1.0
+        assert sol.mip_node_count is None
+        # the adapter owns the LP file, the solver's output and its log
+        assert (tmp_path / "run" / "simple.lp").read_text() == write_lp(m)
+        assert (tmp_path / "run" / "simple.adapter.sol").is_file()
+        assert (tmp_path / "run" / "simple.solver.log").is_file()
 
     def test_nonzero_exit(self, tmp_path):
         m = simple_model().freeze()
