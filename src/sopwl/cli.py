@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -29,6 +31,7 @@ from .validation import (
     DEFAULT_ZERO_FLOW_FLOOR,
     branch_errors,
     filling_dump,
+    lift_ordered,
     radial_sweep,
 )
 
@@ -48,10 +51,24 @@ class RunConfig:
     report_format: str = "table"  # table | delimited
 
     def __post_init__(self) -> None:
+        # a config file can put any JSON value in any field, so check types too
+        if not isinstance(self.case, str):
+            raise ValueError(f"case must be a string, got {self.case!r}")
+        if not isinstance(self.num_segments, int) or isinstance(self.num_segments, bool):
+            raise ValueError(f"segments must be an integer, got {self.num_segments!r}")
         if self.num_segments < 1:
             raise ValueError("segments must be >= 1")
         if self.mode not in (MODE_PWL, MODE_SOPWL, "both"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.adapter_cmd is not None and not isinstance(self.adapter_cmd, str):
+            raise ValueError(f"adapter command must be a string, got {self.adapter_cmd!r}")
+        for flag, value in (("timeout", self.timeout), ("zero-flow-floor", self.zero_flow_floor)):
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (number and 0 < value < math.inf):
+                raise ValueError(f"{flag} must be a positive finite number, got {value!r}")
+        if not isinstance(self.out_dir, (str, Path)):
+            raise ValueError(f"output directory must be a string, got {self.out_dir!r}")
+        self.out_dir = Path(self.out_dir)
         if self.report_format not in ("table", "delimited"):
             raise ValueError(f"unknown report format {self.report_format!r}")
 
@@ -104,20 +121,57 @@ def _solution_injections(
     return injections
 
 
-def _run_one_mode(case: NetworkCase, config: RunConfig, mode: str) -> tuple[int, dict]:
+def _solve_sopwl(
+    case: NetworkCase,
+    config: RunConfig,
+    artifacts: DistflowArtifacts,
+    out: Path,
+    screen: Optional[milp.Solution],
+) -> tuple[milp.Solution, bool]:
+    """Solve the sopwl model: lift the plain-PWL optimum ``screen`` when every
+    filling in it is ordered, else run the MILP. Without a ``screen`` the pwl
+    model is built and solved here first. Returns the solution and whether it
+    was lifted; its ``solve_seconds`` covers the pwl solve, the lift and the
+    MILP."""
+    adapter = config.make_adapter()
+    if screen is None:
+        pwl_model, _ = _build(case, config, MODE_PWL)
+        screen = milp.solve(pwl_model, adapter, workdir=out)
+    start = time.perf_counter()
+    solution = lift_ordered(screen, artifacts)
+    lifted = solution is not None
+    if solution is None:
+        solution = milp.solve(artifacts.model, adapter, workdir=out)
+    spent = screen.solve_seconds + (time.perf_counter() - start)
+    return replace(solution, solve_seconds=spent), lifted
+
+
+def _run_one_mode(
+    case: NetworkCase,
+    config: RunConfig,
+    mode: str,
+    screen: Optional[milp.Solution] = None,
+) -> tuple[int, dict, Optional[milp.Solution]]:
+    """Solve and report one mode. sopwl lifts ``screen``, the plain-PWL
+    solution, when it can. Returns the exit status, the report and run
+    metadata (empty on failure), and the solution (None when the solver
+    raised)."""
     out = config.out_dir / mode
     out.mkdir(parents=True, exist_ok=True)
     model, artifacts = _build(case, config, mode)
-    adapter = config.make_adapter()
+    lifted = False
     try:
-        solution = milp.solve(model, adapter, workdir=out)
+        if mode == MODE_SOPWL:
+            solution, lifted = _solve_sopwl(case, config, artifacts, out, screen)
+        else:
+            solution = milp.solve(model, config.make_adapter(), workdir=out)
     except Exception as exc:
         print(f"[{mode}] solver failure: {exc}", file=sys.stderr)
-        return 1, {}
+        return 1, {}, None
     (out / f"{model.name}.sol").write_text(milp.format_solution(solution))
     if solution.status not in ("optimal", "feasible"):
         print(f"[{mode}] solve ended with status {solution.status}", file=sys.stderr)
-        return 1, {}
+        return 1, {}, solution
 
     violations = milp.check_solution(model, solution)
     for tag, gap in violations:
@@ -138,6 +192,7 @@ def _run_one_mode(case: NetworkCase, config: RunConfig, mode: str) -> tuple[int,
         "segments": config.num_segments,
         "objective_variant": config.objective,
         "status": solution.status,
+        "lifted_from_pwl": lifted,
         "objective_value": solution.objective_value,
         "solve_seconds": solution.solve_seconds,
         "mip_node_count": solution.mip_node_count,
@@ -151,7 +206,7 @@ def _run_one_mode(case: NetworkCase, config: RunConfig, mode: str) -> tuple[int,
     print(f"[{mode}] status={solution.status} objective={solution.objective_value:.6f}")
     print(text, end="")
     status = 0 if not violations else 1
-    return status, {"report": report, "meta": meta}
+    return status, {"report": report, "meta": meta}, solution
 
 
 def cmd_solve(config: RunConfig) -> int:
@@ -159,10 +214,13 @@ def cmd_solve(config: RunConfig) -> int:
     modes = [MODE_PWL, MODE_SOPWL] if config.mode == "both" else [config.mode]
     results = {}
     exit_status = 0
+    screen = None  # the pwl solution, which sopwl lifts under --mode both
     for mode in modes:
-        status, res = _run_one_mode(case, config, mode)
+        status, res, solution = _run_one_mode(case, config, mode, screen)
         exit_status = max(exit_status, status)
         results[mode] = res
+        if mode == MODE_PWL:
+            screen = solution
     if config.mode == "both" and all(results.values()):
         sep = "," if config.report_format == "delimited" else "\t"
         lines = [sep.join(["feeder", "E_p_pwl", "E_p_sopwl", "E_q_pwl", "E_q_sopwl"])]
@@ -262,11 +320,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     }
     if args.config:
         overrides = json.loads(Path(args.config).read_text())
+        if not isinstance(overrides, dict):
+            raise ValueError(
+                f"config file must hold a JSON object, not a {type(overrides).__name__}"
+            )
         unknown = set(overrides) - set(fields)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         fields.update(overrides)
-    fields["out_dir"] = Path(fields["out_dir"])
     return RunConfig(**fields)
 
 

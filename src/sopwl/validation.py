@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .distflow import (
@@ -17,7 +17,7 @@ from .distflow import (
     emit_pwl_block,
     epsilon_plus,
 )
-from .milp import MilpModel, Solution, check_solution
+from .milp import FEASIBILITY_TOL, MilpModel, Solution, check_solution
 from .network import NetworkCase
 from .pwl import FillingState, PwlGrid, eso_fill, is_eso, pwl_value, relative_error
 
@@ -27,6 +27,7 @@ __all__ = [
     "SweepResult",
     "SweepDivergence",
     "extract_filling",
+    "lift_ordered",
     "branch_errors",
     "check_unordered_feasibility",
     "radial_sweep",
@@ -46,6 +47,39 @@ def extract_filling(solution: Solution, block: PwlBlockHandle) -> FillingState:
             raise KeyError(f"solution has no value for {name}")
         deltas.append(min(max(solution.values[name], 0.0), h))
     return FillingState(grid=block.grid, deltas=tuple(deltas))
+
+
+def lift_ordered(
+    solution: Solution, artifacts: DistflowArtifacts
+) -> Optional[Solution]:
+    """Lift an optimal plain-PWL solution to the sopwl model of ``artifacts``,
+    or return None when the solution is not optimal or a filling is not ordered.
+
+    The sopwl model is the pwl model plus the ordering binaries and their
+    ``eq20``/``eq21`` rows, under the same objective, so a pwl optimum whose
+    fillings are all ordered is a sopwl optimum within the same gap. Every
+    value is copied; in each block ``x_lam`` is 1 before the last segment
+    holding more than ``FEASIBILITY_TOL`` and 0 from there on. A filling that
+    passes :func:`is_eso` at that tolerance then meets ``eq20`` and ``eq21``
+    within the tolerance of :func:`check_solution`. Clipping into ``[0, h]``
+    changes no such verdict, so the check reads the clipped filling.
+    """
+    if solution.status != "optimal":
+        return None
+    tol = FEASIBILITY_TOL
+    x: dict[str, float] = {}
+    for block in artifacts.blocks.values():
+        state = extract_filling(solution, block)
+        if not is_eso(state, tol):
+            return None
+        last = max((lam for lam, d in enumerate(state.deltas, 1) if d > tol), default=1)
+        for lam, name in enumerate(block.x_names, start=1):
+            x[name] = 1.0 if lam < last else 0.0
+    values = {
+        name: x[name] if name in x else solution.values[name]
+        for name in artifacts.model.arrays.names
+    }
+    return replace(solution, values=values)
 
 
 @dataclass(frozen=True)

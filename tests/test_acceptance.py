@@ -27,7 +27,12 @@ from sopwl.pwl import (
     pwl_value,
 )
 from sopwl.solvers import ScipyMilpAdapter
-from sopwl.validation import branch_errors, check_unordered_feasibility, radial_sweep
+from sopwl.validation import (
+    branch_errors,
+    check_unordered_feasibility,
+    lift_ordered,
+    radial_sweep,
+)
 
 CASES = Path(__file__).parent / "cases"
 GOLDEN = Path(__file__).parent / "golden"
@@ -178,6 +183,29 @@ def test_criterion_7_pwl_objective_agreement(ieee33_runs):
         f"ACCEPTANCE 7: PASS — plain-mode objective {sol_pwl.objective_value:.6f} "
         f"vs ordered-mode {sol_sopwl.objective_value:.6f} ({100 * rel:.3f} % apart); "
         f"plain-mode max E_p = {report.max_e_p:.3f} % (reported, not asserted)"
+    )
+
+
+def test_pwl_optimum_lifts_to_sopwl(ieee33_runs):
+    # the DG limits bind on this case, so plain PWL already fills in order and
+    # its optimum lifts onto the ordered-mode model without a second MILP
+    case, runs = ieee33_runs
+    _, _, sol_pwl, _ = runs["pwl"]
+    model, artifacts, sol_sopwl, _ = runs["sopwl"]
+    lifted = lift_ordered(sol_pwl, artifacts)
+    assert lifted is not None
+    assert check_solution(model, lifted) == []
+    report = branch_errors(lifted, artifacts)
+    assert all(r.eso_ok_p and r.eso_ok_q for r in report.records)
+    # each solve stops within HiGHS's 1e-4 relative gap
+    rel = abs(lifted.objective_value - sol_sopwl.objective_value) / abs(
+        sol_sopwl.objective_value
+    )
+    assert rel <= 2e-4
+    print(
+        f"ACCEPTANCE 7b: PASS — plain-mode optimum lifted onto the ordered-mode "
+        f"model: no violation, {2 * len(report.records)} blocks ordered, objective "
+        f"{lifted.objective_value:.6f} vs MILP {sol_sopwl.objective_value:.6f}"
     )
 
 

@@ -1,9 +1,28 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from sopwl import milp
 from sopwl.cli import main
+
+
+def _count_solves(monkeypatch, tamper=None):
+    """Record the name of every model ``milp.solve`` is called on; ``tamper``
+    may rewrite the pwl solution before the CLI sees it."""
+    real_solve = milp.solve
+    names = []
+
+    def solve(model, adapter, workdir=None):
+        names.append(model.name)
+        solution = real_solve(model, adapter, workdir)
+        if tamper is not None and model.name.endswith("_pwl"):
+            solution = tamper(model, solution)
+        return solution
+
+    monkeypatch.setattr(milp, "solve", solve)
+    return names
 
 
 class TestExportLp:
@@ -115,6 +134,63 @@ class TestSolve:
             assert (out / mode / f"twobus_{mode}.sol").is_file()
             assert not list((out / mode).glob("*.lp"))
 
+    def test_both_lifts_sopwl_from_pwl(self, tmp_path, cases_dir, monkeypatch, capsys):
+        solves = _count_solves(monkeypatch)
+        out = tmp_path / "run"
+        common = ["--case", str(cases_dir / "twobus.json"), "--segments", "5"]
+        assert main(["solve", *common, "--mode", "both", "--out", str(out)]) == 0
+        # every pwl filling is ordered: sopwl reuses the pwl optimum, no MILP
+        assert solves == ["twobus_pwl"]
+        pwl = json.loads((out / "pwl" / "run.json").read_text())
+        sopwl = json.loads((out / "sopwl" / "run.json").read_text())
+        assert pwl["lifted_from_pwl"] is False
+        assert sopwl["lifted_from_pwl"] is True
+        assert sopwl["objective_value"] == pwl["objective_value"]
+        assert sopwl["violations"] == 0
+        capsys.readouterr()
+        sol = out / "sopwl" / "twobus_sopwl.sol"
+        status = main(["validate", *common, "--mode", "sopwl", "--solution", str(sol)])
+        assert status == 0
+        assert "VIOLATED" not in capsys.readouterr().out
+
+    def test_unordered_pwl_solution_runs_milp(self, tmp_path, cases_dir, monkeypatch):
+        def unordered(model, solution):
+            # half a segment, then a full one: the P filling is not ordered
+            h = model.variable("P_1_2_d1").upper
+            return replace(solution, values={**solution.values, "P_1_2_d1": h / 2, "P_1_2_d2": h})
+
+        solves = _count_solves(monkeypatch, tamper=unordered)
+        out = tmp_path / "run"
+        status = main(
+            [
+                "solve",
+                "--case", str(cases_dir / "twobus.json"),
+                "--mode", "both",
+                "--segments", "5",
+                "--out", str(out),
+            ]
+        )
+        # the tampered pwl solution breaks its own rows; the sopwl MILP is clean
+        assert status == 1
+        assert solves == ["twobus_pwl", "twobus_sopwl"]
+        sopwl = json.loads((out / "sopwl" / "run.json").read_text())
+        assert sopwl["lifted_from_pwl"] is False
+        assert sopwl["status"] == "optimal"
+        assert sopwl["violations"] == 0
+
+    def test_sopwl_alone_matches_both(self, tmp_path, cases_dir, monkeypatch):
+        solves = _count_solves(monkeypatch)
+        common = ["--case", str(cases_dir / "branching6.json"), "--segments", "10"]
+        sols = []
+        for mode in ("sopwl", "both"):
+            out = tmp_path / mode
+            assert main(["solve", *common, "--mode", mode, "--out", str(out)]) == 0
+            assert json.loads((out / "sopwl" / "run.json").read_text())["lifted_from_pwl"]
+            sols.append((out / "sopwl" / "branching6_sopwl.sol").read_bytes())
+        # --mode sopwl solves the pwl model first, then lifts it
+        assert solves == ["branching6_pwl", "branching6_pwl"]
+        assert sols[0] == sols[1]
+
     def test_external_solver_files(self, tmp_path, cases_dir):
         # the subprocess adapter leaves the LP file and the solver's own
         # output; solve writes the solution file from the parsed solution
@@ -152,6 +228,47 @@ class TestSolve:
         assert status == 0
         meta = json.loads((out / "pwl" / "run.json").read_text())
         assert meta["segments"] == 4
+
+
+class TestBadSettings:
+    """Bad run settings stop the run with exit code 2 before anything is built."""
+
+    def _run(self, tmp_path, cases_dir, capsys, extra):
+        out = tmp_path / "run"
+        status = main(["solve", "--case", str(cases_dir / "twobus.json"), "--out", str(out), *extra])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert not out.exists()
+        return err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--timeout", "-5"),
+            ("--timeout", "0"),
+            ("--timeout", "nan"),
+            ("--zero-flow-floor", "-1"),
+            ("--zero-flow-floor", "nan"),
+        ],
+    )
+    def test_flag_rejected(self, tmp_path, cases_dir, capsys, flag, value):
+        err = self._run(tmp_path, cases_dir, capsys, [flag, value])
+        assert err.startswith(f"error: {flag[2:]} must be a positive finite number")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"num_segments": "5"}', "segments must be an integer, got '5'"),
+            ('{"num_segments": 2.5}', "segments must be an integer, got 2.5"),
+            ('{"timeout": "60"}', "timeout must be a positive finite number"),
+            ("[1]", "config file must hold a JSON object, not a list"),
+        ],
+    )
+    def test_config_rejected(self, tmp_path, cases_dir, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        err = self._run(tmp_path, cases_dir, capsys, ["--config", str(cfg)])
+        assert err.startswith(f"error: {message}")
 
 
 class TestValidate:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -25,6 +26,17 @@ class TestBundledCase:
         case = load_case(bundled_case_path("ieee33_4dg"))
         assert sum(l.p_pu for l in case.loads) == pytest.approx(0.3715)
         assert sum(l.q_pu for l in case.loads) == pytest.approx(0.2300)
+
+    def test_surplus_case_triples_dg_limits(self):
+        base = json.loads(bundled_case_path("ieee33_4dg").read_text())
+        surplus = json.loads(bundled_case_path("ieee33_4dg_surplus").read_text())
+        assert surplus.pop("name") == "ieee33_4dg_surplus"
+        base.pop("name")
+        for gen_s, gen_b in zip(surplus["generators"], base["generators"]):
+            for key in ("p_max_pu", "q_max_pu"):
+                assert gen_s[key] == 3 * gen_b[key]
+                gen_s[key] = gen_b[key]
+        assert surplus == base
 
     def test_unknown_bundled_name(self):
         with pytest.raises(FileNotFoundError):

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from sopwl.distflow import BuildOptions, build_distflow, build_restoration_objective
-from sopwl.milp import MilpModel, Solution, solve
+from sopwl.milp import MilpModel, Solution, check_solution, solve
 from sopwl.network import load_case
 from sopwl.pwl import FillingState, PwlGrid, eso_fill
 from sopwl.solvers import ScipyMilpAdapter
@@ -14,6 +14,7 @@ from sopwl.validation import (
     check_unordered_feasibility,
     extract_filling,
     filling_dump,
+    lift_ordered,
     radial_sweep,
 )
 
@@ -67,6 +68,60 @@ class TestExtractFilling:
             extract_filling(
                 Solution(status="optimal", objective_value=0.0, values={}), block
             )
+
+
+class TestLiftOrdered:
+    """Lifting a plain-PWL solution onto the sopwl model of the same case."""
+
+    @pytest.fixture()
+    def twobus_pwl(self, twobus, solved_twobus):
+        art, _ = solved_twobus
+        m = MilpModel(name="twobus_pwl")
+        pwl_art = build_distflow(m, twobus, BuildOptions(num_segments=10, mode="pwl"))
+        build_restoration_objective(m, pwl_art)
+        m.freeze()
+        return art, pwl_art, solve(m, ScipyMilpAdapter())
+
+    def _with_p_filling(self, solution, art, deltas):
+        values = dict(solution.values)
+        values.update(zip(art.blocks[("1-2", "P")].delta_names, deltas))
+        return Solution("optimal", solution.objective_value, values)
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            lambda h: [h, h, h / 3, 0.0],
+            # each segment off by just under the 1e-6 feasibility tolerance
+            lambda h: [h - 9e-7, h, h / 3, 9e-7],
+        ],
+    )
+    def test_ordered_filling_lifts(self, twobus_pwl, head):
+        art, pwl_art, sol = twobus_pwl
+        h = art.grids["1-2"].seg_width
+        hand = self._with_p_filling(sol, pwl_art, head(h) + [0.0] * 6)
+        lifted = lift_ordered(hand, art)
+        assert list(lifted.values) == list(art.model.arrays.names)
+        assert lifted.objective_value == hand.objective_value
+        assert [lifted.values[n] for n in art.blocks[("1-2", "P")].x_names] == [1.0, 1.0] + [0.0] * 8
+        assert all(lifted.values[n] == hand.values[n] for n in hand.values)
+        assert not [tag for tag, _ in check_solution(art.model, lifted)
+                    if tag.startswith(("eq20", "eq21"))]
+
+    def test_solved_pwl_lifts_clean(self, twobus_pwl):
+        art, _, sol = twobus_pwl
+        lifted = lift_ordered(sol, art)
+        assert check_solution(art.model, lifted) == []
+
+    def test_unordered_filling_is_not_lifted(self, twobus_pwl):
+        art, pwl_art, sol = twobus_pwl
+        h = art.grids["1-2"].seg_width
+        hand = self._with_p_filling(sol, pwl_art, [h / 2, h] + [0.0] * 8)
+        assert lift_ordered(hand, art) is None
+
+    def test_non_optimal_is_not_lifted(self, twobus_pwl):
+        art, _, sol = twobus_pwl
+        feasible = Solution("feasible", sol.objective_value, dict(sol.values))
+        assert lift_ordered(feasible, art) is None
 
 
 class TestBranchErrors:
