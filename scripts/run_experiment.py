@@ -5,8 +5,8 @@ bundled case and on its surplus-DG variant.
 
 On ``ieee33_4dg`` the DG limits bind and plain PWL already returns ordered
 fillings, so the SO-PWL run lifts the PWL optimum. On ``ieee33_4dg_surplus``
-(DG limits x3) plain PWL returns unordered fillings, so the SO-PWL run solves
-the ordering MILP.
+(DG limits x3) plain PWL returns unordered fillings, and the SO-PWL run is
+certified by the two-stage LP screen instead of the ordering MILP.
 
 Writes per-mode reports, filling-state dumps, and a side-by-side error
 comparison under ``<out>/<case>/`` (default ``experiment_out``).

@@ -7,11 +7,13 @@ Subcommands: ``solve``, ``export-lp``, ``validate``.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -121,50 +123,112 @@ def _solution_injections(
     return injections
 
 
+@contextmanager
+def _output_to(log_path: Path):
+    """Send file descriptors 1 and 2 to ``log_path``, so that what HiGHS
+    prints from C lands there and not on the user's terminal."""
+    libc = ctypes.CDLL(None)
+    libc.fflush.argtypes = [ctypes.c_void_p]
+    libc.fflush.restype = ctypes.c_int
+    sys.stdout.flush()
+    sys.stderr.flush()
+    saved = os.dup(1), os.dup(2)
+    try:
+        with open(log_path, "wb") as log:
+            os.dup2(log.fileno(), 1)
+            os.dup2(log.fileno(), 2)
+            try:
+                yield
+            finally:
+                sys.stdout.flush()
+                sys.stderr.flush()
+                libc.fflush(None)
+                os.dup2(saved[0], 1)
+                os.dup2(saved[1], 2)
+    finally:
+        os.close(saved[0])
+        os.close(saved[1])
+
+
+def _lp_screen(
+    case: NetworkCase,
+    config: RunConfig,
+    artifacts: DistflowArtifacts,
+    adapter: ScipyMilpAdapter,
+) -> Optional[milp.Solution]:
+    """A certified sopwl optimum from the LP relaxation of the pwl model, or
+    None when the relaxation is not tight.
+
+    The relaxation's optimum ``U`` bounds the sopwl optimum. Stage 2 keeps
+    the restoration within 1e-7 * max(1, |U|) of ``U`` and minimises the
+    squared currents, which fills each block's segments in slope order unless
+    another row stops it. ``z_pos``/``z_neg``
+    follow the sign of ``pos - neg``; the point is accepted only when
+    ``lift_ordered`` finds every block ordered and the sopwl model's
+    ``check_solution`` finds no violated row."""
+    pwl_model, pwl = _build(case, config, MODE_PWL)
+    relaxed = adapter.run_relaxed_two_stage(pwl_model, list(pwl.isqr_vars.values()))
+    if relaxed.status != "optimal":
+        return None
+    values = dict(relaxed.values)
+    for block in pwl.blocks.values():
+        up = values[block.pos_name] - values[block.neg_name]
+        values[block.z_pos_name] = 1.0 if up > 0 else 0.0
+        values[block.z_neg_name] = 1.0 if up < 0 else 0.0
+    lifted = lift_ordered(replace(relaxed, values=values), artifacts)
+    if lifted is None or milp.check_solution(artifacts.model, lifted):
+        return None
+    return lifted
+
+
 def _solve_sopwl(
     case: NetworkCase,
     config: RunConfig,
     artifacts: DistflowArtifacts,
     out: Path,
-    screen: Optional[milp.Solution],
-) -> tuple[milp.Solution, bool]:
-    """Solve the sopwl model: lift the plain-PWL optimum ``screen`` when every
-    filling in it is ordered, else run the MILP. Without a ``screen`` the pwl
-    model is built and solved here first. Returns the solution and whether it
-    was lifted; its ``solve_seconds`` covers the pwl solve, the lift and the
-    MILP."""
-    adapter = config.make_adapter()
-    if screen is None:
-        pwl_model, _ = _build(case, config, MODE_PWL)
-        screen = milp.solve(pwl_model, adapter, workdir=out)
+    pwl_solution: Optional[milp.Solution],
+) -> tuple[milp.Solution, str]:
+    """Solve the sopwl model by the first path that gives a solution: lift
+    ``pwl_solution`` (the plain-PWL run's, under ``--mode both``) when every
+    filling in it is ordered, then the LP screen (in-process solver only),
+    then the MILP. Returns the solution and the path's name; its
+    ``solve_seconds`` covers the pwl solve, when one was given, and every
+    path tried."""
     start = time.perf_counter()
-    solution = lift_ordered(screen, artifacts)
-    lifted = solution is not None
+    adapter = config.make_adapter()
+    solution, path = None, "lifted"
+    if pwl_solution is not None:
+        solution = lift_ordered(pwl_solution, artifacts)
+    if solution is None and isinstance(adapter, ScipyMilpAdapter):
+        solution, path = _lp_screen(case, config, artifacts, adapter), "lp_screen"
     if solution is None:
-        solution = milp.solve(artifacts.model, adapter, workdir=out)
-    spent = screen.solve_seconds + (time.perf_counter() - start)
-    return replace(solution, solve_seconds=spent), lifted
+        solution, path = milp.solve(artifacts.model, adapter, workdir=out), "milp"
+    spent = time.perf_counter() - start
+    if pwl_solution is not None:
+        spent += pwl_solution.solve_seconds
+    return replace(solution, solve_seconds=spent), path
 
 
 def _run_one_mode(
     case: NetworkCase,
     config: RunConfig,
     mode: str,
-    screen: Optional[milp.Solution] = None,
+    pwl_solution: Optional[milp.Solution] = None,
 ) -> tuple[int, dict, Optional[milp.Solution]]:
-    """Solve and report one mode. sopwl lifts ``screen``, the plain-PWL
-    solution, when it can. Returns the exit status, the report and run
-    metadata (empty on failure), and the solution (None when the solver
-    raised)."""
+    """Solve and report one mode; sopwl lifts ``pwl_solution`` when it can.
+    What the solver prints goes to ``<out>/<mode>/solver.log``. Returns the
+    exit status, the report and run metadata (empty on failure), and the
+    solution (None when the solver raised)."""
     out = config.out_dir / mode
     out.mkdir(parents=True, exist_ok=True)
     model, artifacts = _build(case, config, mode)
-    lifted = False
+    path = None
     try:
-        if mode == MODE_SOPWL:
-            solution, lifted = _solve_sopwl(case, config, artifacts, out, screen)
-        else:
-            solution = milp.solve(model, config.make_adapter(), workdir=out)
+        with _output_to(out / "solver.log"):
+            if mode == MODE_SOPWL:
+                solution, path = _solve_sopwl(case, config, artifacts, out, pwl_solution)
+            else:
+                solution = milp.solve(model, config.make_adapter(), workdir=out)
     except Exception as exc:
         print(f"[{mode}] solver failure: {exc}", file=sys.stderr)
         return 1, {}, None
@@ -192,7 +256,7 @@ def _run_one_mode(
         "segments": config.num_segments,
         "objective_variant": config.objective,
         "status": solution.status,
-        "lifted_from_pwl": lifted,
+        "sopwl_path": path,
         "objective_value": solution.objective_value,
         "solve_seconds": solution.solve_seconds,
         "mip_node_count": solution.mip_node_count,
@@ -214,13 +278,13 @@ def cmd_solve(config: RunConfig) -> int:
     modes = [MODE_PWL, MODE_SOPWL] if config.mode == "both" else [config.mode]
     results = {}
     exit_status = 0
-    screen = None  # the pwl solution, which sopwl lifts under --mode both
+    pwl_solution = None  # sopwl lifts it under --mode both
     for mode in modes:
-        status, res, solution = _run_one_mode(case, config, mode, screen)
+        status, res, solution = _run_one_mode(case, config, mode, pwl_solution)
         exit_status = max(exit_status, status)
         results[mode] = res
         if mode == MODE_PWL:
-            screen = solution
+            pwl_solution = solution
     if config.mode == "both" and all(results.values()):
         sep = "," if config.report_format == "delimited" else "\t"
         lines = [sep.join(["feeder", "E_p_pwl", "E_p_sopwl", "E_q_pwl", "E_q_sopwl"])]

@@ -14,16 +14,20 @@ import subprocess
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.optimize as sopt
+import scipy.sparse as sp
 
 from . import milp
 
 __all__ = ["ScipyMilpAdapter", "SubprocessAdapter"]
 
 DEFAULT_TIMEOUT_SECONDS = 600.0
+# how far below the LP optimum U stage 2 of the relaxed solve may move the
+# objective, relative to max(1, |U|)
+STAGE2_SLACK = 1e-7
 
 
 @dataclass
@@ -37,31 +41,9 @@ class ScipyMilpAdapter:
         self, model: milp.MilpModel, workdir: Optional[Path] = None
     ) -> milp.Solution:
         a = model.arrays
-        n = len(a.names)
-
-        c = np.zeros(n)
-        np.add.at(c, a.obj_cols, a.obj_coefs)
-        if model.objective_sense == "max":
-            c *= -1.0
-
-        constraints = []
-        if len(a.row_lo):
-            constraints = [sopt.LinearConstraint(a.matrix(), a.row_lo, a.row_hi)]
-
-        res = sopt.milp(
-            c=c,
-            constraints=constraints,
-            bounds=sopt.Bounds(a.lower, a.upper) if n else None,
-            integrality=a.binary.astype(int) if n else None,
-            options={"time_limit": self.time_limit, "mip_rel_gap": self.mip_rel_gap},
-        )
-        status = {
-            0: "optimal",
-            1: "error" if res.x is None else "feasible",  # a limit hit, incumbent or not
-            2: "infeasible",
-            3: "unbounded",
-        }.get(res.status, "error")
-
+        c = _costs(model)
+        res = self._highs(a, c, integral=True)
+        status = _status(res)
         bound = res.get("mip_dual_bound")
         if bound is not None and model.objective_sense == "max":
             bound = -bound  # HiGHS bounds c @ x, the negated objective
@@ -74,17 +56,106 @@ class ScipyMilpAdapter:
             return milp.Solution(status, 0.0, {}, **stats)
 
         x = np.asarray(res.x, dtype=float)
-        # snap binaries and clip integrality dust so downstream bound checks
-        # see clean values. "+ 0.0" turns a rounded -0.0 into 0.0, and the
-        # clip keeps x where it is not beyond a bound, -0.0 included
+        # snap binaries so downstream bound checks see clean values; "+ 0.0"
+        # turns a rounded -0.0 into 0.0. _clipped clips integrality dust
         x[a.binary] = np.round(x[a.binary]) + 0.0
-        x = np.where(x < a.lower, a.lower, x)
-        x = np.where(x > a.upper, a.upper, x)
-        # recompute the objective from snapped values for consistency, summed
-        # term by term in the objective's order
-        obj_values = x[a.obj_cols].tolist()
-        objective = float(sum(c * v for c, v in zip(a.obj_coefs.tolist(), obj_values)))
-        return milp.Solution(status, objective, dict(zip(a.names, x.tolist())), **stats)
+        objective, values = _clipped(x, a)
+        return milp.Solution(status, objective, values, **stats)
+
+    def run_relaxed_two_stage(
+        self, model: milp.MilpModel, stage2: Sequence[str]
+    ) -> milp.Solution:
+        """Solve the LP relaxation of ``model`` (integrality dropped) twice.
+
+        Stage 1 optimises the model's objective, whose optimum ``U`` bounds
+        every integer solution. Stage 2 holds the objective within
+        ``STAGE2_SLACK * max(1, |U|)`` of ``U`` and minimises the sum of the
+        ``stage2`` variables. The stage-2 point is returned unrounded (clipped
+        into its bounds, binaries possibly fractional) with ``U`` as its dual
+        bound, ``(U - objective) / |U|`` as its gap (in the model's sense)
+        and 0 nodes. Otherwise the status is that of the first stage that is
+        not optimal, and ``U`` is kept when stage 1 found it.
+        Each LP gets the adapter's ``time_limit``.
+        """
+        a = model.arrays
+        c = _costs(model)
+        first = self._highs(a, c, integral=False)
+        status = _status(first)
+        if status != "optimal":
+            return milp.Solution(status, 0.0, {})
+        # ``first.fun`` is the optimum of c @ x, so c @ x <= fun + slack
+        # holds the objective near U in either sense
+        sign = -1.0 if model.objective_sense == "max" else 1.0
+        bound = sign * first.fun
+        hold = sopt.LinearConstraint(
+            sp.csr_matrix(c), -np.inf, first.fun + STAGE2_SLACK * max(1.0, abs(bound))
+        )
+        c2 = np.zeros(len(a.names))
+        c2[[model.variable(name).index for name in stage2]] = 1.0
+        second = self._highs(a, c2, integral=False, extra=[hold])
+        status = _status(second)
+        if status != "optimal":
+            return milp.Solution(status, 0.0, {}, mip_dual_bound=bound)
+        objective, values = _clipped(np.asarray(second.x, dtype=float), a)
+        gap = -sign * (bound - objective) / abs(bound) if bound else 0.0
+        return milp.Solution(
+            "optimal",
+            objective,
+            values,
+            mip_node_count=0,
+            mip_gap=gap,
+            mip_dual_bound=bound,
+        )
+
+    def _highs(
+        self, a: milp.ModelArrays, c: np.ndarray, integral: bool, extra: Sequence = ()
+    ):
+        """One HiGHS call minimising ``c @ x`` on the rows and bounds of ``a``
+        plus the ``extra`` constraints."""
+        n = len(a.names)
+        constraints = list(extra)
+        if len(a.row_lo):
+            constraints.insert(0, sopt.LinearConstraint(a.matrix(), a.row_lo, a.row_hi))
+        return sopt.milp(
+            c=c,
+            constraints=constraints,
+            bounds=sopt.Bounds(a.lower, a.upper) if n else None,
+            integrality=a.binary.astype(int) if integral and n else None,
+            options={"time_limit": self.time_limit, "mip_rel_gap": self.mip_rel_gap},
+        )
+
+
+def _costs(model: milp.MilpModel) -> np.ndarray:
+    """The objective as the cost vector HiGHS minimises."""
+    a = model.arrays
+    c = np.zeros(len(a.names))
+    np.add.at(c, a.obj_cols, a.obj_coefs)
+    if model.objective_sense == "max":
+        c *= -1.0
+    return c
+
+
+def _status(res) -> str:
+    return {
+        0: "optimal",
+        1: "error" if res.x is None else "feasible",  # a limit hit, incumbent or not
+        2: "infeasible",
+        3: "unbounded",
+    }.get(res.status, "error")
+
+
+def _clipped(x: np.ndarray, a: milp.ModelArrays) -> tuple[float, dict[str, float]]:
+    """The objective and the values of ``x`` clipped into its bounds.
+
+    The clip keeps x where it is not beyond a bound, -0.0 included. The
+    objective is recomputed from the clipped values for consistency, summed
+    term by term in the objective's order.
+    """
+    x = np.where(x < a.lower, a.lower, x)
+    x = np.where(x > a.upper, a.upper, x)
+    obj_values = x[a.obj_cols].tolist()
+    objective = float(sum(c * v for c, v in zip(a.obj_coefs.tolist(), obj_values)))
+    return objective, dict(zip(a.names, x.tolist()))
 
 
 @dataclass

@@ -63,6 +63,10 @@ def lift_ordered(
     passes :func:`is_eso` at that tolerance then meets ``eq20`` and ``eq21``
     within the tolerance of :func:`check_solution`. Clipping into ``[0, h]``
     changes no such verdict, so the check reads the clipped filling.
+
+    ``solution`` may also be a point of the pwl model's LP relaxation with
+    its sign binaries set; nothing here checks its other rows, so the caller
+    runs :func:`check_solution` on the lifted point.
     """
     if solution.status != "optimal":
         return None

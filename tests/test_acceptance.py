@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import json
 import math
 import random
 import time
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from sopwl.cli import _solution_injections
+from sopwl import milp
+from sopwl.cli import _solution_injections, main
 from sopwl.distflow import (
     BuildOptions,
     build_distflow,
@@ -206,6 +208,45 @@ def test_pwl_optimum_lifts_to_sopwl(ieee33_runs):
         f"ACCEPTANCE 7b: PASS — plain-mode optimum lifted onto the ordered-mode "
         f"model: no violation, {2 * len(report.records)} blocks ordered, objective "
         f"{lifted.objective_value:.6f} vs MILP {sol_sopwl.objective_value:.6f}"
+    )
+
+
+def test_surplus_sopwl_certified_by_lp_screen(tmp_path, monkeypatch):
+    # DG limits x3: generation no longer binds, plain PWL fills out of order,
+    # and the LP screen certifies the ordered optimum without the MILP
+    solved = []
+    real_solve = milp.solve
+
+    def solve_spy(model, adapter, workdir=None):
+        solved.append(model.name)
+        return real_solve(model, adapter, workdir)
+
+    monkeypatch.setattr(milp, "solve", solve_spy)
+    out = tmp_path / "run"
+    start = time.perf_counter()
+    args = ["solve", "--case", "ieee33_4dg_surplus", "--mode", "both", "--segments", "10"]
+    assert main([*args, "--out", str(out)]) == 0
+    elapsed = time.perf_counter() - start
+    meta = {m: json.loads((out / m / "run.json").read_text()) for m in ("pwl", "sopwl")}
+    # the eso_ok column of each branch's report row
+    eso_ok = {
+        m: [row.split()[-1] for row in (out / m / "report.txt").read_text().splitlines()[1:-1]]
+        for m in ("pwl", "sopwl")
+    }
+    unordered = {m: len(col) - col.count("yes") for m, col in eso_ok.items()}
+    assert meta["sopwl"]["sopwl_path"] == "lp_screen"
+    assert solved == ["ieee33_4dg_surplus_pwl"]
+    assert meta["sopwl"]["status"] == "optimal"
+    assert meta["sopwl"]["violations"] == 0
+    assert unordered["sopwl"] == 0
+    restored = {m: meta[m]["objective_value"] for m in meta}
+    assert restored["sopwl"] == pytest.approx(restored["pwl"], rel=1e-4)
+    print(
+        f"ACCEPTANCE 7c: PASS — surplus case at 10 segments: sopwl certified by the "
+        f"LP screen, restored {restored['sopwl']:.6f} vs pwl {restored['pwl']:.6f} pu, "
+        f"all sopwl fillings ordered; pwl leaves {unordered['pwl']} of "
+        f"{len(eso_ok['pwl'])} branches unordered (reported, not asserted); "
+        f"{elapsed:.2f}s"
     )
 
 

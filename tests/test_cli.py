@@ -1,10 +1,11 @@
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from sopwl import milp
+from sopwl import milp, solvers
 from sopwl.cli import main
 
 
@@ -143,8 +144,8 @@ class TestSolve:
         assert solves == ["twobus_pwl"]
         pwl = json.loads((out / "pwl" / "run.json").read_text())
         sopwl = json.loads((out / "sopwl" / "run.json").read_text())
-        assert pwl["lifted_from_pwl"] is False
-        assert sopwl["lifted_from_pwl"] is True
+        assert pwl["sopwl_path"] is None
+        assert sopwl["sopwl_path"] == "lifted"
         assert sopwl["objective_value"] == pwl["objective_value"]
         assert sopwl["violations"] == 0
         capsys.readouterr()
@@ -153,7 +154,7 @@ class TestSolve:
         assert status == 0
         assert "VIOLATED" not in capsys.readouterr().out
 
-    def test_unordered_pwl_solution_runs_milp(self, tmp_path, cases_dir, monkeypatch):
+    def test_unordered_pwl_solution_runs_lp_screen(self, tmp_path, cases_dir, monkeypatch):
         def unordered(model, solution):
             # half a segment, then a full one: the P filling is not ordered
             h = model.variable("P_1_2_d1").upper
@@ -170,26 +171,59 @@ class TestSolve:
                 "--out", str(out),
             ]
         )
-        # the tampered pwl solution breaks its own rows; the sopwl MILP is clean
+        # the tampered pwl solution breaks its own rows; the LP screen
+        # certifies a clean sopwl optimum without the MILP
         assert status == 1
-        assert solves == ["twobus_pwl", "twobus_sopwl"]
+        assert solves == ["twobus_pwl"]
+        pwl = json.loads((out / "pwl" / "run.json").read_text())
         sopwl = json.loads((out / "sopwl" / "run.json").read_text())
-        assert sopwl["lifted_from_pwl"] is False
+        assert sopwl["sopwl_path"] == "lp_screen"
         assert sopwl["status"] == "optimal"
         assert sopwl["violations"] == 0
+        assert sopwl["mip_node_count"] == 0
+        assert sopwl["mip_dual_bound"] >= sopwl["objective_value"]
+        assert sopwl["objective_value"] == pytest.approx(pwl["objective_value"], rel=1e-4)
 
     def test_sopwl_alone_matches_both(self, tmp_path, cases_dir, monkeypatch):
         solves = _count_solves(monkeypatch)
         common = ["--case", str(cases_dir / "branching6.json"), "--segments", "10"]
-        sols = []
+        metas = {}
         for mode in ("sopwl", "both"):
             out = tmp_path / mode
             assert main(["solve", *common, "--mode", mode, "--out", str(out)]) == 0
-            assert json.loads((out / "sopwl" / "run.json").read_text())["lifted_from_pwl"]
-            sols.append((out / "sopwl" / "branching6_sopwl.sol").read_bytes())
-        # --mode sopwl solves the pwl model first, then lifts it
-        assert solves == ["branching6_pwl", "branching6_pwl"]
-        assert sols[0] == sols[1]
+            metas[mode] = json.loads((out / "sopwl" / "run.json").read_text())
+        # --mode sopwl solves no MILP at all: the LP screen certifies it;
+        # --mode both lifts its own pwl optimum
+        assert solves == ["branching6_pwl"]
+        assert metas["sopwl"]["sopwl_path"] == "lp_screen"
+        assert metas["both"]["sopwl_path"] == "lifted"
+        alone, both = (metas[m]["objective_value"] for m in ("sopwl", "both"))
+        assert alone == pytest.approx(both, rel=1e-4)
+        assert metas["sopwl"]["violations"] == metas["both"]["violations"] == 0
+
+    def test_solver_output_goes_to_log(self, tmp_path, cases_dir, monkeypatch, capfd):
+        real_milp = solvers.sopt.milp
+
+        def noisy(*args, **kwargs):
+            os.write(1, b"solver noise\n")
+            return real_milp(*args, **kwargs)
+
+        monkeypatch.setattr(solvers.sopt, "milp", noisy)
+        out = tmp_path / "run"
+        status = main(
+            [
+                "solve",
+                "--case", str(cases_dir / "twobus.json"),
+                "--segments", "5",
+                "--out", str(out),
+            ]
+        )
+        captured = capfd.readouterr()
+        assert status == 0
+        assert (out / "pwl" / "solver.log").read_bytes() == b"solver noise\n"
+        assert "solver noise" not in captured.out + captured.err
+        # the run's own summary still reaches the user
+        assert "[pwl] status=optimal" in captured.out
 
     def test_external_solver_files(self, tmp_path, cases_dir):
         # the subprocess adapter leaves the LP file and the solver's own
@@ -228,6 +262,38 @@ class TestSolve:
         assert status == 0
         meta = json.loads((out / "pwl" / "run.json").read_text())
         assert meta["segments"] == 4
+
+
+class TestSopwlFallback:
+    """``vlimited3``: voltage bounds keep the LP relaxation from being tight,
+    so the loss-minimising LP leaves block ``1-2:P`` unordered at every
+    segment count and the ordering MILP has to run."""
+
+    def _solve(self, tmp_path, cases_dir, mode, segments):
+        out = tmp_path / mode
+        common = ["--case", str(cases_dir / "vlimited3.json"), "--segments", str(segments)]
+        assert main(["solve", *common, "--mode", mode, "--out", str(out)]) == 0
+        return {
+            m: json.loads((out / m / "run.json").read_text())
+            for m in ("pwl", "sopwl")
+            if (out / m).is_dir()
+        }
+
+    def test_ordered_pwl_lifts(self, tmp_path, cases_dir):
+        metas = self._solve(tmp_path, cases_dir, "both", 2)
+        assert metas["sopwl"]["sopwl_path"] == "lifted"
+
+    def test_screen_fails_and_milp_runs(self, tmp_path, cases_dir):
+        alone = self._solve(tmp_path, cases_dir, "sopwl", 4)["sopwl"]
+        assert alone["sopwl_path"] == "milp"
+        assert alone["status"] == "optimal"
+        assert alone["violations"] == 0
+        # plain PWL over-estimates what can be restored (0.0705 against
+        # 0.0655 pu): its unordered fillings under-count the losses
+        metas = self._solve(tmp_path, cases_dir, "both", 4)
+        assert metas["sopwl"]["sopwl_path"] == "milp"
+        assert metas["sopwl"]["objective_value"] == pytest.approx(alone["objective_value"], rel=1e-4)
+        assert metas["pwl"]["objective_value"] > 1.05 * metas["sopwl"]["objective_value"]
 
 
 class TestBadSettings:

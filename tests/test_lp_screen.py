@@ -1,0 +1,130 @@
+"""The certified LP screen in front of the SO-PWL MILP: the two-stage LP
+relaxation of the adapter, and a property test of the whole sopwl path on
+random small radial cases."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sopwl import milp
+from sopwl.cli import RunConfig, _build, _solve_sopwl
+from sopwl.milp import BINARY, MilpModel
+from sopwl.network import load_case
+from sopwl.solvers import ScipyMilpAdapter
+from sopwl.validation import branch_errors
+
+
+class TestRelaxedTwoStage:
+    def test_bound_and_second_stage(self):
+        # stage 1 takes the fractional optimum 1.5; stage 2 keeps it and puts
+        # as little as it can on y, so x, a binary, stays at 1
+        m = MilpModel(name="relax")
+        m.add_variable("x", 0, 1, kind=BINARY)
+        m.add_variable("y", 0.0, 1.0)
+        m.add_constraint({"x": 1.0, "y": 1.0}, "<=", 1.5, tag="cap")
+        m.set_objective("max", {"x": 1.0, "y": 1.0})
+        m.freeze()
+        sol = ScipyMilpAdapter().run_relaxed_two_stage(m, ["y"])
+        assert sol.status == "optimal"
+        assert sol.mip_dual_bound == pytest.approx(1.5)
+        assert sol.mip_node_count == 0
+        assert sol.values["x"] == pytest.approx(1.0)
+        assert sol.values["y"] == pytest.approx(0.5, abs=2e-7)
+        assert 1.5 - 2e-7 <= sol.objective_value <= 1.5 + 1e-9
+        assert sol.mip_gap == pytest.approx((1.5 - sol.objective_value) / 1.5)
+
+    def test_min_sense_gap(self):
+        m = MilpModel(name="relax_min")
+        m.add_variable("x", 0.0, 4.0)
+        m.add_variable("y", 0.0, 4.0)
+        m.add_constraint({"x": 1.0, "y": 1.0}, ">=", 2.0, tag="need")
+        m.set_objective("min", {"x": 1.0, "y": 1.0})
+        m.freeze()
+        sol = ScipyMilpAdapter().run_relaxed_two_stage(m, ["x"])
+        assert sol.mip_dual_bound == pytest.approx(2.0)
+        assert sol.values["x"] == pytest.approx(0.0, abs=1e-9)
+        assert sol.mip_gap == pytest.approx((sol.objective_value - 2.0) / 2.0)
+        assert sol.mip_gap >= -1e-12
+
+    def test_infeasible_first_stage(self):
+        m = MilpModel(name="relax_infeasible")
+        m.add_variable("x", 0.0, 1.0)
+        m.add_constraint({"x": 1.0}, ">=", 2.0, tag="impossible")
+        m.set_objective("max", {"x": 1.0})
+        m.freeze()
+        sol = ScipyMilpAdapter().run_relaxed_two_stage(m, ["x"])
+        assert sol.status == "infeasible"
+        assert sol.values == {}
+
+
+@st.composite
+def _radial_cases(draw):
+    """A radial case of 3 to 6 buses whose voltage bounds, impedances and DG
+    sizes can keep the LP relaxation from being tight.
+
+    Every load and DG limit is at least 1e-3 pu. With no reactive supply,
+    any flow breaks a reactive balance row, and the MILP's row tolerance
+    (1e-6, against 1e-7 for an LP) then lets it restore load the LP cannot,
+    by more than any fixed slack."""
+    n = draw(st.integers(3, 6))
+    real = st.floats(0.0, 1.0)
+    buses = [{"id": 1}]
+    branches, loads = [], []
+    for b in range(2, n + 1):
+        buses.append(
+            {
+                "id": b,
+                "v_sqr_min": 0.81 + 0.16 * draw(real),
+                "v_sqr_max": 1.03 + 0.07 * draw(real),
+            }
+        )
+        branches.append(
+            {
+                "from": draw(st.integers(1, b - 1)),
+                "to": b,
+                "r_pu": 0.01 + 0.59 * draw(real),
+                "x_pu": 0.01 + 0.59 * draw(real),
+                "i_max_amps": 100.0 + 700.0 * draw(real),
+            }
+        )
+        loads.append(
+            {"bus": b, "p_pu": 0.001 + 0.119 * draw(real), "q_pu": 0.001 + 0.059 * draw(real)}
+        )
+    dg_buses = draw(st.lists(st.integers(1, n), min_size=1, max_size=2, unique=True))
+    generators = [
+        {"bus": b, "p_max_pu": 0.001 + 0.449 * draw(real), "q_max_pu": 0.001 + 0.399 * draw(real)}
+        for b in dg_buses
+    ]
+    doc = {
+        "name": "random",
+        "bases": {"s_base_mva": 10.0, "v_base_kv": 12.66},
+        "buses": buses,
+        "branches": branches,
+        "loads": loads,
+        "generators": generators,
+    }
+    return load_case(doc), draw(st.integers(2, 6))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_radial_cases())
+def test_sopwl_path_is_certified(drawn):
+    case, segments = drawn
+    config = RunConfig(case=case.name, mode="sopwl", num_segments=segments)
+    adapter = ScipyMilpAdapter()
+    pwl_model, pwl = _build(case, config, "pwl")
+    bound = adapter.run_relaxed_two_stage(pwl_model, list(pwl.isqr_vars.values()))
+    model, artifacts = _build(case, config, "sopwl")
+    reference = milp.solve(model, adapter)
+    assert bound.status == reference.status == "optimal"
+    # HiGHS's row tolerance lets the MILP exceed the LP bound by a hair
+    assert bound.mip_dual_bound >= reference.objective_value - 1e-5
+
+    solution, path = _solve_sopwl(case, config, artifacts, None, None)
+    assert path in ("lp_screen", "milp")
+    if path == "lp_screen":
+        slack = 1e-4 * abs(reference.objective_value) + 1e-5
+        assert solution.objective_value >= reference.objective_value - slack
+    assert milp.check_solution(model, solution) == []
+    report = branch_errors(solution, artifacts)
+    assert all(r.eso_ok_p and r.eso_ok_q for r in report.records)
