@@ -30,7 +30,6 @@ from .distflow import (
 from .network import NetworkCase, bundled_case_path, load_case
 from .solvers import DEFAULT_TIMEOUT_SECONDS, ScipyMilpAdapter, SubprocessAdapter
 from .validation import (
-    DEFAULT_ZERO_FLOW_FLOOR,
     branch_errors,
     filling_dump,
     lift_ordered,
@@ -49,7 +48,8 @@ class RunConfig:
     adapter_cmd: Optional[str] = None
     timeout: float = DEFAULT_TIMEOUT_SECONDS
     out_dir: Path = Path("sopwl_out")
-    zero_flow_floor: float = DEFAULT_ZERO_FLOW_FLOOR
+    # None: each branch's own floor (validation.branch_errors)
+    zero_flow_floor: Optional[float] = None
     report_format: str = "table"  # table | delimited
 
     def __post_init__(self) -> None:
@@ -64,7 +64,10 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.adapter_cmd is not None and not isinstance(self.adapter_cmd, str):
             raise ValueError(f"adapter command must be a string, got {self.adapter_cmd!r}")
-        for flag, value in (("timeout", self.timeout), ("zero-flow-floor", self.zero_flow_floor)):
+        checked = [("timeout", self.timeout)]
+        if self.zero_flow_floor is not None:
+            checked.append(("zero-flow-floor", self.zero_flow_floor))
+        for flag, value in checked:
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
             if not (number and 0 < value < math.inf):
                 raise ValueError(f"{flag} must be a positive finite number, got {value!r}")
@@ -334,11 +337,7 @@ def cmd_validate(config: RunConfig, solution_path: Path) -> int:
     report = branch_errors(solution, artifacts, zero_flow_floor=config.zero_flow_floor)
     print(report.to_table(), end="")
 
-    sweep = radial_sweep(
-        case,
-        _solution_injections(artifacts, solution),
-        v_norm=artifacts.options.v_norm,
-    )
+    sweep = radial_sweep(case, _solution_injections(artifacts, solution))
     print(f"exact sweep converged in {sweep.iterations} iterations")
     print(
         f"root slack injection: P={sweep.root_injection[0]:.6e} pu, "
@@ -365,7 +364,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help=f"external solver command (default: ${ADAPTER_ENV_VAR} or built-in)")
     parser.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_SECONDS)
     parser.add_argument("--out", default="sopwl_out")
-    parser.add_argument("--zero-flow-floor", type=float, default=DEFAULT_ZERO_FLOW_FLOOR)
+    parser.add_argument(
+        "--zero-flow-floor",
+        type=float,
+        default=None,
+        help="flow magnitude (pu) below which a branch's error is not reported "
+        "(default: each branch's seg_width * sqrt(12.5))",
+    )
     parser.add_argument("--format", default="table", choices=["table", "delimited"])
     parser.add_argument("--config", default=None, help="JSON config file overriding flags")
 

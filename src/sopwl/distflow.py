@@ -4,15 +4,21 @@ Per branch, each of the two flow components gets a linearized-square block
 (segment variables, sign split, binaries); the two block expressions couple
 into the squared-current variable. In ``sopwl`` mode the block additionally
 carries the big-M/binary rows that force ordered segment filling.
+
+Every branch declares the same variables and rows, so the builder describes
+one branch as a template of array columns and emits all branches with one
+bulk call for the variables and one for the rows (:class:`_Batch`);
+:func:`emit_pwl_block` is the same emitter for a single block.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Sequence
 
-from .milp import BINARY, CONTINUOUS, MilpModel
+import numpy as np
+
+from .milp import MilpModel
 from .network import Branch, NetworkCase
 from .pwl import PwlGrid, segment_slope
 
@@ -38,10 +44,7 @@ OBJECTIVE_RESTORATION_LOSS = "restoration_with_loss_penalty"
 class BuildOptions:
     num_segments: int = 50
     mode: str = MODE_PWL
-    v_norm: float = 1.0
     objective: str = OBJECTIVE_RESTORATION
-    loss_weight: float = 1.0
-    restorable_buses: Optional[frozenset[int]] = None  # None = all load buses
 
     def __post_init__(self) -> None:
         if self.num_segments < 1:
@@ -93,17 +96,227 @@ class DistflowArtifacts:
 
 
 def flow_bound(branch: Branch, case: NetworkCase, options: BuildOptions) -> PwlGrid:
-    """Per-branch flow bound: ampacity converted to per-unit, scaled by the
-    nominal voltage."""
+    """Per-branch flow bound: ampacity converted to per-unit at nominal
+    voltage."""
     i_base = case.i_base_amps
     if i_base <= 0:
         raise ValueError("zero or negative current base")
     i_max_pu = branch.i_max_amps / i_base
-    return PwlGrid(y_max=options.v_norm * i_max_pu, num_segments=options.num_segments)
+    return PwlGrid(y_max=i_max_pu, num_segments=options.num_segments)
 
 
 def _key_name(branch_key: str) -> str:
     return branch_key.replace("-", "_")
+
+
+def _column(values: Sequence[float]) -> np.ndarray:
+    """Per-item values as a column, one row per item."""
+    return np.array(values, dtype=float).reshape(-1, 1)
+
+
+class _Batch:
+    """Variables and rows that each of ``count`` items (blocks or branches)
+    declares alike, for one bulk call each.
+
+    Item ``i`` owns the ``stride`` columns from ``first + i * stride`` on, in
+    the order :meth:`variables` declares them. Every array has one row per
+    item and one column per variable, term or row of the item, so that
+    raveling it gives the model's declaration order."""
+
+    def __init__(self, count: int, first: int, stride: int):
+        self.count = count
+        self.first = first
+        self.stride = stride
+        self._base = first + stride * np.arange(count, dtype=np.intp)[:, None]
+        self._width = 0
+        self._names: list[np.ndarray] = []
+        self._lower: list[np.ndarray] = []
+        self._upper: list[np.ndarray] = []
+        self._binary: list[np.ndarray] = []
+        self._cols: list[np.ndarray] = []
+        self._coefs: list[np.ndarray] = []
+        self._lengths: list[int] = []
+        self._senses: list[str] = []
+        self._rhs: list[np.ndarray] = []
+        self._tags: list[np.ndarray] = []
+        self._all_names = np.empty(0, dtype=object)
+
+    def _per_item(self, templates: Sequence[str], args: Sequence[str]) -> np.ndarray:
+        """``template % arg`` for every item's ``arg``, one row per item."""
+        texts = [t % a for a in args for t in templates]
+        return np.array(texts, dtype=object).reshape(self.count, len(templates))
+
+    def variables(
+        self,
+        templates: Sequence[str],
+        args: Sequence[str],
+        lower: float | np.ndarray,
+        upper: float | np.ndarray,
+        binary: bool = False,
+    ) -> np.ndarray:
+        """Declare ``len(templates)`` variables per item, named ``template %
+        arg`` with the item's ``arg``; the bounds broadcast to one row per
+        item. Returns their columns, one row per item."""
+        k = len(templates)
+        shape = (self.count, k)
+        self._names.append(self._per_item(templates, args))
+        self._lower.append(np.broadcast_to(lower, shape))
+        self._upper.append(np.broadcast_to(upper, shape))
+        self._binary.append(np.full(k, binary))
+        cols = self._base + (self._width + np.arange(k))
+        self._width += k
+        return cols
+
+    def rows(
+        self,
+        templates: Sequence[str],
+        args: Sequence[str],
+        terms: Sequence[tuple[np.ndarray, float | np.ndarray]],
+        sense: str,
+        rhs: float | np.ndarray,
+    ) -> None:
+        """Add ``len(templates)`` rows per item, tagged ``template % arg``.
+
+        Each ``(cols, coefs)`` of ``terms`` is one term of every row; both
+        broadcast to one row per item and one column per row."""
+        shape = (self.count, len(templates))
+        cols = np.stack([np.broadcast_to(c, shape) for c, _ in terms], axis=-1)
+        coefs = np.stack(
+            [np.broadcast_to(np.asarray(k, dtype=float), shape) for _, k in terms], axis=-1
+        )
+        width = len(templates) * len(terms)
+        self._cols.append(cols.reshape(self.count, width))
+        self._coefs.append(coefs.reshape(self.count, width))
+        self._lengths += [len(terms)] * len(templates)
+        self._senses += [sense] * len(templates)
+        self._rhs.append(np.broadcast_to(rhs, shape))
+        self._tags.append(self._per_item(templates, args))
+
+    def emit(self, model: MilpModel) -> None:
+        if self._width != self.stride:
+            raise ValueError(f"items declared {self._width} variables, not {self.stride}")
+        names = np.hstack(self._names).ravel()
+        model.add_variables(
+            names.tolist(),
+            np.hstack(self._lower).ravel(),
+            np.hstack(self._upper).ravel(),
+            np.tile(np.concatenate(self._binary), self.count),
+        )
+        self._all_names = names
+        lengths = np.tile(np.asarray(self._lengths, dtype=np.intp), self.count)
+        row_start = np.zeros(len(lengths) + 1, dtype=np.intp)
+        np.cumsum(lengths, out=row_start[1:])
+        model.add_rows(
+            np.hstack(self._cols).ravel(),
+            np.hstack(self._coefs).ravel(),
+            row_start,
+            np.tile(np.asarray(self._senses), self.count),
+            np.hstack(self._rhs).ravel(),
+            np.hstack(self._tags).ravel().tolist(),
+        )
+
+    def names_of(self, cols: np.ndarray) -> list:
+        """Names of emitted columns, as nested lists shaped like ``cols``."""
+        return self._all_names[cols - self.first].tolist()
+
+
+@dataclass(frozen=True)
+class _BlockCols:
+    """Columns of one linearized square per item, one row per item."""
+
+    delta: np.ndarray
+    pos: np.ndarray
+    neg: np.ndarray
+    z_pos: np.ndarray
+    z_neg: np.ndarray
+    x: np.ndarray  # no columns in plain mode
+
+
+def _block_width(num_segments: int, mode: str) -> int:
+    """Variables of one block: segments, sign split, sign binaries and, in
+    ``sopwl`` mode, one ordering binary per segment."""
+    return num_segments + 4 + (num_segments if mode == MODE_SOPWL else 0)
+
+
+def _emit_blocks(
+    batch: _Batch,
+    y: np.ndarray,
+    grids: Sequence[PwlGrid],
+    n: int,
+    mode: str,
+    prefixes: Sequence[str],
+    tag_suffixes: Sequence[str],
+) -> _BlockCols:
+    """Declare into ``batch`` the segment/sign/binary variables and the rows
+    of one linearized square of column ``y`` per item, on ``n`` segments."""
+    y_max = _column([g.y_max for g in grids])
+    h = _column([g.seg_width for g in grids])
+    lams = range(1, n + 1)
+
+    delta = batch.variables([f"%s_d{lam}" for lam in lams], prefixes, 0.0, h)
+    pos, neg = np.hsplit(batch.variables(["%s_pos", "%s_neg"], prefixes, 0.0, y_max), 2)
+    z_pos, z_neg = np.hsplit(
+        batch.variables(["%s_zpos", "%s_zneg"], prefixes, 0.0, 1.0, binary=True), 2
+    )
+
+    batch.rows(["eq6:%s"], tag_suffixes, [(y, 1.0), (pos, -1.0), (neg, 1.0)], "=", 0.0)
+    batch.rows(
+        ["eq7:%s"],
+        tag_suffixes,
+        [(pos, 1.0), (neg, 1.0)] + [(delta[:, [lam]], -1.0) for lam in range(n)],
+        "=",
+        0.0,
+    )
+    batch.rows(["eq10:%s"], tag_suffixes, [(pos, 1.0), (z_pos, -y_max)], "<=", 0.0)
+    batch.rows(["eq11:%s"], tag_suffixes, [(neg, 1.0), (z_neg, -y_max)], "<=", 0.0)
+    batch.rows(["eq12:%s"], tag_suffixes, [(z_pos, 1.0), (z_neg, 1.0)], "<=", 1.0)
+
+    x = delta[:, :0]
+    if mode == MODE_SOPWL:
+        # tightest valid M: with it the deactivated row is exactly vacuous
+        m_const = h
+        eps = _column([epsilon_plus(g) for g in grids])
+        x = batch.variables([f"%s_x{lam}" for lam in lams], prefixes, 0.0, 1.0, binary=True)
+        # delta_lam - h + (1 - x_lam) * M + eps >= 0
+        batch.rows(
+            [f"eq20:%s:l{lam}" for lam in lams],
+            tag_suffixes,
+            [(delta, 1.0), (x, -m_const)],
+            ">=",
+            h - m_const - eps,
+        )
+        # 0 <= delta_{lam+1} <= x_lam * h (lower bound held by the variable)
+        batch.rows(
+            [f"eq21:%s:l{lam}" for lam in range(1, n)],
+            tag_suffixes,
+            [(delta[:, 1:], 1.0), (x[:, :-1], -h)],
+            "<=",
+            0.0,
+        )
+    return _BlockCols(delta, pos, neg, z_pos, z_neg, x)
+
+
+def _handles(
+    batch: _Batch,
+    cols: _BlockCols,
+    keys: Sequence[str],
+    kind: str,
+    mode: str,
+    grids: Sequence[PwlGrid],
+) -> list[PwlBlockHandle]:
+    """The handle of each item's block, after ``batch`` is emitted."""
+    fields = zip(
+        batch.names_of(cols.delta),
+        batch.names_of(cols.pos[:, 0]),
+        batch.names_of(cols.neg[:, 0]),
+        batch.names_of(cols.z_pos[:, 0]),
+        batch.names_of(cols.z_neg[:, 0]),
+        batch.names_of(cols.x),
+    )
+    return [
+        PwlBlockHandle(key, kind, mode, grid, tuple(delta), pos, neg, z_pos, z_neg, tuple(x))
+        for key, grid, (delta, pos, neg, z_pos, z_neg, x) in zip(keys, grids, fields)
+    ]
 
 
 def emit_pwl_block(
@@ -118,172 +331,153 @@ def emit_pwl_block(
     linearized square, returning a handle to everything emitted."""
     if mode not in (MODE_PWL, MODE_SOPWL):
         raise ValueError(f"unknown mode {mode!r}")
-    h = grid.seg_width
-    y_max = grid.y_max
+    y = model.variable(y_var).index
+    batch = _Batch(1, model.num_variables, _block_width(grid.num_segments, mode))
     prefix = f"{kind}_{_key_name(branch_key)}"
-    tag_suffix = f"{branch_key}:{kind}"
-
-    delta_names = tuple(
-        model.add_variable(f"{prefix}_d{lam}", lower=0.0, upper=h)
-        for lam in range(1, grid.num_segments + 1)
+    cols = _emit_blocks(
+        batch, np.array([[y]]), [grid], grid.num_segments, mode, [prefix], [f"{branch_key}:{kind}"]
     )
-    pos = model.add_variable(f"{prefix}_pos", lower=0.0, upper=y_max)
-    neg = model.add_variable(f"{prefix}_neg", lower=0.0, upper=y_max)
-    z_pos = model.add_variable(f"{prefix}_zpos", lower=0.0, upper=1.0, kind=BINARY)
-    z_neg = model.add_variable(f"{prefix}_zneg", lower=0.0, upper=1.0, kind=BINARY)
-
-    model.add_constraint(
-        [(y_var, 1.0), (pos, -1.0), (neg, 1.0)], "=", 0.0, tag=f"eq6:{tag_suffix}"
-    )
-    model.add_constraint(
-        [(pos, 1.0), (neg, 1.0)] + [(d, -1.0) for d in delta_names],
-        "=",
-        0.0,
-        tag=f"eq7:{tag_suffix}",
-    )
-    model.add_constraint(
-        [(pos, 1.0), (z_pos, -y_max)], "<=", 0.0, tag=f"eq10:{tag_suffix}"
-    )
-    model.add_constraint(
-        [(neg, 1.0), (z_neg, -y_max)], "<=", 0.0, tag=f"eq11:{tag_suffix}"
-    )
-    model.add_constraint(
-        [(z_pos, 1.0), (z_neg, 1.0)], "<=", 1.0, tag=f"eq12:{tag_suffix}"
-    )
-
-    x_names: tuple[str, ...] = ()
-    if mode == MODE_SOPWL:
-        # tightest valid M: with it the deactivated row is exactly vacuous
-        m_const = h
-        eps = epsilon_plus(grid)
-        x_names = tuple(
-            model.add_variable(f"{prefix}_x{lam}", lower=0.0, upper=1.0, kind=BINARY)
-            for lam in range(1, grid.num_segments + 1)
-        )
-        for lam in range(1, grid.num_segments + 1):
-            # delta_lam - h + (1 - x_lam) * M + eps >= 0
-            model.add_constraint(
-                [(delta_names[lam - 1], 1.0), (x_names[lam - 1], -m_const)],
-                ">=",
-                h - m_const - eps,
-                tag=f"eq20:{tag_suffix}:l{lam}",
-            )
-        for lam in range(1, grid.num_segments):
-            # 0 <= delta_{lam+1} <= x_lam * h (lower bound held by the variable)
-            model.add_constraint(
-                [(delta_names[lam], 1.0), (x_names[lam - 1], -h)],
-                "<=",
-                0.0,
-                tag=f"eq21:{tag_suffix}:l{lam}",
-            )
-
-    return PwlBlockHandle(
-        branch_key=branch_key,
-        kind=kind,
-        mode=mode,
-        grid=grid,
-        delta_names=delta_names,
-        pos_name=pos,
-        neg_name=neg,
-        z_pos_name=z_pos,
-        z_neg_name=z_neg,
-        x_names=x_names,
-    )
+    batch.emit(model)
+    (handle,) = _handles(batch, cols, [branch_key], kind, mode, [grid])
+    return handle
 
 
 def build_distflow(
     model: MilpModel, case: NetworkCase, options: BuildOptions
 ) -> DistflowArtifacts:
     """Declare all network variables and constraint rows for the linearized
-    DistFlow problem on ``case``."""
-    v_norm = options.v_norm
+    DistFlow problem on ``case``.
+
+    Declaration order: a voltage per bus and the root-voltage row; per branch
+    in file order ``P``, ``Q``, ``Isqr`` and the P and Q blocks, with the
+    blocks' rows, ``eq4`` and ``vdrop``; a pickup per load and ``gp``/``gq``
+    per generator; then the two balance rows of each bus."""
+    mode = options.mode
+    buses = case.buses
+    branches = case.branches
+    position = {bus.id: i for i, bus in enumerate(buses)}
+
+    voltage_vars = {bus.id: f"V_{bus.id}" for bus in buses}
+    voltage = model.add_variables(
+        list(voltage_vars.values()),
+        [bus.v_sqr_min for bus in buses],
+        [bus.v_sqr_max for bus in buses],
+    )
+    model.add_constraint([(voltage_vars[case.root], 1.0)], "=", 1.0, tag=f"rootV:{case.root}")
+
+    keys = [br.key for br in branches]
+    names = [_key_name(key) for key in keys]
+    grid_list = [flow_bound(br, case, options) for br in branches]
+    y_max = _column([g.y_max for g in grid_list])
+    # squares taken on Python floats: numpy's r**2 differs from Python's in
+    # the last digit for some r, which would change the LP text
+    i_max_sqr = _column([(br.i_max_amps / case.i_base_amps) ** 2 for br in branches])
+    z_sqr = _column([-(br.r_pu**2 + br.x_pu**2) for br in branches])
+    r = _column([br.r_pu for br in branches])
+    x = _column([br.x_pu for br in branches])
+    from_bus = np.array([position[br.from_bus] for br in branches], dtype=np.intp)
+    to_bus = np.array([position[br.to_bus] for br in branches], dtype=np.intp)
+
+    n = options.num_segments
+    stride = 3 + 2 * _block_width(n, mode)
+    batch = _Batch(len(branches), model.num_variables, stride)
+    p, q = np.hsplit(batch.variables(["P_%s", "Q_%s"], names, -y_max, y_max), 2)
+    isqr = batch.variables(["Isqr_%s"], names, 0.0, i_max_sqr)
+    block_cols = {
+        kind: _emit_blocks(
+            batch,
+            y,
+            grid_list,
+            n,
+            mode,
+            [f"{kind}_{a}" for a in names],
+            [f"{key}:{kind}" for key in keys],
+        )
+        for kind, y in (("P", p), ("Q", q))
+    }
+    # squared-current coupling: Isqr = f(P) + f(Q), v_norm = 1
+    slopes = np.arange(1, 2 * n, 2) * _column([g.seg_width for g in grid_list])
+    coupling = [(isqr, 1.0)]
+    for kind in ("P", "Q"):
+        delta = block_cols[kind].delta
+        coupling += [(delta[:, [lam]], -slopes[:, [lam]]) for lam in range(n)]
+    batch.rows(["eq4:%s"], keys, coupling, "=", 0.0)
+    # voltage drop along the branch
+    batch.rows(
+        ["vdrop:%s"],
+        keys,
+        [
+            (voltage.start + to_bus[:, None], 1.0),
+            (voltage.start + from_bus[:, None], -1.0),
+            (p, 2.0 * r),
+            (q, 2.0 * x),
+            (isqr, z_sqr),
+        ],
+        "=",
+        0.0,
+    )
+    batch.emit(model)
+
+    flow_names = {kind: batch.names_of(col[:, 0]) for kind, col in (("P", p), ("Q", q))}
+    isqr_names = batch.names_of(isqr[:, 0])
+    handles = {
+        kind: _handles(batch, block_cols[kind], keys, kind, mode, grid_list)
+        for kind in ("P", "Q")
+    }
     blocks: dict[tuple[str, str], PwlBlockHandle] = {}
     flow_vars: dict[tuple[str, str], str] = {}
-    isqr_vars: dict[str, str] = {}
-    voltage_vars: dict[int, str] = {}
-    grids: dict[str, PwlGrid] = {}
-    # per-bus balance terms, in the order the rows list them: each branch in
-    # file order (arriving flow minus its loss, or leaving flow), then
-    # generation, then load
-    p_terms: dict[int, list[tuple[str, float]]] = {bus.id: [] for bus in case.buses}
-    q_terms: dict[int, list[tuple[str, float]]] = {bus.id: [] for bus in case.buses}
+    for i, key in enumerate(keys):
+        for kind in ("P", "Q"):
+            blocks[(key, kind)] = handles[kind][i]
+            flow_vars[(key, kind)] = flow_names[kind][i]
+    isqr_vars = dict(zip(keys, isqr_names))
+    grids = dict(zip(keys, grid_list))
 
-    for bus in case.buses:
-        voltage_vars[bus.id] = model.add_variable(
-            f"V_{bus.id}", lower=bus.v_sqr_min, upper=bus.v_sqr_max
-        )
-    model.add_constraint(
-        [(voltage_vars[case.root], 1.0)], "=", v_norm**2, tag=f"rootV:{case.root}"
+    loads, gens = case.loads, case.generators
+    pickup_vars = {load.bus: f"beta_{load.bus}" for load in loads}
+    gen_vars = {gen.bus: (f"gp_{gen.bus}", f"gq_{gen.bus}") for gen in gens}
+    tail = model.add_variables(
+        list(pickup_vars.values()) + [name for pair in gen_vars.values() for name in pair],
+        0.0,
+        [1.0] * len(loads) + [limit for g in gens for limit in (g.p_max_pu, g.q_max_pu)],
     )
 
-    for br in case.branches:
-        key = br.key
-        grid = flow_bound(br, case, options)
-        grids[key] = grid
-        y_max = grid.y_max
-        i_max_pu = br.i_max_amps / case.i_base_amps
-        name = _key_name(key)
-        p_var = model.add_variable(f"P_{name}", lower=-y_max, upper=y_max)
-        q_var = model.add_variable(f"Q_{name}", lower=-y_max, upper=y_max)
-        isqr = model.add_variable(f"Isqr_{name}", lower=0.0, upper=i_max_pu**2)
-        flow_vars[(key, "P")] = p_var
-        flow_vars[(key, "Q")] = q_var
-        isqr_vars[key] = isqr
-
-        for kind, y_var in (("P", p_var), ("Q", q_var)):
-            blocks[(key, kind)] = emit_pwl_block(
-                model, y_var, grid, options.mode, branch_key=key, kind=kind
-            )
-
-        # squared-current coupling: v_norm^2 * Isqr = f(P) + f(Q)
-        terms = [(isqr, v_norm**2)]
-        terms += [(n, -c) for n, c in blocks[(key, "P")].f_terms]
-        terms += [(n, -c) for n, c in blocks[(key, "Q")].f_terms]
-        model.add_constraint(terms, "=", 0.0, tag=f"eq4:{key}")
-
-        # voltage drop along the branch
-        model.add_constraint(
-            [
-                (voltage_vars[br.to_bus], 1.0),
-                (voltage_vars[br.from_bus], -1.0),
-                (p_var, 2.0 * br.r_pu),
-                (q_var, 2.0 * br.x_pu),
-                (isqr, -(br.r_pu**2 + br.x_pu**2)),
-            ],
-            "=",
-            0.0,
-            tag=f"vdrop:{key}",
-        )
-
-        p_terms[br.from_bus].append((p_var, -1.0))
-        q_terms[br.from_bus].append((q_var, -1.0))
-        p_terms[br.to_bus] += [(p_var, 1.0), (isqr, -br.r_pu)]
-        q_terms[br.to_bus] += [(q_var, 1.0), (isqr, -br.x_pu)]
-
-    restorable = options.restorable_buses
-    pickup_vars: dict[int, str] = {}
-    for load in case.loads:
-        upper = 1.0 if restorable is None or load.bus in restorable else 0.0
-        pickup_vars[load.bus] = model.add_variable(
-            f"beta_{load.bus}", lower=0.0, upper=upper
-        )
-
-    gen_vars: dict[int, tuple[str, str]] = {}
-    for gen in case.generators:
-        gp = model.add_variable(f"gp_{gen.bus}", lower=0.0, upper=gen.p_max_pu)
-        gq = model.add_variable(f"gq_{gen.bus}", lower=0.0, upper=gen.q_max_pu)
-        gen_vars[gen.bus] = (gp, gq)
-        p_terms[gen.bus].append((gp, 1.0))
-        q_terms[gen.bus].append((gq, 1.0))
-
-    for load in case.loads:
-        beta = pickup_vars[load.bus]
-        p_terms[load.bus].append((beta, -load.p_pu))
-        q_terms[load.bus].append((beta, -load.q_pu))
-
-    for bus in case.buses:
-        model.add_constraint(p_terms[bus.id], "=", 0.0, tag=f"balanceP:{bus.id}")
-        model.add_constraint(q_terms[bus.id], "=", 0.0, tag=f"balanceQ:{bus.id}")
+    # Balance rows, P then Q per bus. Each term goes to the row of its bus;
+    # a stable sort by row keeps the terms of a row in the order listed
+    # here: branches in file order (leaving flow, or arriving flow minus its
+    # loss), then generation, then load.
+    from_row, to_row = 2 * from_bus, 2 * to_bus
+    gen_row = 2 * np.array([position[g.bus] for g in gens], dtype=np.intp)
+    load_row = 2 * np.array([position[load.bus] for load in loads], dtype=np.intp)
+    one = np.ones((len(branches), 1))
+    beta = tail.start + np.arange(len(loads), dtype=np.intp)
+    gp = tail.start + len(loads) + 2 * np.arange(len(gens), dtype=np.intp)
+    row = np.concatenate([
+        np.stack([from_row, to_row, to_row, from_row + 1, to_row + 1, to_row + 1], axis=1).ravel(),
+        np.stack([gen_row, gen_row + 1], axis=1).ravel(),
+        np.stack([load_row, load_row + 1], axis=1).ravel(),
+    ])
+    col = np.concatenate([
+        np.hstack([p, p, isqr, q, q, isqr]).ravel(),
+        np.stack([gp, gp + 1], axis=1).ravel(),
+        np.stack([beta, beta], axis=1).ravel(),
+    ])
+    coef = np.concatenate([
+        np.hstack([-one, one, -r, -one, one, -x]).ravel(),
+        np.ones(2 * len(gens)),
+        np.array([-c for load in loads for c in (load.p_pu, load.q_pu)]),
+    ])
+    order = np.argsort(row, kind="stable")
+    row_start = np.zeros(2 * len(buses) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(row, minlength=2 * len(buses)), out=row_start[1:])
+    model.add_rows(
+        col[order],
+        coef[order],
+        row_start,
+        ["="] * (2 * len(buses)),
+        np.zeros(2 * len(buses)),
+        [f"balance{kind}:{bus.id}" for bus in buses for kind in ("P", "Q")],
+    )
 
     return DistflowArtifacts(
         case=case,
@@ -304,13 +498,12 @@ def build_restoration_objective(
 ) -> None:
     """Maximize restored active load, optionally penalizing branch losses."""
     case = artifacts.case
-    options = artifacts.options
     terms: dict[str, float] = {}
     for load in case.loads:
         beta = artifacts.pickup_vars[load.bus]
         terms[beta] = terms.get(beta, 0.0) + load.p_pu
-    if options.objective == OBJECTIVE_RESTORATION_LOSS:
+    if artifacts.options.objective == OBJECTIVE_RESTORATION_LOSS:
         for br in case.branches:
             isqr = artifacts.isqr_vars[br.key]
-            terms[isqr] = terms.get(isqr, 0.0) - options.loss_weight * br.r_pu
+            terms[isqr] = terms.get(isqr, 0.0) - br.r_pu
     model.set_objective("max", terms)

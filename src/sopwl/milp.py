@@ -4,19 +4,25 @@ direct substitution.
 
 The model is stored in integer-indexed form. Variable ``i`` is the ``i``-th
 declared; row ``r`` holds the terms ``cols[s:e]``/``coefs[s:e]`` with
-``s, e = row_start[r], row_start[r + 1]``. :meth:`MilpModel.freeze` turns
-these flat lists into numpy arrays once (:class:`ModelArrays`), which the
-solver adapter and the re-check use as a sparse matrix.
+``s, e = row_start[r], row_start[r + 1]``. Variables and rows are appended in
+bulk, as arrays (:meth:`MilpModel.add_variables`, :meth:`MilpModel.add_rows`);
+each call checks its whole input and appends nothing when a check fails.
+:meth:`MilpModel.add_variable` and :meth:`MilpModel.add_constraint` are the
+one-item case of the same calls. The model keeps what each call appended as
+numpy arrays; :meth:`MilpModel.freeze` concatenates them once
+(:class:`ModelArrays`), and the solver adapter, the re-check and the LP writer
+read those.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import string
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,7 +48,6 @@ SENSES = ("<=", "=", ">=")
 STATUS_TOKENS = ("optimal", "feasible", "infeasible", "unbounded", "error")
 
 _LP_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
-_TAG_UNSAFE_RE = re.compile(r"[^A-Za-z0-9_.]")
 
 FEASIBILITY_TOL = 1e-6
 
@@ -76,7 +81,7 @@ class ModelFrozenError(RuntimeError):
 
 @dataclass(frozen=True)
 class ModelArrays:
-    """A frozen model as numpy arrays, in declaration order."""
+    """A model as numpy arrays, in declaration order."""
 
     names: tuple[str, ...]
     lower: np.ndarray
@@ -85,6 +90,8 @@ class ModelArrays:
     cols: np.ndarray  # column index per nonzero
     coefs: np.ndarray  # coefficient per nonzero
     row_start: np.ndarray  # rows + 1 offsets into cols/coefs
+    senses: np.ndarray  # index into SENSES per row
+    rhs: np.ndarray
     row_lo: np.ndarray  # -inf for a "<=" row
     row_hi: np.ndarray  # +inf for a ">=" row
     obj_cols: np.ndarray  # may repeat a column; repeats add up
@@ -113,6 +120,10 @@ def _unzip(terms: Terms) -> tuple[tuple, tuple]:
     return tuple(zip(*terms)) or ((), ())
 
 
+def _first(mask: np.ndarray) -> int:
+    return int(np.argmax(mask))
+
+
 class MilpModel:
     """Single-writer model; freeze() makes it immutable and shareable."""
 
@@ -120,25 +131,76 @@ class MilpModel:
         self.name = name
         self._index: dict[str, int] = {}
         self._names: list[str] = []
-        self._lower: list[float] = []
-        self._upper: list[float] = []
-        self._binary: list[bool] = []
-        self._cols: list[int] = []
-        self._coefs: list[float] = []
-        self._row_start: list[int] = [0]
-        self._senses: list[str] = []
-        self._rhs: list[float] = []
         self._tags: list[str] = []
+        # what each bulk call appended, starting from an empty part so that
+        # concatenation always has an input: (lower, upper, binary) and
+        # (cols, coefs, terms per row, sense index, rhs)
+        self._var_parts: list[tuple[np.ndarray, ...]] = [
+            (np.empty(0), np.empty(0), np.empty(0, dtype=bool))
+        ]
+        self._row_parts: list[tuple[np.ndarray, ...]] = [
+            (
+                np.empty(0, dtype=np.intp),
+                np.empty(0),
+                np.empty(0, dtype=np.intp),
+                np.empty(0, dtype=np.int8),
+                np.empty(0),
+            )
+        ]
         self.objective_sense: str = "min"
         self.objective_terms: tuple[tuple[str, float], ...] = ()
         self._obj_cols: list[int] = []
-        self._arrays: Optional[ModelArrays] = None
+        self._frozen = False
+        self._gathered: Optional[ModelArrays] = None
 
     # -- construction ------------------------------------------------------
 
     def _require_unfrozen(self) -> None:
-        if self._arrays is not None:
+        if self._frozen:
             raise ModelFrozenError("model is frozen")
+
+    def add_variables(
+        self,
+        names: Sequence[str],
+        lower: float | np.ndarray = -math.inf,
+        upper: float | np.ndarray = math.inf,
+        binary: bool | np.ndarray = False,
+    ) -> range:
+        """Append one variable per name and return their indices.
+
+        ``lower``, ``upper`` and ``binary`` are one value for every name or
+        one per name. Rejects a name already declared or given twice, a lower
+        bound above the upper one (or NaN) and binary bounds outside [0, 1];
+        a rejected call appends nothing. The arrays are copied.
+        """
+        self._require_unfrozen()
+        names = list(names)
+        k = len(names)
+        lower = np.broadcast_to(np.array(lower, dtype=float), (k,))
+        upper = np.broadcast_to(np.array(upper, dtype=float), (k,))
+        binary = np.broadcast_to(np.array(binary, dtype=bool), (k,))
+        first = len(self._names)
+        index = dict(zip(names, range(first, first + k)))
+        if len(index) != k or not self._index.keys().isdisjoint(index.keys()):
+            seen = set(self._index)
+            for name in names:
+                if name in seen:
+                    raise ValueError(f"duplicate variable name {name!r}")
+                seen.add(name)
+        disordered = ~(lower <= upper)
+        if disordered.any():
+            i = _first(disordered)
+            raise ValueError(
+                f"{names[i]}: lower bound {float(lower[i])} > upper {float(upper[i])}"
+            )
+        outside = binary & ((lower < 0) | (upper > 1))
+        if outside.any():
+            raise ValueError(f"{names[_first(outside)]}: binary bounds must lie within [0, 1]")
+        self._index.update(index)
+        self._names.extend(names)
+        self._var_parts.append((lower, upper, binary))
+        self._gathered = None
+        return range(first, first + k)
 
     def add_variable(
         self,
@@ -147,22 +209,91 @@ class MilpModel:
         upper: float = math.inf,
         kind: str = CONTINUOUS,
     ) -> str:
-        self._require_unfrozen()
-        if name in self._index:
-            raise ValueError(f"duplicate variable name {name!r}")
         if kind not in (CONTINUOUS, BINARY):
             raise ValueError(f"unknown variable kind {kind!r}")
-        if lower > upper:
-            raise ValueError(f"{name}: lower bound {lower} > upper {upper}")
-        binary = kind == BINARY
-        if binary and not (0 <= lower and upper <= 1):
-            raise ValueError(f"{name}: binary bounds must lie within [0, 1]")
-        self._index[name] = len(self._names)
-        self._names.append(name)
-        self._lower.append(lower)
-        self._upper.append(upper)
-        self._binary.append(binary)
+        self.add_variables([name], lower, upper, kind == BINARY)
         return name
+
+    def add_rows(
+        self,
+        cols: Sequence[int] | np.ndarray,
+        coefs: Sequence[float] | np.ndarray,
+        row_start: Sequence[int] | np.ndarray,
+        senses: Sequence[str] | np.ndarray,
+        rhs: Sequence[float] | np.ndarray,
+        tags: Sequence[str],
+    ) -> range:
+        """Append rows and return their indices.
+
+        Row ``r`` holds the terms ``cols[s:e]``/``coefs[s:e]`` with ``s, e =
+        row_start[r], row_start[r + 1]``; ``row_start`` starts at 0 and ends
+        at ``len(cols)``. ``senses``, ``rhs`` and ``tags`` hold one entry per
+        row. Rejects an unknown sense, a column that is not a declared
+        variable, a column given twice in one row, and a non-finite
+        coefficient or right-hand side, naming the row's tag; a rejected call
+        appends nothing. The arrays are copied.
+        """
+        self._require_unfrozen()
+        cols = np.array(cols, dtype=np.intp)
+        coefs = np.array(coefs, dtype=float)
+        row_start = np.asarray(row_start, dtype=np.intp)
+        senses = np.asarray(senses)
+        rhs = np.array(rhs, dtype=float)
+        tags = list(tags)
+        n = len(tags)
+        if (
+            row_start.shape != (n + 1,)
+            or row_start[0] != 0
+            or row_start[-1] != len(cols)
+            or coefs.shape != cols.shape
+            or senses.shape != (n,)
+            or rhs.shape != (n,)
+        ):
+            raise ValueError(
+                f"rows: {len(cols)} columns, {len(coefs)} coefficients, "
+                f"{len(row_start)} offsets, {len(senses)} senses, {len(rhs)} "
+                f"right-hand sides and {n} tags do not describe one set of rows"
+            )
+        lengths = np.diff(row_start)
+        if (lengths < 0).any():
+            raise ValueError("rows: offsets must not decrease")
+        codes = np.full(n, -1, dtype=np.int8)
+        for code, sense in enumerate(SENSES):
+            codes[senses == sense] = code
+        if (codes < 0).any():
+            i = _first(codes < 0)
+            raise ValueError(f"{tags[i]}: unknown sense {senses[i].item()!r}")
+
+        def tag_of(term: int) -> str:
+            return tags[int(np.searchsorted(row_start, term, side="right")) - 1]
+
+        num_vars = len(self._names)
+        undeclared = (cols < 0) | (cols >= num_vars)
+        if undeclared.any():
+            k = _first(undeclared)
+            raise ValueError(f"{tag_of(k)}: reference to undeclared variable column {cols[k]}")
+        # (row, column) pairs as one key: a repeat sorts next to its twin
+        keys = np.sort(np.repeat(np.arange(n, dtype=np.int64), lengths) * num_vars + cols)
+        repeated = keys[1:] == keys[:-1]
+        if repeated.any():
+            row, col = divmod(int(keys[_first(repeated)]), num_vars)
+            raise ValueError(
+                f"{tags[row]}: duplicate variable {self._names[col]!r} in constraint terms"
+            )
+        infinite = ~np.isfinite(coefs)
+        if infinite.any():
+            k = _first(infinite)
+            raise ValueError(
+                f"{tag_of(k)}: non-finite coefficient on {self._names[cols[k]]}"
+            )
+        infinite = ~np.isfinite(rhs)
+        if infinite.any():
+            raise ValueError(f"{tags[_first(infinite)]}: non-finite right-hand side")
+        first = len(self._tags)
+        self._row_parts.append((cols, coefs, lengths, codes, rhs))
+        self._tags.extend(tags)
+        self._gathered = None
+        return range(first, first + n)
 
     def _columns(self, names: tuple[str, ...], where: str) -> list[int]:
         try:
@@ -175,23 +306,9 @@ class MilpModel:
     def add_constraint(self, terms: Terms, sense: str, rhs: float, tag: str) -> int:
         """Append a row and return its index."""
         self._require_unfrozen()
-        if sense not in SENSES:
-            raise ValueError(f"unknown sense {sense!r}")
         names, coefs = _unzip(terms)
-        if len(set(names)) != len(names):
-            raise ValueError(f"{tag}: duplicate variable in constraint terms")
-        if not all(map(math.isfinite, coefs)):
-            bad = next(n for n, c in zip(names, coefs) if not math.isfinite(c))
-            raise ValueError(f"{tag}: non-finite coefficient on {bad}")
-        if not math.isfinite(rhs):
-            raise ValueError(f"{tag}: non-finite right-hand side")
-        self._cols.extend(self._columns(names, tag))
-        self._coefs.extend(coefs)
-        self._row_start.append(len(self._cols))
-        self._senses.append(sense)
-        self._rhs.append(rhs)
-        self._tags.append(tag)
-        return len(self._tags) - 1
+        cols = self._columns(names, tag)
+        return self.add_rows(cols, coefs, (0, len(cols)), (sense,), (rhs,), (tag,)).start
 
     def set_objective(self, sense: str, terms: Terms) -> None:
         self._require_unfrozen()
@@ -201,63 +318,89 @@ class MilpModel:
         self._obj_cols = self._columns(names, "objective")
         self.objective_sense = sense
         self.objective_terms = tuple(zip(names, coefs))
+        self._gathered = None
 
-    def freeze(self) -> "MilpModel":
-        if self._arrays is None:
-            senses = np.asarray(self._senses, dtype="<U2")
-            rhs = np.asarray(self._rhs, dtype=float)
-            self._arrays = ModelArrays(
+    def _gather(self) -> ModelArrays:
+        """The model so far as arrays; the parts are replaced by the
+        concatenation, so each is copied once."""
+        if self._gathered is None:
+            parts = [np.concatenate(arrays) for arrays in zip(*self._var_parts)]
+            self._var_parts = [tuple(parts)]
+            lower, upper, binary = parts
+            parts = [np.concatenate(arrays) for arrays in zip(*self._row_parts)]
+            self._row_parts = [tuple(parts)]
+            cols, coefs, lengths, senses, rhs = parts
+            row_start = np.zeros(len(lengths) + 1, dtype=np.intp)
+            np.cumsum(lengths, out=row_start[1:])
+            self._gathered = ModelArrays(
                 names=tuple(self._names),
-                lower=np.asarray(self._lower, dtype=float),
-                upper=np.asarray(self._upper, dtype=float),
-                binary=np.asarray(self._binary, dtype=bool),
-                cols=np.asarray(self._cols, dtype=np.intp),
-                coefs=np.asarray(self._coefs, dtype=float),
-                row_start=np.asarray(self._row_start, dtype=np.intp),
-                row_lo=np.where(senses == "<=", -np.inf, rhs),
-                row_hi=np.where(senses == ">=", np.inf, rhs),
+                lower=lower,
+                upper=upper,
+                binary=binary,
+                cols=cols,
+                coefs=coefs,
+                row_start=row_start,
+                senses=senses,
+                rhs=rhs,
+                row_lo=np.where(senses == SENSES.index("<="), -np.inf, rhs),
+                row_hi=np.where(senses == SENSES.index(">="), np.inf, rhs),
                 obj_cols=np.asarray(self._obj_cols, dtype=np.intp),
                 obj_coefs=np.asarray([c for _, c in self.objective_terms], dtype=float),
             )
+        return self._gathered
+
+    def freeze(self) -> "MilpModel":
+        self._frozen = True
+        self._gather()
         return self
 
     @property
+    def num_variables(self) -> int:
+        return len(self._names)
+
+    @property
     def frozen(self) -> bool:
-        return self._arrays is not None
+        return self._frozen
 
     @property
     def arrays(self) -> ModelArrays:
-        if self._arrays is None:
+        if not self._frozen:
             raise ModelFrozenError("freeze the model before reading its arrays")
-        return self._arrays
+        return self._gather()
 
     # -- read-only views, for tests and small models -----------------------
 
-    def _variable(self, i: int) -> Variable:
-        kind = BINARY if self._binary[i] else CONTINUOUS
-        return Variable(self._names[i], self._lower[i], self._upper[i], kind, i)
-
-    def _row(self, r: int) -> LinearConstraint:
-        s, e = self._row_start[r], self._row_start[r + 1]
-        names = self._names
-        terms = tuple(
-            (names[j], c) for j, c in zip(self._cols[s:e], self._coefs[s:e])
-        )
-        return LinearConstraint(terms, self._senses[r], self._rhs[r], self._tags[r])
-
     @property
     def variables(self) -> tuple[Variable, ...]:
-        return tuple(map(self._variable, range(len(self._names))))
+        a = self._gather()
+        kinds = [BINARY if b else CONTINUOUS for b in a.binary.tolist()]
+        return tuple(
+            map(Variable, a.names, a.lower.tolist(), a.upper.tolist(), kinds, range(len(kinds)))
+        )
+
+    def _rows(self, rows: Iterable[int]) -> list[LinearConstraint]:
+        a = self._gather()
+        names, cols, coefs = a.names, a.cols.tolist(), a.coefs.tolist()
+        start, senses, rhs = a.row_start.tolist(), a.senses.tolist(), a.rhs.tolist()
+        views = []
+        for r in rows:
+            s, e = start[r], start[r + 1]
+            terms = tuple(zip([names[j] for j in cols[s:e]], coefs[s:e]))
+            views.append(LinearConstraint(terms, SENSES[senses[r]], rhs[r], self._tags[r]))
+        return views
 
     @property
     def constraints(self) -> tuple[LinearConstraint, ...]:
-        return tuple(map(self._row, range(len(self._tags))))
+        return tuple(self._rows(range(len(self._tags))))
 
     def variable(self, name: str) -> Variable:
-        return self._variable(self._index[name])
+        i = self._index[name]
+        a = self._gather()
+        kind = BINARY if a.binary[i] else CONTINUOUS
+        return Variable(name, float(a.lower[i]), float(a.upper[i]), kind, i)
 
     def constraints_by_tag(self, prefix: str) -> list[LinearConstraint]:
-        return [self._row(r) for r, t in enumerate(self._tags) if t.startswith(prefix)]
+        return self._rows(r for r, t in enumerate(self._tags) if t.startswith(prefix))
 
 
 @dataclass(frozen=True)
@@ -280,12 +423,43 @@ class Solution:
 # -- LP export -------------------------------------------------------------
 
 
-def _row_bases(tags: list[str]) -> list[str]:
-    """LP row names before de-duplication: each tag with every character
-    outside ``[A-Za-z0-9_.]`` replaced by ``_``, and ``c_`` in front of one
-    that would not start with a letter or ``_``."""
-    bases = [_TAG_UNSAFE_RE.sub("_", tag) for tag in tags]
-    return [b if b and b[0] not in "0123456789." else "c_" + b for b in bases]
+class _RowNameChars(dict):
+    """``str.translate`` table of LP row names: every character outside
+    ``[A-Za-z0-9_.]`` becomes ``_``, except ``"\\n"``, which separates the
+    joined tags."""
+
+    def __init__(self) -> None:
+        safe = string.ascii_letters + string.digits + "_.\n"
+        super().__init__((c, chr(c) if chr(c) in safe else "_") for c in range(128))
+
+    def __missing__(self, c: int) -> str:
+        return "_"  # no character beyond ASCII is safe
+
+
+_ROW_NAME_CHARS = _RowNameChars()
+
+
+def _row_names(tags: list[str]) -> list[str]:
+    """LP row names: each tag with every character outside ``[A-Za-z0-9_.]``
+    replaced by ``_``, ``c_`` in front of one that would not start with a
+    letter or ``_``, and ``__<n>`` after the ``n``-th repeat of a name.
+
+    One translation runs over all tags joined by ``"\\n"``; when a tag holds
+    a ``"\\n"`` itself the split comes out longer, and each tag is translated
+    on its own."""
+    bases = "\n".join(tags).translate(_ROW_NAME_CHARS).split("\n")
+    if len(bases) != len(tags):
+        bases = [tag.translate(_ROW_NAME_CHARS).replace("\n", "_") for tag in tags]
+    bases = [b if b and b[0] not in "0123456789." else "c_" + b for b in bases]
+    if len(set(bases)) == len(bases):
+        return bases
+    names = []
+    used: dict[str, int] = {}
+    for base in bases:
+        n = used.get(base, 0)
+        used[base] = n + 1
+        names.append(base if n == 0 else f"{base}__{n}")
+    return names
 
 
 def _format_coef(c: float) -> str:
@@ -297,79 +471,101 @@ def _term_prefix(c: float) -> str:
     return ("- " if c < 0 else "+ ") + _format_coef(abs(c)) + " "
 
 
-class _Memo(dict):
-    """Memo of a number formatter for one export. Numbers that compare equal
-    format alike (``-0.0`` and ``0.0`` both give ``0``), so a value is a safe
-    key."""
+def _lead_prefix(c: float) -> str:
+    """The coefficient that precedes the first name of an expression."""
+    return ("- " if c < 0 else "") + _format_coef(abs(c)) + " "
 
-    def __init__(self, text: Callable[[float], str]):
-        self.text = text
 
-    def __missing__(self, c: float) -> str:
-        text = self[c] = self.text(c)
-        return text
+def _bound_text(c: float) -> str:
+    return "-inf" if c == -math.inf else "+inf" if c == math.inf else _format_coef(c)
+
+
+def _texts(values: np.ndarray, text: Callable[[float], str]) -> np.ndarray:
+    """``text`` of every value as an object array, called once per distinct
+    value with a Python float (``repr`` of a numpy float is not that of the
+    float). Numbers that compare equal format alike (``-0.0`` and ``0.0``
+    both give ``0``), so either may stand for both."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([text(c) for c in distinct.tolist()], dtype=object)[inverse]
+
+
+def _expression(cols: np.ndarray, coefs: np.ndarray, name_of: np.ndarray) -> str:
+    """``coef name`` terms joined by their signs."""
+    terms = _texts(coefs, _term_prefix) + name_of[cols]
+    terms[0] = _lead_prefix(coefs[0].item()) + name_of[cols[0]]
+    return " ".join(terms.tolist())
+
+
+def _rows_text(a: ModelArrays, tags: list[str], name_of: np.ndarray) -> str:
+    """The rows of the ``Subject To`` section, each line led by ``"\\n"``:
+    `` name: <expression> <sense> <rhs>``, an expression without terms
+    written ``0 __dummy__``.
+
+    The text is one join of four pieces per nonzero: the row's head before
+    its first term (else ``""``), the signed coefficient (``"+ "`` dropped
+    on a first term), the name, and ``" "`` or, after a row's last term, its
+    sense and right-hand side."""
+    start = a.row_start
+    used = start[1:] > start[:-1]
+    first = start[:-1][used]
+    head = "\n " + np.array(_row_names(tags), dtype=object) + ": "
+    sense = np.array([" <= ", " = ", " >= "], dtype=object)[a.senses]
+    tail = sense + _texts(a.rhs, _format_coef)
+    pieces = np.full((len(a.cols), 4), "", dtype=object)
+    pieces[first, 0] = head[used]
+    pieces[:, 1] = _texts(a.coefs, _term_prefix)
+    pieces[first, 1] = _texts(a.coefs[first], _lead_prefix)
+    pieces[:, 2] = name_of[a.cols]
+    pieces[:, 3] = " "
+    pieces[start[1:][used] - 1, 3] = tail[used]
+    empty = np.flatnonzero(~used)
+    if empty.size:
+        rows = np.full((empty.size, 4), "", dtype=object)
+        rows[:, 0], rows[:, 1], rows[:, 3] = head[empty], "0 __dummy__", tail[empty]
+        pieces = np.insert(pieces, start[empty], rows, axis=0)
+    return "".join(pieces.ravel().tolist())
 
 
 def write_lp(model: MilpModel) -> str:
     """Deterministic CPLEX-style LP text; ordering follows declaration order."""
     if not model.frozen:
         raise ModelFrozenError("freeze the model before exporting")
-    names = model._names
+    a = model.arrays
+    names = a.names
     if not all(map(_LP_NAME_RE.match, names)):
         bad = next(n for n in names if not _LP_NAME_RE.match(n))
         raise ValueError(f"name {bad!r} is not LP-format-safe")
-    prefix = _Memo(_term_prefix)
-    number = _Memo(_format_coef)
-    # every nonzero as "+ coef name"; a row joins its slice and drops a
-    # leading "+ "
-    terms = [prefix[c] + names[j] for j, c in zip(model._cols, model._coefs)]
-    obj_terms = [
-        prefix[c] + names[j] for j, (_, c) in zip(model._obj_cols, model.objective_terms)
-    ]
-
-    def expression(parts: list[str]) -> str:
-        if not parts:
-            return "0 __dummy__"
-        text = " ".join(parts)
-        return text[2:] if text[0] == "+" else text
+    name_of = np.array(names, dtype=object)
 
     lines: list[str] = [f"\\ {model.name}"]
     lines.append("Maximize" if model.objective_sense == "max" else "Minimize")
-    if obj_terms:
-        lines.append(f" obj: {expression(obj_terms)}")
+    if len(a.obj_cols):
+        lines.append(f" obj: {_expression(a.obj_cols, a.obj_coefs, name_of)}")
     else:
         # LP format requires a non-empty objective row
         lines.append(f" obj: 0 {names[0]}" if names else " obj: 0 __zero__")
-
-    lines.append("Subject To")
-    start = model._row_start
-    used_names: dict[str, int] = {}
-    for s, e, sense, rhs, base in zip(
-        start, start[1:], model._senses, model._rhs, _row_bases(model._tags)
-    ):
-        n = used_names.get(base, 0)
-        used_names[base] = n + 1
-        cname = base if n == 0 else f"{base}__{n}"
-        lines.append(f" {cname}: {expression(terms[s:e])} {sense} {number[rhs]}")
-    del terms
+    lines.append("Subject To" + _rows_text(a, model._tags, name_of))
 
     lines.append("Bounds")
-    for name, lo, hi, binary in zip(names, model._lower, model._upper, model._binary):
-        if binary:
-            continue
-        if lo == -math.inf and hi == math.inf:
-            lines.append(f" {name} free")
-        else:
-            lo_text = "-inf" if lo == -math.inf else number[lo]
-            hi_text = "+inf" if hi == math.inf else number[hi]
-            lines.append(f" {lo_text} <= {name} <= {hi_text}")
+    continuous = ~a.binary
+    lower, upper, name_of_continuous = a.lower[continuous], a.upper[continuous], name_of[continuous]
+    bounds = (
+        " "
+        + _texts(lower, _bound_text)
+        + " <= "
+        + name_of_continuous
+        + " <= "
+        + _texts(upper, _bound_text)
+    )
+    free = (lower == -math.inf) & (upper == math.inf)
+    bounds[free] = " " + name_of_continuous[free] + " free"
+    lines.extend(bounds.tolist())
 
-    binaries = [name for name, binary in zip(names, model._binary) if binary]
-    if binaries:
+    if a.binary.any():
         lines.append("Binary")
-        lines.extend(f" {name}" for name in binaries)
+        lines.extend((" " + name_of[a.binary]).tolist())
     lines.append("End")
-    # the empty last line ends the text with "\n" without copying it again
+    # the empty last line ends the text with "\\n" without copying it again
     lines.append("")
     return "\n".join(lines)
 
@@ -444,7 +640,7 @@ def parse_solution(
     if bad.size:
         i = int(bad[0])
         name = arrays.names[i]
-        bounds = f"bounds [{model._lower[i]}, {model._upper[i]}]"
+        bounds = f"bounds [{float(arrays.lower[i])}, {float(arrays.upper[i])}]"
         if name in missing:
             raise ValueError(f"{name} is missing; its default 0.0 violates {bounds}")
         raise ValueError(f"{name}={values[name]} violates {bounds}")

@@ -33,7 +33,10 @@ __all__ = [
     "radial_sweep",
 ]
 
-DEFAULT_ZERO_FLOW_FLOOR = 1e-6
+# Without an explicit floor, a branch's flow counts as negligible below this
+# many segment widths: from there on an ordered filling's relative error,
+# at most (h^2 / 4) / y^2, is at most 2 %.
+ZERO_FLOW_FLOOR_WIDTHS = math.sqrt(12.5)
 ESO_CHECK_EXTRA_TOL = 1e-6
 
 
@@ -105,7 +108,7 @@ class BranchErrorRecord:
 class ErrorReport:
     mode: str
     records: tuple[BranchErrorRecord, ...]
-    zero_flow_floor: float
+    zero_flow_floor: Optional[float]  # None: each branch's own floor
 
     def _reported(self, kind: str) -> list[float]:
         if kind == "p":
@@ -159,22 +162,27 @@ class ErrorReport:
 def branch_errors(
     solution: Solution,
     artifacts: DistflowArtifacts,
-    zero_flow_floor: float = DEFAULT_ZERO_FLOW_FLOOR,
+    zero_flow_floor: Optional[float] = None,
 ) -> ErrorReport:
     """Per-branch relative approximation errors of the solved flows, with
-    ordered-filling flags. Branches whose flow magnitude is below the floor
-    are flagged negligible and excluded from summaries."""
+    ordered-filling flags. Flows whose magnitude is below the floor are
+    flagged negligible and excluded from summaries. Without
+    ``zero_flow_floor`` each branch's floor is its segment width times
+    ``ZERO_FLOW_FLOOR_WIDTHS``."""
     records = []
     for br in artifacts.case.branches:
         key = br.key
         grid = artifacts.grids[key]
         eso_tol = epsilon_plus(grid) + ESO_CHECK_EXTRA_TOL
+        floor = zero_flow_floor
+        if floor is None:
+            floor = grid.seg_width * ZERO_FLOW_FLOOR_WIDTHS
         row: dict[str, object] = {"branch_key": key}
         for kind in ("P", "Q"):
             state = extract_filling(solution, artifacts.blocks[(key, kind)])
             f = pwl_value(state)
             y = abs(solution.values[artifacts.flow_vars[(key, kind)]])
-            negligible = y < zero_flow_floor
+            negligible = y < floor
             err = None if negligible else relative_error(f, y)
             lk = kind.lower()
             row[lk] = y

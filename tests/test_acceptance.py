@@ -241,11 +241,16 @@ def test_surplus_sopwl_certified_by_lp_screen(tmp_path, monkeypatch):
     assert unordered["sopwl"] == 0
     restored = {m: meta[m]["objective_value"] for m in meta}
     assert restored["sopwl"] == pytest.approx(restored["pwl"], rel=1e-4)
+    # each branch's default floor, seg_width * sqrt(12.5), is where an
+    # ordered filling's relative error falls to 2 %
+    max_e_p = {m: meta[m]["max_e_p_percent"] for m in meta}
+    assert max_e_p["sopwl"] <= 2.0
     print(
         f"ACCEPTANCE 7c: PASS — surplus case at 10 segments: sopwl certified by the "
         f"LP screen, restored {restored['sopwl']:.6f} vs pwl {restored['pwl']:.6f} pu, "
-        f"all sopwl fillings ordered; pwl leaves {unordered['pwl']} of "
-        f"{len(eso_ok['pwl'])} branches unordered (reported, not asserted); "
+        f"all sopwl fillings ordered, max E_p {max_e_p['sopwl']:.3f} % <= 2 %; pwl "
+        f"leaves {unordered['pwl']} of {len(eso_ok['pwl'])} branches unordered, max "
+        f"E_p {max_e_p['pwl']:.3f} % (reported, not asserted); "
         f"{elapsed:.2f}s"
     )
 

@@ -142,6 +142,29 @@ class TestBuildDistflow:
         assert sol.values[art.pickup_vars[2]] == pytest.approx(1.0, abs=1e-6)
         assert check_solution(m, sol) == []
 
+    def test_model_calls_do_not_grow_with_branches(self, ieee33, twobus, monkeypatch):
+        # every branch comes from one template, so the same bulk calls build
+        # 1 branch or 32; the one-item calls go through them too
+        calls = []
+
+        def counted(method):
+            real = getattr(MilpModel, method)
+
+            def call(self, *args, **kwargs):
+                calls.append(method)
+                return real(self, *args, **kwargs)
+
+            return call
+
+        for method in ("add_variables", "add_rows"):
+            monkeypatch.setattr(MilpModel, method, counted(method))
+        counts = []
+        for case in (twobus, ieee33):
+            calls.clear()
+            build_distflow(MilpModel(), case, BuildOptions(num_segments=5, mode="sopwl"))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 8
+
     def test_restored_load_capped_by_generation(self, ieee33):
         opts = BuildOptions(num_segments=10, mode="pwl")
         m = MilpModel(name="cap")
@@ -152,27 +175,16 @@ class TestBuildDistflow:
         assert sol.status == "optimal"
         assert sol.objective_value <= 4 * 0.05 + 1e-6
 
-    def test_restorable_subset(self, twobus):
-        opts = BuildOptions(
-            num_segments=5, mode="pwl", restorable_buses=frozenset()
-        )
-        m = MilpModel(name="none_restorable")
-        art = build_distflow(m, twobus, opts)
-        build_restoration_objective(m, art)
-        m.freeze()
-        sol = solve(m, ScipyMilpAdapter())
-        assert sol.objective_value == pytest.approx(0.0, abs=1e-9)
-
 
 class TestLossPenaltyObjective:
     def test_terms_include_losses(self, twobus):
         opts = BuildOptions(
-            num_segments=5, mode="pwl", objective="restoration_with_loss_penalty",
-            loss_weight=2.0,
+            num_segments=5, mode="pwl", objective="restoration_with_loss_penalty"
         )
         m = MilpModel()
         art = build_distflow(m, twobus, opts)
         build_restoration_objective(m, art)
         terms = dict(m.objective_terms)
-        assert terms[art.isqr_vars["1-2"]] == pytest.approx(-2.0 * 0.01)
+        # each branch's loss r * Isqr at weight 1
+        assert terms[art.isqr_vars["1-2"]] == -twobus.branches[0].r_pu == pytest.approx(-0.01)
         assert m.objective_sense == "max"

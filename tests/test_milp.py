@@ -134,6 +134,102 @@ class TestBuild:
             m.add_constraint({"x": 1.0}, "<=", 2.0, tag="t")
 
 
+def _three_variables():
+    m = MilpModel(name="bulk")
+    m.add_variables(["a", "b", "c"], lower=[0.0, -1.0, 0.0], upper=1.0, binary=[False, False, True])
+    return m
+
+
+def _ok_and_bad(m, cols, coefs=(1.0, 1.0), start=(0, 1, 2), senses=("<=", "="), rhs=(0.0, 0.0)):
+    """Two rows tagged "ok" and "bad"."""
+    return m.add_rows(cols, coefs, start, senses, rhs, ["ok", "bad"])
+
+
+class TestBulk:
+    def test_same_model_as_one_item_calls(self):
+        bulk = _three_variables()
+        bulk.add_rows(
+            [0, 1, 2, 1], [1.0, -2.0, 1.0, 3.0], [0, 2, 2, 4], ["<=", "=", ">="], [1.0, 0.0, -1.0],
+            ["r0", "r1", "r2"],
+        )
+        one = MilpModel(name="bulk")
+        one.add_variable("a", 0.0, 1.0)
+        one.add_variable("b", -1.0, 1.0)
+        one.add_variable("c", 0.0, 1.0, kind=BINARY)
+        one.add_constraint([("a", 1.0), ("b", -2.0)], "<=", 1.0, tag="r0")
+        one.add_constraint([], "=", 0.0, tag="r1")
+        one.add_constraint([("c", 1.0), ("b", 3.0)], ">=", -1.0, tag="r2")
+        assert bulk.variables == one.variables
+        assert bulk.constraints == one.constraints
+        text = write_lp(bulk.freeze())
+        assert text == write_lp(one.freeze())
+        rows = text.split("Subject To\n")[1].split("Bounds")[0]
+        assert rows == " r0: 1 a - 2 b <= 1\n r1: 0 __dummy__ = 0\n r2: 1 c + 3 b >= -1\n"
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda m: m.add_variables(["d", "a"]), "duplicate variable name 'a'"),
+            (lambda m: m.add_variables(["d", "e", "d"]), "duplicate variable name 'd'"),
+            (
+                lambda m: m.add_variables(["d", "e"], lower=[0.0, 2.0], upper=1.0),
+                "e: lower bound 2.0 > upper 1.0",
+            ),
+            (
+                lambda m: m.add_variables(["d", "e"], lower=[0.0, math.nan], upper=1.0),
+                "e: lower bound nan > upper 1.0",
+            ),
+            (
+                lambda m: m.add_variables(["d", "e"], lower=0.0, upper=[1.0, 2.0], binary=True),
+                r"e: binary bounds must lie within \[0, 1\]",
+            ),
+            (
+                lambda m: _ok_and_bad(m, [0, 1, 2], [1.0, math.inf, 1.0], start=[0, 1, 3]),
+                "bad: non-finite coefficient on b",
+            ),
+            (
+                lambda m: _ok_and_bad(m, [0, 1], rhs=[0.0, math.nan]),
+                "bad: non-finite right-hand side",
+            ),
+            (
+                lambda m: _ok_and_bad(m, [0, 3]),
+                "bad: reference to undeclared variable column 3",
+            ),
+            (
+                lambda m: _ok_and_bad(m, [0, -1]),
+                "bad: reference to undeclared variable column -1",
+            ),
+            (
+                lambda m: _ok_and_bad(m, [0, 2, 1, 2], [1.0] * 4, start=[0, 1, 4]),
+                "bad: duplicate variable 'c' in constraint terms",
+            ),
+            (
+                lambda m: _ok_and_bad(m, [0, 1], senses=["<=", "=<"]),
+                "bad: unknown sense '=<'",
+            ),
+            (
+                lambda m: m.add_rows([0], [1.0], [0, 1, 1], ["<="], [0.0], ["ok"]),
+                "do not describe one set of rows",
+            ),
+        ],
+        ids=[
+            "duplicate-declared", "duplicate-in-call", "lower-above-upper", "nan-bound",
+            "binary-bounds", "non-finite-coef", "non-finite-rhs", "undeclared-column",
+            "negative-column", "duplicate-column", "unknown-sense", "malformed-offsets",
+        ],
+    )
+    def test_rejected_call_appends_nothing(self, call, message):
+        m = _three_variables()
+        m.add_rows([0], [1.0], [0, 1], ["<="], [1.0], ["first"])
+        before = (m.variables, m.constraints)
+        with pytest.raises(ValueError, match=message):
+            call(m)
+        assert (m.variables, m.constraints) == before
+        m.add_variables(["d", "e"])  # no name of the rejected call was kept
+        m.freeze()
+        assert m.arrays.sizes() == {"vars": 5, "rows": 1, "nnz": 1, "binaries": 1}
+
+
 class TestWriteLp:
     def test_requires_frozen(self):
         with pytest.raises(ModelFrozenError):
@@ -169,20 +265,38 @@ class TestWriteLp:
         "sopwl": "8c783da93efbf9edb0bcf03c5d69b6f39271b32a6dfc7ad42449a4af1ed4b757",
     }
 
+    @staticmethod
+    def _lp_sha256(case, segments, mode):
+        m = MilpModel(name=f"{case.name}_{mode}")
+        art = build_distflow(m, case, BuildOptions(num_segments=segments, mode=mode))
+        build_restoration_objective(m, art)
+        return hashlib.sha256(write_lp(m.freeze()).encode()).hexdigest()
+
     @pytest.mark.parametrize("mode", ["pwl", "sopwl"])
     def test_ieee33_text_pinned(self, mode):
         case = load_case(bundled_case_path("ieee33_4dg"))
-        m = MilpModel(name=f"ieee33_4dg_{mode}")
-        art = build_distflow(m, case, BuildOptions(num_segments=50, mode=mode))
-        build_restoration_objective(m, art)
-        text = write_lp(m.freeze())
-        assert hashlib.sha256(text.encode()).hexdigest() == self.IEEE33_LP_SHA256[mode]
+        assert self._lp_sha256(case, 50, mode) == self.IEEE33_LP_SHA256[mode]
+
+    # sha256 of the LP text of perfbench/cases.feeder_json(1, 400) at 10
+    # segments, pinned before the builder emitted all branches as arrays: at
+    # this size a coefficient computed with numpy's r**2 in place of Python's
+    # differs in the last digit
+    FEEDER400_LP_SHA256 = {
+        "pwl": "6ac9aba1ca9a8b27c688f5e45b400819e8cd38c7f75ddf992074931d963f0435",
+        "sopwl": "3ffbfc2d8569cc7312fe789b8a00543206240e6240847f31167d4651d0af3ed8",
+    }
+
+    @pytest.mark.parametrize("mode", ["pwl", "sopwl"])
+    def test_feeder400_text_pinned(self, mode, cases_dir):
+        case = load_case(cases_dir / "feeder400.json")
+        assert self._lp_sha256(case, 10, mode) == self.FEEDER400_LP_SHA256[mode]
 
     @pytest.mark.parametrize(
         "tags, names",
         [
             (["1a", ".b", "a:b", "a-b", "a_b", ""], ["c_1a", "c_.b", "a_b", "a_b__1", "a_b__2", "c_"]),
-            # a non-ASCII tag and a tag holding a newline take the per-tag path
+            # a non-ASCII character becomes "_"; a tag holding a newline takes
+            # the per-tag path
             (["\u00e9:x", "a:b"], ["__x", "a_b"]),
             (["a\nb", "a:b"], ["a_b", "a_b__1"]),
         ],

@@ -143,6 +143,24 @@ class TestBranchErrors:
         assert all(r.e_p is None and r.e_q is None for r in report.records)
         assert report.max_e_p == 0.0
 
+    def test_default_floor_is_per_branch(self, twobus):
+        # from seg_width * sqrt(12.5) on an ordered filling's relative error
+        # is at most 2 %; below that the flow is not reported
+        art = build_distflow(MilpModel(), twobus, BuildOptions(num_segments=10))
+        grid = art.grids["1-2"]
+        p_block, q_block = art.blocks[("1-2", "P")], art.blocks[("1-2", "Q")]
+        for widths, reported in ((3.5, False), (3.6, True)):
+            y = widths * grid.seg_width
+            values = {art.flow_vars[("1-2", "P")]: y, art.flow_vars[("1-2", "Q")]: 0.0}
+            values.update(zip(p_block.delta_names, eso_fill(grid, y).deltas))
+            values.update((name, 0.0) for name in q_block.delta_names)
+            report = branch_errors(Solution("optimal", 0.0, values), art)
+            (record,) = report.records
+            assert report.zero_flow_floor is None
+            assert record.negligible_p is not reported and record.negligible_q
+            if reported:
+                assert 0.0 < record.e_p <= 2.0
+
     def test_report_determinism(self, solved_twobus):
         art, sol = solved_twobus
         a = branch_errors(sol, art)
