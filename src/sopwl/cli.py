@@ -28,15 +28,13 @@ from .distflow import (
     build_restoration_objective,
 )
 from .network import NetworkCase, bundled_case_path, load_case
-from .solvers import DEFAULT_TIMEOUT_SECONDS, ScipyMilpAdapter, SubprocessAdapter
+from .solvers import DEFAULT_TIMEOUT_SECONDS, ScipyMilpAdapter
 from .validation import (
     branch_errors,
     filling_dump,
     lift_ordered,
     radial_sweep,
 )
-
-ADAPTER_ENV_VAR = "SOPWL_ADAPTER_CMD"
 
 
 @dataclass
@@ -45,7 +43,6 @@ class RunConfig:
     mode: str = MODE_PWL  # pwl | sopwl | both
     num_segments: int = 50
     objective: str = "restoration"
-    adapter_cmd: Optional[str] = None
     timeout: float = DEFAULT_TIMEOUT_SECONDS
     out_dir: Path = Path("sopwl_out")
     # None: each branch's own floor (validation.branch_errors)
@@ -62,8 +59,6 @@ class RunConfig:
             raise ValueError("segments must be >= 1")
         if self.mode not in (MODE_PWL, MODE_SOPWL, "both"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.adapter_cmd is not None and not isinstance(self.adapter_cmd, str):
-            raise ValueError(f"adapter command must be a string, got {self.adapter_cmd!r}")
         checked = [("timeout", self.timeout)]
         if self.zero_flow_floor is not None:
             checked.append(("zero-flow-floor", self.zero_flow_floor))
@@ -87,14 +82,7 @@ class RunConfig:
             pass
         raise FileNotFoundError(f"case {self.case!r}: no such file or bundled case")
 
-    def make_adapter(self):
-        cmd = self.adapter_cmd or os.environ.get(ADAPTER_ENV_VAR)
-        if cmd:
-            parts = cmd.split(None, 1)
-            template = parts[1] if len(parts) > 1 else "{lp} {sol}"
-            return SubprocessAdapter(
-                command=parts[0], arg_template=template, timeout=self.timeout
-            )
+    def make_adapter(self) -> ScipyMilpAdapter:
         return ScipyMilpAdapter(time_limit=self.timeout)
 
 
@@ -188,24 +176,22 @@ def _solve_sopwl(
     case: NetworkCase,
     config: RunConfig,
     artifacts: DistflowArtifacts,
-    out: Path,
     pwl_solution: Optional[milp.Solution],
 ) -> tuple[milp.Solution, str]:
     """Solve the sopwl model by the first path that gives a solution: lift
     ``pwl_solution`` (the plain-PWL run's, under ``--mode both``) when every
-    filling in it is ordered, then the LP screen (in-process solver only),
-    then the MILP. Returns the solution and the path's name; its
-    ``solve_seconds`` covers the pwl solve, when one was given, and every
-    path tried."""
+    filling in it is ordered, then the LP screen, then the MILP. Returns the
+    solution and the path's name; its ``solve_seconds`` covers the pwl solve,
+    when one was given, and every path tried."""
     start = time.perf_counter()
     adapter = config.make_adapter()
     solution, path = None, "lifted"
     if pwl_solution is not None:
         solution = lift_ordered(pwl_solution, artifacts)
-    if solution is None and isinstance(adapter, ScipyMilpAdapter):
+    if solution is None:
         solution, path = _lp_screen(case, config, artifacts, adapter), "lp_screen"
     if solution is None:
-        solution, path = milp.solve(artifacts.model, adapter, workdir=out), "milp"
+        solution, path = milp.solve(artifacts.model, adapter), "milp"
     spent = time.perf_counter() - start
     if pwl_solution is not None:
         spent += pwl_solution.solve_seconds
@@ -229,9 +215,9 @@ def _run_one_mode(
     try:
         with _output_to(out / "solver.log"):
             if mode == MODE_SOPWL:
-                solution, path = _solve_sopwl(case, config, artifacts, out, pwl_solution)
+                solution, path = _solve_sopwl(case, config, artifacts, pwl_solution)
             else:
-                solution = milp.solve(model, config.make_adapter(), workdir=out)
+                solution = milp.solve(model, config.make_adapter())
     except Exception as exc:
         print(f"[{mode}] solver failure: {exc}", file=sys.stderr)
         return 1, {}, None
@@ -360,8 +346,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default="restoration",
         choices=["restoration", "restoration_with_loss_penalty"],
     )
-    parser.add_argument("--adapter-cmd", default=None,
-                        help=f"external solver command (default: ${ADAPTER_ENV_VAR} or built-in)")
     parser.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_SECONDS)
     parser.add_argument("--out", default="sopwl_out")
     parser.add_argument(
@@ -381,7 +365,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         "mode": args.mode,
         "num_segments": args.segments,
         "objective": args.objective,
-        "adapter_cmd": args.adapter_cmd,
         "timeout": args.timeout,
         "out_dir": args.out,
         "zero_flow_floor": args.zero_flow_floor,

@@ -21,11 +21,13 @@ import re
 import string
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Callable, Iterable, Mapping, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    from .solvers import ScipyMilpAdapter
 
 __all__ = [
     "Variable",
@@ -33,7 +35,6 @@ __all__ = [
     "MilpModel",
     "ModelArrays",
     "Solution",
-    "SolverAdapter",
     "write_lp",
     "format_solution",
     "parse_solution",
@@ -47,8 +48,12 @@ BINARY = "binary"
 SENSES = ("<=", "=", ">=")
 STATUS_TOKENS = ("optimal", "feasible", "infeasible", "unbounded", "error")
 
-_LP_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]*$")
+_LP_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 
+# How far a value may lie outside a bound or row and still count as feasible:
+# in parse_solution's bound check, check_solution's row check, the
+# ordered-filling tests of validation.lift_ordered and branch_errors' eso_ok
+# flag (on top of the segment slack), and check_unordered_feasibility.
 FEASIBILITY_TOL = 1e-6
 
 Terms = Mapping[str, float] | Sequence[tuple[str, float]]
@@ -532,8 +537,8 @@ def write_lp(model: MilpModel) -> str:
         raise ModelFrozenError("freeze the model before exporting")
     a = model.arrays
     names = a.names
-    if not all(map(_LP_NAME_RE.match, names)):
-        bad = next(n for n in names if not _LP_NAME_RE.match(n))
+    if not all(map(_LP_NAME_RE.fullmatch, names)):
+        bad = next(n for n in names if not _LP_NAME_RE.fullmatch(n))
         raise ValueError(f"name {bad!r} is not LP-format-safe")
     name_of = np.array(names, dtype=object)
 
@@ -574,8 +579,8 @@ def write_lp(model: MilpModel) -> str:
 
 
 def format_solution(solution: Solution) -> str:
-    """The solution text format, which ``validate`` reads and an external
-    solver command writes::
+    """The solution text format, which ``solve`` writes and ``validate``
+    reads; another solver run on the ``export-lp`` file writes it too::
 
         optimal|feasible|infeasible|unbounded|error
         obj <value>
@@ -675,23 +680,11 @@ def check_solution(
 # -- solving ---------------------------------------------------------------
 
 
-class SolverAdapter(Protocol):
-    """Contract for backends: solve a frozen model and return its
-    :class:`Solution`. ``workdir`` is where an adapter that works with files
-    keeps them; when it is None, the adapter chooses."""
-
-    def run(self, model: MilpModel, workdir: Optional[Path]) -> Solution: ...
-
-
-def solve(
-    model: MilpModel,
-    adapter: SolverAdapter,
-    workdir: Optional[Path] = None,
-) -> Solution:
+def solve(model: MilpModel, adapter: ScipyMilpAdapter) -> Solution:
     """Run ``adapter`` on the frozen ``model`` and time it."""
     if not model.frozen:
         raise ModelFrozenError("freeze the model before solving")
     start = time.perf_counter()
-    solution = adapter.run(model, workdir)
+    solution = adapter.run(model)
     elapsed = time.perf_counter() - start
     return replace(solution, solve_seconds=elapsed)

@@ -1,20 +1,15 @@
-"""Solver backends. Each adapter returns a :class:`sopwl.milp.Solution`.
+"""The solver: :class:`ScipyMilpAdapter` solves in process with HiGHS (via
+scipy), reads and writes no file, and returns a :class:`sopwl.milp.Solution`.
 
-:class:`ScipyMilpAdapter` solves in process with HiGHS (via scipy) and reads
-and writes no file. :class:`SubprocessAdapter` runs any external MILP solver
-that reads an LP file and writes the solution text format of
-:func:`sopwl.milp.format_solution`.
+Another MILP solver is used through files, outside this module: ``export-lp``
+writes the LP and ``validate --solution`` re-checks that solver's answer in
+the solution text format of :func:`sopwl.milp.format_solution`.
 """
 
 from __future__ import annotations
 
-import shlex
-import shutil
-import subprocess
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.optimize as sopt
@@ -22,9 +17,12 @@ import scipy.sparse as sp
 
 from . import milp
 
-__all__ = ["ScipyMilpAdapter", "SubprocessAdapter"]
+__all__ = ["ScipyMilpAdapter"]
 
 DEFAULT_TIMEOUT_SECONDS = 600.0
+# HiGHS's relative MIP gap: a returned objective is within this share of the
+# optimum
+MIP_REL_GAP = 1e-4
 # how far below the LP optimum U stage 2 of the relaxed solve may move the
 # objective, relative to max(1, |U|)
 STAGE2_SLACK = 1e-7
@@ -35,11 +33,8 @@ class ScipyMilpAdapter:
     """Solves the model in process with scipy's HiGHS-backed MILP solver."""
 
     time_limit: float = DEFAULT_TIMEOUT_SECONDS
-    mip_rel_gap: float = 1e-4
 
-    def run(
-        self, model: milp.MilpModel, workdir: Optional[Path] = None
-    ) -> milp.Solution:
+    def run(self, model: milp.MilpModel) -> milp.Solution:
         a = model.arrays
         c = _costs(model)
         res = self._highs(a, c, integral=True)
@@ -121,7 +116,7 @@ class ScipyMilpAdapter:
             constraints=constraints,
             bounds=sopt.Bounds(a.lower, a.upper) if n else None,
             integrality=a.binary.astype(int) if integral and n else None,
-            options={"time_limit": self.time_limit, "mip_rel_gap": self.mip_rel_gap},
+            options={"time_limit": self.time_limit, "mip_rel_gap": MIP_REL_GAP},
         )
 
 
@@ -156,57 +151,3 @@ def _clipped(x: np.ndarray, a: milp.ModelArrays) -> tuple[float, dict[str, float
     obj_values = x[a.obj_cols].tolist()
     objective = float(sum(c * v for c, v in zip(a.obj_coefs.tolist(), obj_values)))
     return objective, dict(zip(a.names, x.tolist()))
-
-
-@dataclass
-class SubprocessAdapter:
-    """Runs an external solver executable.
-
-    ``arg_template`` is a shell-style template; ``{lp}`` and ``{sol}`` expand
-    to the LP input path and the expected solution output path. The external
-    command must write the solution text format to ``{sol}``.
-
-    The LP file, the solution file and the solver log go to ``workdir``. When
-    it is None, they go to a temporary directory, removed after a successful
-    solve and kept, with the solver log, when the solve raises.
-    """
-
-    command: str
-    arg_template: str = "{lp} {sol}"
-    timeout: float = DEFAULT_TIMEOUT_SECONDS
-
-    def run(
-        self, model: milp.MilpModel, workdir: Optional[Path] = None
-    ) -> milp.Solution:
-        if workdir is not None:
-            return self._run_in(model, workdir)
-        tmp = Path(tempfile.mkdtemp(prefix="sopwl_"))
-        solution = self._run_in(model, tmp)
-        shutil.rmtree(tmp)
-        return solution
-
-    def _run_in(self, model: milp.MilpModel, workdir: Path) -> milp.Solution:
-        workdir.mkdir(parents=True, exist_ok=True)
-        lp_path = workdir / f"{model.name}.lp"
-        lp_path.write_text(milp.write_lp(model))
-        sol_path = workdir / f"{model.name}.adapter.sol"
-        args = [self.command] + [
-            part.format(lp=str(lp_path), sol=str(sol_path))
-            for part in shlex.split(self.arg_template)
-        ]
-        log_path = workdir / f"{model.name}.solver.log"
-        with open(log_path, "w") as log:
-            proc = subprocess.run(
-                args,
-                stdout=log,
-                stderr=subprocess.STDOUT,
-                timeout=self.timeout,
-            )
-        if proc.returncode != 0:
-            raise RuntimeError(
-                f"solver command {args[0]!r} exited {proc.returncode}; "
-                f"log at {log_path}"
-            )
-        if not sol_path.exists():
-            raise RuntimeError(f"solver produced no solution file at {sol_path}")
-        return milp.parse_solution(sol_path.read_text(), model)

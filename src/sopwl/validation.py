@@ -37,7 +37,6 @@ __all__ = [
 # many segment widths: from there on an ordered filling's relative error,
 # at most (h^2 / 4) / y^2, is at most 2 %.
 ZERO_FLOW_FLOOR_WIDTHS = math.sqrt(12.5)
-ESO_CHECK_EXTRA_TOL = 1e-6
 
 
 def extract_filling(solution: Solution, block: PwlBlockHandle) -> FillingState:
@@ -125,16 +124,6 @@ class ErrorReport:
         vals = self._reported("p")
         return sum(vals) / len(vals) if vals else 0.0
 
-    @property
-    def max_e_q(self) -> float:
-        vals = self._reported("q")
-        return max(vals) if vals else 0.0
-
-    @property
-    def mean_e_q(self) -> float:
-        vals = self._reported("q")
-        return sum(vals) / len(vals) if vals else 0.0
-
     def to_delimited(self, sep: str = ",") -> str:
         lines = [sep.join(["feeder", "mode", "E_p", "E_q", "eso_ok"])]
         for r in self.records:
@@ -168,12 +157,14 @@ def branch_errors(
     ordered-filling flags. Flows whose magnitude is below the floor are
     flagged negligible and excluded from summaries. Without
     ``zero_flow_floor`` each branch's floor is its segment width times
-    ``ZERO_FLOW_FLOOR_WIDTHS``."""
+    ``ZERO_FLOW_FLOOR_WIDTHS``. A filling is flagged ordered when
+    :func:`is_eso` passes it at ``epsilon_plus`` of its grid plus
+    ``FEASIBILITY_TOL``."""
     records = []
     for br in artifacts.case.branches:
         key = br.key
         grid = artifacts.grids[key]
-        eso_tol = epsilon_plus(grid) + ESO_CHECK_EXTRA_TOL
+        eso_tol = epsilon_plus(grid) + FEASIBILITY_TOL
         floor = zero_flow_floor
         if floor is None:
             floor = grid.seg_width * ZERO_FLOW_FLOOR_WIDTHS
@@ -210,11 +201,12 @@ def filling_dump(solution: Solution, artifacts: DistflowArtifacts) -> str:
 
 
 def check_unordered_feasibility(
-    state: FillingState, tol: float = 1e-6
+    state: FillingState, tol: float = FEASIBILITY_TOL
 ) -> tuple[bool, bool]:
     """Substitute a candidate filling into a standalone linearized-square
     block in each mode and report (feasible in plain mode, feasible in
-    ordered mode) by direct constraint evaluation."""
+    ordered mode) by direct constraint evaluation. Rows and bounds hold
+    within ``tol``, which also decides which segments count as used."""
     grid = state.grid
     h = grid.seg_width
     total = state.total
@@ -263,17 +255,17 @@ class SweepDivergence(RuntimeError):
 def radial_sweep(
     case: NetworkCase,
     injections: dict[int, tuple[float, float]],
-    v_norm: float = 1.0,
     tol: float = 1e-8,
     max_iter: int = 50,
 ) -> SweepResult:
     """Backward/forward sweep exact power flow on the radial case.
 
     ``injections`` maps bus id to net (P, Q) injection in pu (generation
-    positive, load negative); the root is the slack bus at ``v_norm``.
+    positive, load negative); the root is the slack bus at 1.0 pu, the root
+    voltage of :func:`sopwl.distflow.build_distflow`.
     """
     root = case.root
-    voltage = {bus.id: complex(v_norm, 0.0) for bus in case.buses}
+    voltage = {bus.id: complex(1.0, 0.0) for bus in case.buses}
     currents: dict[str, complex] = {br.key: 0.0j for br in case.branches}
     trace: list[float] = []
     for _ in range(max_iter):

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-from sopwl import milp
 from sopwl.cli import _solution_injections, main
 from sopwl.distflow import (
     BuildOptions,
@@ -211,17 +210,10 @@ def test_pwl_optimum_lifts_to_sopwl(ieee33_runs):
     )
 
 
-def test_surplus_sopwl_certified_by_lp_screen(tmp_path, monkeypatch):
+def test_surplus_sopwl_certified_by_lp_screen(tmp_path, count_solves):
     # DG limits x3: generation no longer binds, plain PWL fills out of order,
     # and the LP screen certifies the ordered optimum without the MILP
-    solved = []
-    real_solve = milp.solve
-
-    def solve_spy(model, adapter, workdir=None):
-        solved.append(model.name)
-        return real_solve(model, adapter, workdir)
-
-    monkeypatch.setattr(milp, "solve", solve_spy)
+    solved = count_solves()
     out = tmp_path / "run"
     start = time.perf_counter()
     args = ["solve", "--case", "ieee33_4dg_surplus", "--mode", "both", "--segments", "10"]

@@ -5,25 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from sopwl import milp, solvers
+from sopwl import solvers
 from sopwl.cli import main
-
-
-def _count_solves(monkeypatch, tamper=None):
-    """Record the name of every model ``milp.solve`` is called on; ``tamper``
-    may rewrite the pwl solution before the CLI sees it."""
-    real_solve = milp.solve
-    names = []
-
-    def solve(model, adapter, workdir=None):
-        names.append(model.name)
-        solution = real_solve(model, adapter, workdir)
-        if tamper is not None and model.name.endswith("_pwl"):
-            solution = tamper(model, solution)
-        return solution
-
-    monkeypatch.setattr(milp, "solve", solve)
-    return names
 
 
 class TestExportLp:
@@ -135,8 +118,8 @@ class TestSolve:
             assert (out / mode / f"twobus_{mode}.sol").is_file()
             assert not list((out / mode).glob("*.lp"))
 
-    def test_both_lifts_sopwl_from_pwl(self, tmp_path, cases_dir, monkeypatch, capsys):
-        solves = _count_solves(monkeypatch)
+    def test_both_lifts_sopwl_from_pwl(self, tmp_path, cases_dir, count_solves, capsys):
+        solves = count_solves()
         out = tmp_path / "run"
         common = ["--case", str(cases_dir / "twobus.json"), "--segments", "5"]
         assert main(["solve", *common, "--mode", "both", "--out", str(out)]) == 0
@@ -154,13 +137,13 @@ class TestSolve:
         assert status == 0
         assert "VIOLATED" not in capsys.readouterr().out
 
-    def test_unordered_pwl_solution_runs_lp_screen(self, tmp_path, cases_dir, monkeypatch):
+    def test_unordered_pwl_solution_runs_lp_screen(self, tmp_path, cases_dir, count_solves):
         def unordered(model, solution):
             # half a segment, then a full one: the P filling is not ordered
             h = model.variable("P_1_2_d1").upper
             return replace(solution, values={**solution.values, "P_1_2_d1": h / 2, "P_1_2_d2": h})
 
-        solves = _count_solves(monkeypatch, tamper=unordered)
+        solves = count_solves(tamper=unordered)
         out = tmp_path / "run"
         status = main(
             [
@@ -184,8 +167,8 @@ class TestSolve:
         assert sopwl["mip_dual_bound"] >= sopwl["objective_value"]
         assert sopwl["objective_value"] == pytest.approx(pwl["objective_value"], rel=1e-4)
 
-    def test_sopwl_alone_matches_both(self, tmp_path, cases_dir, monkeypatch):
-        solves = _count_solves(monkeypatch)
+    def test_sopwl_alone_matches_both(self, tmp_path, cases_dir, count_solves):
+        solves = count_solves()
         common = ["--case", str(cases_dir / "branching6.json"), "--segments", "10"]
         metas = {}
         for mode in ("sopwl", "both"):
@@ -224,27 +207,6 @@ class TestSolve:
         assert "solver noise" not in captured.out + captured.err
         # the run's own summary still reaches the user
         assert "[pwl] status=optimal" in captured.out
-
-    def test_external_solver_files(self, tmp_path, cases_dir):
-        # the subprocess adapter leaves the LP file and the solver's own
-        # output; solve writes the solution file from the parsed solution
-        script = tmp_path / "infeasible.py"
-        script.write_text("import sys\nopen(sys.argv[2], 'w').write('Infeasible\\n')\n")
-        out = tmp_path / "run"
-        status = main(
-            [
-                "solve",
-                "--case", str(cases_dir / "twobus.json"),
-                "--segments", "5",
-                "--out", str(out),
-                "--adapter-cmd", f"python3 {script} {{lp}} {{sol}}",
-            ]
-        )
-        assert status == 1
-        run = out / "pwl"
-        assert (run / "twobus_pwl.lp").read_text().startswith("\\ twobus_pwl\n")
-        assert (run / "twobus_pwl.adapter.sol").read_text() == "Infeasible\n"
-        assert (run / "twobus_pwl.sol").read_text() == "infeasible\nobj 0.0\n"
 
     def test_config_file_overrides_flags(self, tmp_path, cases_dir):
         cfg = tmp_path / "cfg.json"
@@ -413,3 +375,16 @@ class TestValidate:
         out = capsys.readouterr().out
         assert status == 1
         assert "VIOLATED" in out
+
+    def test_solution_of_another_solver(self, tmp_path, cases_dir, capsys):
+        # another solver reads the exported LP and writes the solution text
+        # format; its status token is read case-insensitively
+        common = ["--case", str(cases_dir / "twobus.json"), "--mode", "pwl", "--segments", "5"]
+        assert main(["export-lp", *common, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "twobus_pwl.lp").read_text().startswith("\\ twobus_pwl\n")
+        sol_path = tmp_path / "other.sol"
+        sol_path.write_text("Infeasible\n")
+        capsys.readouterr()
+        status = main(["validate", *common, "--solution", str(sol_path)])
+        assert status == 1
+        assert capsys.readouterr().out == "solution status is infeasible; nothing to validate\n"

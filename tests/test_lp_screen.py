@@ -120,7 +120,7 @@ def test_sopwl_path_is_certified(drawn):
     # HiGHS's row tolerance lets the MILP exceed the LP bound by a hair
     assert bound.mip_dual_bound >= reference.objective_value - 1e-5
 
-    solution, path = _solve_sopwl(case, config, artifacts, None, None)
+    solution, path = _solve_sopwl(case, config, artifacts, None)
     assert path in ("lp_screen", "milp")
     if path == "lp_screen":
         slack = 1e-4 * abs(reference.objective_value) + 1e-5
