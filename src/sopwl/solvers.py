@@ -8,7 +8,6 @@ the solution text format of :func:`sopwl.milp.format_solution`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,12 +23,6 @@ DEFAULT_TIMEOUT_SECONDS = 600.0
 # HiGHS's relative MIP gap: a returned objective is within this share of the
 # optimum
 MIP_REL_GAP = 1e-4
-# HiGHS's row and bound tolerance for an integer solution. Its default, 1e-6,
-# is ten times the LP's 1e-7 and lets a MILP lean on row slack: restore load
-# no feasible point restores, above the LP relaxation's bound. At 1e-8 the
-# MILP answer stays under that bound; at exactly the LP's 1e-7 HiGHS can drop
-# every incumbent of a feasible model and report it infeasible
-MIP_FEASIBILITY_TOL = 1e-8
 # how far below the LP optimum U stage 2 of the relaxed solve may move the
 # objective, relative to max(1, |U|)
 STAGE2_SLACK = 1e-7
@@ -118,22 +111,13 @@ class ScipyMilpAdapter:
         constraints = list(extra)
         if len(a.row_lo):
             constraints.insert(0, sopt.LinearConstraint(a.matrix(), a.row_lo, a.row_hi))
-        options = {
-            "time_limit": self.time_limit,
-            "mip_rel_gap": MIP_REL_GAP,
-            "mip_feasibility_tolerance": MIP_FEASIBILITY_TOL,
-        }
-        with warnings.catch_warnings():
-            # scipy warns that it hands mip_feasibility_tolerance to HiGHS
-            # unchecked, which is what is wanted
-            warnings.filterwarnings("ignore", "Unrecognized options", RuntimeWarning)
-            return sopt.milp(
-                c=c,
-                constraints=constraints,
-                bounds=sopt.Bounds(a.lower, a.upper) if n else None,
-                integrality=a.binary.astype(int) if integral and n else None,
-                options=options,
-            )
+        return sopt.milp(
+            c=c,
+            constraints=constraints,
+            bounds=sopt.Bounds(a.lower, a.upper) if n else None,
+            integrality=a.binary.astype(int) if integral and n else None,
+            options={"time_limit": self.time_limit, "mip_rel_gap": MIP_REL_GAP},
+        )
 
 
 def _costs(model: milp.MilpModel) -> np.ndarray:
