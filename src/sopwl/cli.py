@@ -22,6 +22,8 @@ from . import milp
 from .distflow import (
     MODE_PWL,
     MODE_SOPWL,
+    OBJECTIVE_RESTORATION,
+    OBJECTIVE_RESTORATION_LOSS,
     BuildOptions,
     DistflowArtifacts,
     build_distflow,
@@ -42,7 +44,7 @@ class RunConfig:
     case: str
     mode: str = MODE_PWL  # pwl | sopwl | both
     num_segments: int = 50
-    objective: str = "restoration"
+    objective: str = OBJECTIVE_RESTORATION
     timeout: float = DEFAULT_TIMEOUT_SECONDS
     out_dir: Path = Path("sopwl_out")
     # None: each branch's own floor (validation.branch_errors)
@@ -59,6 +61,8 @@ class RunConfig:
             raise ValueError("segments must be >= 1")
         if self.mode not in (MODE_PWL, MODE_SOPWL, "both"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.objective not in (OBJECTIVE_RESTORATION, OBJECTIVE_RESTORATION_LOSS):
+            raise ValueError(f"unknown objective {self.objective!r}")
         checked = [("timeout", self.timeout)]
         if self.zero_flow_floor is not None:
             checked.append(("zero-flow-floor", self.zero_flow_floor))
@@ -74,12 +78,14 @@ class RunConfig:
 
     def resolve_case_path(self) -> Path:
         path = Path(self.case)
-        if path.exists():
+        if path.exists() and not path.is_dir():
             return path
         try:
             return bundled_case_path(self.case)
         except FileNotFoundError:
             pass
+        if path.is_dir():
+            raise FileNotFoundError(f"case {self.case!r} is a directory, not a case file")
         raise FileNotFoundError(f"case {self.case!r}: no such file or bundled case")
 
     def make_adapter(self) -> ScipyMilpAdapter:
@@ -297,9 +303,14 @@ def cmd_export_lp(config: RunConfig) -> int:
     modes = [MODE_PWL, MODE_SOPWL] if config.mode == "both" else [config.mode]
     config.out_dir.mkdir(parents=True, exist_ok=True)
     for mode in modes:
-        model, _ = _build(case, config, mode)
+        # the model alone, so that this mode's model and artifacts are freed
+        # before the next mode's are built
+        model = _build(case, config, mode)[0]
         path = config.out_dir / f"{case.name}_{mode}.lp"
-        path.write_text(milp.write_lp(model))
+        chunks = milp.lp_chunks(model)  # checks the model: no file when it fails
+        with open(path, "w") as f:
+            f.writelines(chunks)
+        del model
         print(path)
     return 0
 

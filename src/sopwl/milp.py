@@ -21,7 +21,7 @@ import re
 import string
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,6 +36,7 @@ __all__ = [
     "ModelArrays",
     "Solution",
     "write_lp",
+    "lp_chunks",
     "format_solution",
     "parse_solution",
     "check_solution",
@@ -427,6 +428,11 @@ class Solution:
 
 # -- LP export -------------------------------------------------------------
 
+# Rows per piece of the ``Subject To`` section in lp_chunks, and variables
+# per piece of its ``Bounds`` and ``Binary`` sections: a piece's text and
+# per-term arrays are all of the LP that is held in memory at once.
+LP_CHUNK_ROWS = 8192
+
 
 class _RowNameChars(dict):
     """``str.translate`` table of LP row names: every character outside
@@ -444,10 +450,10 @@ class _RowNameChars(dict):
 _ROW_NAME_CHARS = _RowNameChars()
 
 
-def _row_names(tags: list[str]) -> list[str]:
-    """LP row names: each tag with every character outside ``[A-Za-z0-9_.]``
-    replaced by ``_``, ``c_`` in front of one that would not start with a
-    letter or ``_``, and ``__<n>`` after the ``n``-th repeat of a name.
+def _row_bases(tags: list[str]) -> list[str]:
+    """Each tag with every character outside ``[A-Za-z0-9_.]`` replaced by
+    ``_``, and ``c_`` in front of one that would not start with a letter or
+    ``_``.
 
     One translation runs over all tags joined by ``"\\n"``; when a tag holds
     a ``"\\n"`` itself the split comes out longer, and each tag is translated
@@ -455,16 +461,34 @@ def _row_names(tags: list[str]) -> list[str]:
     bases = "\n".join(tags).translate(_ROW_NAME_CHARS).split("\n")
     if len(bases) != len(tags):
         bases = [tag.translate(_ROW_NAME_CHARS).replace("\n", "_") for tag in tags]
-    bases = [b if b and b[0] not in "0123456789." else "c_" + b for b in bases]
-    if len(set(bases)) == len(bases):
-        return bases
-    names = []
+    return [b if b and b[0] not in "0123456789." else "c_" + b for b in bases]
+
+
+def _row_names(tags: list[str]) -> Iterator[list[str]]:
+    """LP row names, ``LP_CHUNK_ROWS`` at a time: each tag's base
+    (:func:`_row_bases`), with ``__<n>`` after the ``n``-th repeat of that
+    base in the whole model.
+
+    A first pass keeps only each base's hash, so that no name outlives its
+    piece: a base whose hash no other row shares is not repeated, and only
+    the bases with a shared hash are counted."""
+    starts = range(0, len(tags), LP_CHUNK_ROWS)
+    hashes = [np.empty(0, dtype=np.int64)]
+    for lo in starts:
+        hashes.append(np.fromiter(map(hash, _row_bases(tags[lo : lo + LP_CHUNK_ROWS])), np.int64))
+    values, counts = np.unique(np.concatenate(hashes), return_counts=True)
+    shared = set(values[counts > 1].tolist())
     used: dict[str, int] = {}
-    for base in bases:
-        n = used.get(base, 0)
-        used[base] = n + 1
-        names.append(base if n == 0 else f"{base}__{n}")
-    return names
+    for lo in starts:
+        names = _row_bases(tags[lo : lo + LP_CHUNK_ROWS])
+        if shared:
+            for i, base in enumerate(names):
+                if hash(base) in shared:
+                    n = used.get(base, 0)
+                    used[base] = n + 1
+                    if n:
+                        names[i] = f"{base}__{n}"
+        yield names
 
 
 def _format_coef(c: float) -> str:
@@ -501,78 +525,101 @@ def _expression(cols: np.ndarray, coefs: np.ndarray, name_of: np.ndarray) -> str
     return " ".join(terms.tolist())
 
 
-def _rows_text(a: ModelArrays, tags: list[str], name_of: np.ndarray) -> str:
-    """The rows of the ``Subject To`` section, each line led by ``"\\n"``:
-    `` name: <expression> <sense> <rhs>``, an expression without terms
-    written ``0 __dummy__``.
+def _rows_text(
+    a: ModelArrays, rows: slice, row_names: list[str], name_of: np.ndarray
+) -> str:
+    """The rows ``rows`` of the ``Subject To`` section, named ``row_names``,
+    each line led by ``"\\n"``: `` name: <expression> <sense> <rhs>``, an
+    expression without terms written ``0 __dummy__``.
 
     The text is one join of four pieces per nonzero: the row's head before
     its first term (else ``""``), the signed coefficient (``"+ "`` dropped
     on a first term), the name, and ``" "`` or, after a row's last term, its
     sense and right-hand side."""
-    start = a.row_start
+    start = a.row_start[rows.start : rows.stop + 1]
+    terms = slice(start[0], start[-1])
+    cols, coefs = a.cols[terms], a.coefs[terms]
+    start = start - start[0]
     used = start[1:] > start[:-1]
     first = start[:-1][used]
-    head = "\n " + np.array(_row_names(tags), dtype=object) + ": "
-    sense = np.array([" <= ", " = ", " >= "], dtype=object)[a.senses]
-    tail = sense + _texts(a.rhs, _format_coef)
-    pieces = np.full((len(a.cols), 4), "", dtype=object)
+    head = "\n " + np.array(row_names, dtype=object) + ": "
+    sense = np.array([" <= ", " = ", " >= "], dtype=object)[a.senses[rows]]
+    tail = sense + _texts(a.rhs[rows], _format_coef)
+    pieces = np.full((len(cols), 4), "", dtype=object)
     pieces[first, 0] = head[used]
-    pieces[:, 1] = _texts(a.coefs, _term_prefix)
-    pieces[first, 1] = _texts(a.coefs[first], _lead_prefix)
-    pieces[:, 2] = name_of[a.cols]
+    pieces[:, 1] = _texts(coefs, _term_prefix)
+    pieces[first, 1] = _texts(coefs[first], _lead_prefix)
+    pieces[:, 2] = name_of[cols]
     pieces[:, 3] = " "
     pieces[start[1:][used] - 1, 3] = tail[used]
     empty = np.flatnonzero(~used)
     if empty.size:
-        rows = np.full((empty.size, 4), "", dtype=object)
-        rows[:, 0], rows[:, 1], rows[:, 3] = head[empty], "0 __dummy__", tail[empty]
-        pieces = np.insert(pieces, start[empty], rows, axis=0)
+        dummy = np.full((empty.size, 4), "", dtype=object)
+        dummy[:, 0], dummy[:, 1], dummy[:, 3] = head[empty], "0 __dummy__", tail[empty]
+        pieces = np.insert(pieces, start[empty], dummy, axis=0)
     return "".join(pieces.ravel().tolist())
 
 
-def write_lp(model: MilpModel) -> str:
-    """Deterministic CPLEX-style LP text; ordering follows declaration order."""
+def _bounds_text(a: ModelArrays, chunk: slice, name_of: np.ndarray) -> str:
+    """The ``Bounds`` lines of the continuous variables among ``chunk``."""
+    continuous = ~a.binary[chunk]
+    lower, upper = a.lower[chunk][continuous], a.upper[chunk][continuous]
+    names = name_of[chunk][continuous]
+    lines = (
+        " " + _texts(lower, _bound_text) + " <= " + names + " <= " + _texts(upper, _bound_text)
+    ) + "\n"
+    free = (lower == -math.inf) & (upper == math.inf)
+    lines[free] = " " + names[free] + " free\n"
+    return "".join(lines.tolist())
+
+
+def lp_chunks(model: MilpModel) -> Iterator[str]:
+    """The text of :func:`write_lp` in pieces, for writing to a file without
+    holding the whole LP: the header up to ``Subject To``, the rows
+    ``LP_CHUNK_ROWS`` at a time, then ``Bounds`` and ``Binary`` in slices of
+    as many variables, then ``End``.
+
+    The model is checked when this is called, before the first piece is
+    asked for: it must be frozen, its name must hold no line break, and every
+    variable name must be LP-format-safe."""
     if not model.frozen:
         raise ModelFrozenError("freeze the model before exporting")
-    a = model.arrays
-    names = a.names
+    if "\n" in model.name or "\r" in model.name:
+        raise ValueError(f"model name {model.name!r} holds a line break")
+    names = model.arrays.names
     if not all(map(_LP_NAME_RE.fullmatch, names)):
         bad = next(n for n in names if not _LP_NAME_RE.fullmatch(n))
         raise ValueError(f"name {bad!r} is not LP-format-safe")
-    name_of = np.array(names, dtype=object)
+    return _lp_pieces(model)
 
-    lines: list[str] = [f"\\ {model.name}"]
-    lines.append("Maximize" if model.objective_sense == "max" else "Minimize")
+
+def _lp_pieces(model: MilpModel) -> Iterator[str]:
+    a = model.arrays
+    name_of = np.array(a.names, dtype=object)
     if len(a.obj_cols):
-        lines.append(f" obj: {_expression(a.obj_cols, a.obj_coefs, name_of)}")
+        objective = _expression(a.obj_cols, a.obj_coefs, name_of)
     else:
         # LP format requires a non-empty objective row
-        lines.append(f" obj: 0 {names[0]}" if names else " obj: 0 __zero__")
-    lines.append("Subject To" + _rows_text(a, model._tags, name_of))
-
-    lines.append("Bounds")
-    continuous = ~a.binary
-    lower, upper, name_of_continuous = a.lower[continuous], a.upper[continuous], name_of[continuous]
-    bounds = (
-        " "
-        + _texts(lower, _bound_text)
-        + " <= "
-        + name_of_continuous
-        + " <= "
-        + _texts(upper, _bound_text)
-    )
-    free = (lower == -math.inf) & (upper == math.inf)
-    bounds[free] = " " + name_of_continuous[free] + " free"
-    lines.extend(bounds.tolist())
-
+        objective = f"0 {a.names[0]}" if a.names else "0 __zero__"
+    sense = "Maximize" if model.objective_sense == "max" else "Minimize"
+    yield f"\\ {model.name}\n{sense}\n obj: {objective}\nSubject To"
+    for lo, row_names in zip(range(0, len(model._tags), LP_CHUNK_ROWS), _row_names(model._tags)):
+        yield _rows_text(a, slice(lo, lo + LP_CHUNK_ROWS), row_names, name_of)
+    yield "\nBounds\n"
+    chunks = [slice(lo, lo + LP_CHUNK_ROWS) for lo in range(0, len(name_of), LP_CHUNK_ROWS)]
+    for chunk in chunks:
+        yield _bounds_text(a, chunk, name_of)
     if a.binary.any():
-        lines.append("Binary")
-        lines.extend((" " + name_of[a.binary]).tolist())
-    lines.append("End")
-    # the empty last line ends the text with "\\n" without copying it again
-    lines.append("")
-    return "\n".join(lines)
+        yield "Binary\n"
+        for chunk in chunks:
+            yield "".join((" " + name_of[chunk][a.binary[chunk]] + "\n").tolist())
+    yield "End\n"
+
+
+def write_lp(model: MilpModel) -> str:
+    """Deterministic CPLEX-style LP text; ordering follows declaration order.
+    The join of :func:`lp_chunks`."""
+    return "".join(lp_chunks(model))
 
 
 # -- solution text ---------------------------------------------------------

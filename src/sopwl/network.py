@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -13,6 +14,9 @@ __all__ = ["Bus", "Branch", "Load", "Generator", "NetworkCase", "load_case", "bu
 
 DEFAULT_V_SQR_MIN = 0.9**2
 DEFAULT_V_SQR_MAX = 1.1**2
+
+# A case's "name" is part of output file names and the LP text's first line.
+_CASE_NAME_RE = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 
 
 @dataclass(frozen=True)
@@ -138,6 +142,13 @@ def _number(raw: dict, key: str, default: Optional[float] = None) -> float:
     return value
 
 
+def _bus(raw: dict, key: str) -> int:
+    """``raw[key]``, a bus id, as an int."""
+    if key not in raw:
+        raise CaseError(f"missing required field {key!r} in {raw}")
+    return int(raw[key])
+
+
 def load_case(source: Union[str, Path, dict]) -> NetworkCase:
     """Load and validate a case document (JSON file or parsed dict)."""
     if isinstance(source, (str, Path)):
@@ -148,6 +159,15 @@ def load_case(source: Union[str, Path, dict]) -> NetworkCase:
         doc = source
         default_name = "case"
 
+    if not isinstance(doc, dict):
+        raise CaseError(f"a case must be a JSON object, not a {type(doc).__name__}")
+    # a name taken from the file's stem is a file name already
+    name = doc.get("name", default_name)
+    if "name" in doc and not (isinstance(name, str) and _CASE_NAME_RE.fullmatch(name)):
+        raise CaseError(
+            f"case name {name!r} must be letters, digits, '_', '-' and '.', "
+            "not starting with '.'"
+        )
     if "bases" not in doc:
         raise CaseError("missing required field: 'bases'")
     s_base = _number(doc["bases"], "s_base_mva")
@@ -158,7 +178,7 @@ def load_case(source: Union[str, Path, dict]) -> NetworkCase:
 
     buses = tuple(
         Bus(
-            id=int(b["id"]),
+            id=_bus(b, "id"),
             v_sqr_min=_number(b, "v_sqr_min", DEFAULT_V_SQR_MIN),
             v_sqr_max=_number(b, "v_sqr_max", DEFAULT_V_SQR_MAX),
         )
@@ -179,8 +199,8 @@ def load_case(source: Union[str, Path, dict]) -> NetworkCase:
             raise CaseError(f"branch {raw} needs a positive i_max_amps")
         branches.append(
             Branch(
-                from_bus=int(raw["from"]),
-                to_bus=int(raw["to"]),
+                from_bus=_bus(raw, "from"),
+                to_bus=_bus(raw, "to"),
                 r_pu=r_pu,
                 x_pu=x_pu,
                 i_max_amps=i_max_amps,
@@ -188,12 +208,12 @@ def load_case(source: Union[str, Path, dict]) -> NetworkCase:
         )
 
     loads = tuple(
-        Load(bus=int(l["bus"]), p_pu=_number(l, "p_pu"), q_pu=_number(l, "q_pu"))
+        Load(bus=_bus(l, "bus"), p_pu=_number(l, "p_pu"), q_pu=_number(l, "q_pu"))
         for l in doc.get("loads", [])
     )
     generators = tuple(
         Generator(
-            bus=int(g["bus"]),
+            bus=_bus(g, "bus"),
             p_max_pu=_number(g, "p_max_pu"),
             q_max_pu=_number(g, "q_max_pu"),
         )
@@ -201,7 +221,7 @@ def load_case(source: Union[str, Path, dict]) -> NetworkCase:
     )
 
     return NetworkCase(
-        name=doc.get("name", default_name),
+        name=name,
         s_base_mva=s_base,
         v_base_kv=v_base,
         buses=buses,

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from sopwl import solvers
+from sopwl import milp, solvers
 from sopwl.cli import main
+from sopwl.distflow import BuildOptions, build_distflow, build_restoration_objective
+from sopwl.network import load_case
 
 
 class TestExportLp:
@@ -64,6 +66,48 @@ class TestExportLp:
             ["export-lp", "--case", "missing_case", "--out", str(tmp_path)]
         )
         assert status == 2
+
+    def test_case_directory_rejected(self, tmp_path, capsys):
+        status = main(["export-lp", "--case", str(tmp_path), "--out", str(tmp_path / "o")])
+        assert status == 2
+        assert "is a directory, not a case file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case, segments", [("branching6", 3), ("feeder400", 10)])
+    def test_file_is_write_lp_text(self, tmp_path, cases_dir, case, segments):
+        # the file is written in pieces; its bytes are write_lp's text
+        path = cases_dir / f"{case}.json"
+        args = ["--case", str(path), "--mode", "both", "--segments", str(segments)]
+        assert main(["export-lp", *args, "--out", str(tmp_path)]) == 0
+        network = load_case(path)
+        for mode in ("pwl", "sopwl"):
+            model = milp.MilpModel(name=f"{network.name}_{mode}")
+            artifacts = build_distflow(model, network, BuildOptions(num_segments=segments, mode=mode))
+            build_restoration_objective(model, artifacts)
+            text = milp.write_lp(model.freeze())
+            assert (tmp_path / f"{network.name}_{mode}.lp").read_bytes() == text.encode()
+
+    def test_rejected_model_leaves_no_file(self, tmp_path, cases_dir, capsys):
+        # without a "name" the case is named after its file, whose name here
+        # holds a line break, which the LP's first line cannot
+        doc = json.loads((cases_dir / "twobus.json").read_text())
+        del doc["name"]
+        path = tmp_path / "two\nbus.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "lp"
+        status = main(["export-lp", "--case", str(path), "--mode", "both", "--out", str(out)])
+        assert status == 2
+        assert "holds a line break" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_unsafe_case_name(self, tmp_path, cases_dir, capsys):
+        doc = json.loads((cases_dir / "twobus.json").read_text())
+        doc["name"] = "../escaped"
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(doc))
+        status = main(["export-lp", "--case", str(path), "--out", str(tmp_path / "sub" / "o2")])
+        assert status == 2
+        assert "case name '../escaped' must be" in capsys.readouterr().err
+        assert not (tmp_path / "sub").exists()
 
 
 class TestSolve:
@@ -290,6 +334,7 @@ class TestBadSettings:
             ('{"num_segments": 2.5}', "segments must be an integer, got 2.5"),
             ('{"timeout": "60"}', "timeout must be a positive finite number"),
             ("[1]", "config file must hold a JSON object, not a list"),
+            ('{"objective": "bogus"}', "unknown objective 'bogus'"),
         ],
     )
     def test_config_rejected(self, tmp_path, cases_dir, capsys, text, message):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from sopwl.distflow import BuildOptions, build_distflow, build_restoration_objective
 from sopwl.milp import (
     BINARY,
+    LP_CHUNK_ROWS,
     LinearConstraint,
     MilpModel,
     ModelFrozenError,
@@ -20,6 +21,7 @@ from sopwl.milp import (
     Solution,
     check_solution,
     format_solution,
+    lp_chunks,
     parse_solution,
     solve,
     write_lp,
@@ -289,6 +291,22 @@ class TestWriteLp:
         case = load_case(cases_dir / "feeder400.json")
         assert self._lp_sha256(case, 10, mode) == self.FEEDER400_LP_SHA256[mode]
 
+    def test_repeat_numbered_across_pieces(self):
+        # the first and the last row share a tag but fall in different pieces
+        n = LP_CHUNK_ROWS + 2
+        m = MilpModel()
+        m.add_variable("x")
+        tags = ["r", *(f"u{i}" for i in range(n - 2)), "r"]
+        m.add_rows(np.zeros(n), np.ones(n), np.arange(n + 1), ["<="] * n, np.ones(n), tags)
+        m.freeze()
+        pieces = list(lp_chunks(m))
+        # header, 2 row pieces, "Bounds", 1 bound piece, "End"
+        assert len(pieces) == 6
+        assert max(p.count("\n") for p in pieces) == LP_CHUNK_ROWS
+        rows = "".join(pieces).split("Subject To\n")[1].split("\nBounds")[0].splitlines()
+        assert rows[0] == " r: 1 x <= 1"
+        assert rows[-1] == " r__1: 1 x <= 1"
+
     @pytest.mark.parametrize(
         "tags, names",
         [
@@ -315,6 +333,22 @@ class TestWriteLp:
             m.freeze()
             with pytest.raises(ValueError, match="not LP-format-safe"):
                 write_lp(m)
+        # the model name is the text's first line, a comment
+        for name in ("m\nMinimize", "m\r"):
+            m = MilpModel(name=name)
+            m.add_variable("x")
+            m.freeze()
+            with pytest.raises(ValueError, match="holds a line break"):
+                write_lp(m)
+
+    def test_pieces_checked_before_the_first(self):
+        m = MilpModel()
+        m.add_variable("bad name")
+        m.freeze()
+        with pytest.raises(ValueError, match="not LP-format-safe"):
+            lp_chunks(m)  # raises without a piece being asked for
+        with pytest.raises(ModelFrozenError):
+            lp_chunks(simple_model())
 
 
 class TestParseSolution:

@@ -153,11 +153,38 @@ _GEN = {"bus": 2, "p_max_pu": 0.05, "q_max_pu": 0.03}
         pytest.param(lambda d: d["bases"].update(v_base_kv=float("nan")), id="nan-base"),
         pytest.param(lambda d: d["branches"][1].update(i_max_amps=0.0), id="zero-ampacity"),
         pytest.param(lambda d: d["branches"][1].update(i_max_amps=-5.0), id="negative-ampacity"),
+        pytest.param(lambda d: d["buses"][1].pop("id"), id="bus-without-id"),
+        pytest.param(lambda d: d["branches"][0].pop("from"), id="branch-without-from"),
+        pytest.param(lambda d: d["branches"][1].pop("to"), id="branch-without-to"),
+        pytest.param(lambda d: d["loads"][0].pop("bus"), id="load-without-bus"),
+        pytest.param(lambda d: d["generators"][0].pop("bus"), id="generator-without-bus"),
+        # the name becomes output file names and the LP's first line
+        pytest.param(lambda d: d.update(name="../escaped"), id="name-with-slash"),
+        pytest.param(lambda d: d.update(name="x\nMinimize"), id="name-with-newline"),
+        pytest.param(lambda d: d.update(name="x\n"), id="name-with-trailing-newline"),
+        pytest.param(lambda d: d.update(name=".hidden"), id="name-with-leading-dot"),
+        pytest.param(lambda d: d.update(name=""), id="empty-name"),
+        pytest.param(lambda d: d.update(name=7), id="name-not-a-string"),
     ],
 )
 def test_bad_per_bus_input_rejected(edit):
     doc = _doc([(1, 2), (2, 3)], loads=[dict(_LOAD)], generators=[dict(_GEN)])
+    doc["name"] = "feeder-3.v1_a"
     load_case(doc)  # the unedited document is valid
     edit(doc)
     with pytest.raises(CaseError):
         load_case(doc)
+
+
+@pytest.mark.parametrize("field", ["id", "from", "bus"])
+def test_missing_bus_field_named(field):
+    doc = _doc([(1, 2), (2, 3)], loads=[dict(_LOAD)])
+    where = {"id": doc["buses"][0], "from": doc["branches"][0], "bus": doc["loads"][0]}
+    del where[field][field]
+    with pytest.raises(CaseError, match=f"missing required field '{field}'"):
+        load_case(doc)
+
+
+def test_case_must_be_an_object():
+    with pytest.raises(CaseError, match="JSON object, not a list"):
+        load_case([1])
