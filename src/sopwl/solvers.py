@@ -54,8 +54,23 @@ class ScipyMilpAdapter:
         # snap binaries so downstream bound checks see clean values; "+ 0.0"
         # turns a rounded -0.0 into 0.0. _clipped clips integrality dust
         x[a.binary] = np.round(x[a.binary]) + 0.0
+        if _breaks_a_row(_clip(x, a), a):
+            x = self._polished(a, c, x)
         objective, values = _clipped(x, a)
         return milp.Solution(status, objective, values, **stats)
+
+    def _polished(self, a: milp.ModelArrays, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """``x`` re-solved as an LP with its binaries fixed, or ``x`` itself
+        when that LP is not solved to optimality.
+
+        HiGHS may leave a MILP point outside a bound by up to its MIP
+        feasibility tolerance (1e-6) with every row met exactly; clipping the
+        point into its bounds then breaks a row by that much times the row's
+        coefficients. The LP is held to HiGHS's tighter LP tolerance (1e-7),
+        and any point it returns is as good as ``x`` up to that tolerance."""
+        fixed = (np.where(a.binary, x, a.lower), np.where(a.binary, x, a.upper))
+        res = self._highs(a, c, integral=False, bounds=fixed)
+        return np.asarray(res.x, dtype=float) if _status(res) == "optimal" else x
 
     def run_relaxed_two_stage(
         self, model: milp.MilpModel, stage2: Sequence[str]
@@ -103,18 +118,24 @@ class ScipyMilpAdapter:
         )
 
     def _highs(
-        self, a: milp.ModelArrays, c: np.ndarray, integral: bool, extra: Sequence = ()
+        self,
+        a: milp.ModelArrays,
+        c: np.ndarray,
+        integral: bool,
+        extra: Sequence = (),
+        bounds: tuple[np.ndarray, np.ndarray] | None = None,
     ):
-        """One HiGHS call minimising ``c @ x`` on the rows and bounds of ``a``
-        plus the ``extra`` constraints."""
+        """One HiGHS call minimising ``c @ x`` on the rows of ``a`` plus the
+        ``extra`` constraints, within ``bounds`` (default: those of ``a``)."""
         n = len(a.names)
+        lower, upper = bounds if bounds is not None else (a.lower, a.upper)
         constraints = list(extra)
         if len(a.row_lo):
             constraints.insert(0, sopt.LinearConstraint(a.matrix(), a.row_lo, a.row_hi))
         return sopt.milp(
             c=c,
             constraints=constraints,
-            bounds=sopt.Bounds(a.lower, a.upper) if n else None,
+            bounds=sopt.Bounds(lower, upper) if n else None,
             integrality=a.binary.astype(int) if integral and n else None,
             options={"time_limit": self.time_limit, "mip_rel_gap": MIP_REL_GAP},
         )
@@ -139,15 +160,30 @@ def _status(res) -> str:
     }.get(res.status, "error")
 
 
-def _clipped(x: np.ndarray, a: milp.ModelArrays) -> tuple[float, dict[str, float]]:
-    """The objective and the values of ``x`` clipped into its bounds.
-
-    The clip keeps x where it is not beyond a bound, -0.0 included. The
-    objective is recomputed from the clipped values for consistency, summed
-    term by term in the objective's order.
-    """
+def _clip(x: np.ndarray, a: milp.ModelArrays) -> np.ndarray:
+    """``x`` clipped into its bounds, kept where it is not beyond a bound,
+    -0.0 included."""
     x = np.where(x < a.lower, a.lower, x)
-    x = np.where(x > a.upper, a.upper, x)
+    return np.where(x > a.upper, a.upper, x)
+
+
+def _breaks_a_row(x: np.ndarray, a: milp.ModelArrays) -> bool:
+    """Whether ``x`` misses a row by more than ``milp.FEASIBILITY_TOL``, the
+    tolerance of :func:`sopwl.milp.check_solution`."""
+    if not len(a.row_lo):
+        return False
+    lhs = a.matrix() @ x
+    return bool((np.maximum(a.row_lo - lhs, lhs - a.row_hi) > milp.FEASIBILITY_TOL).any())
+
+
+def _clipped(x: np.ndarray, a: milp.ModelArrays) -> tuple[float, dict[str, float]]:
+    """The objective and the values of ``x`` clipped into its bounds
+    (:func:`_clip`).
+
+    The objective is recomputed from the clipped values for consistency,
+    summed term by term in the objective's order.
+    """
+    x = _clip(x, a)
     obj_values = x[a.obj_cols].tolist()
     objective = float(sum(c * v for c, v in zip(a.obj_coefs.tolist(), obj_values)))
     return objective, dict(zip(a.names, x.tolist()))

@@ -3,7 +3,7 @@ relaxation of the adapter, and a property test of the whole sopwl path on
 random small radial cases."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sopwl import milp
@@ -106,8 +106,37 @@ def _radial_cases(draw):
     return load_case(doc), draw(st.integers(2, 6))
 
 
+# HiGHS left P_3_5_d2 and Q_3_5_d2 5.8e-7 below 0 with every row met; the
+# clip into their bounds alone broke eq4:3-5 by 2.05e-6
+_DUST_CASE = {
+    "name": "random",
+    "bases": {"s_base_mva": 10.0, "v_base_kv": 12.66},
+    "buses": [
+        {"id": 1, "v_sqr_min": 0.81, "v_sqr_max": 1.21},
+        {"id": 2, "v_sqr_min": 0.81, "v_sqr_max": 1.03},
+        {"id": 3, "v_sqr_min": 0.81, "v_sqr_max": 1.1},
+        {"id": 4, "v_sqr_min": 0.81, "v_sqr_max": 1.03},
+        {"id": 5, "v_sqr_min": 0.81, "v_sqr_max": 1.03},
+    ],
+    "branches": [
+        {"from": 1, "to": 2, "r_pu": 0.01, "x_pu": 0.01, "i_max_amps": 100.0},
+        {"from": 1, "to": 3, "r_pu": 0.01, "x_pu": 0.6, "i_max_amps": 100.0},
+        {"from": 1, "to": 4, "r_pu": 0.01, "x_pu": 0.01, "i_max_amps": 100.0},
+        {"from": 3, "to": 5, "r_pu": 0.01, "x_pu": 0.01, "i_max_amps": 800.0},
+    ],
+    "loads": [
+        {"bus": 2, "p_pu": 0.001, "q_pu": 0.06},
+        {"bus": 3, "p_pu": 0.001, "q_pu": 0.001},
+        {"bus": 4, "p_pu": 0.001, "q_pu": 0.001},
+        {"bus": 5, "p_pu": 0.001, "q_pu": 0.001},
+    ],
+    "generators": [{"bus": 3, "p_max_pu": 0.45, "q_max_pu": 0.4}],
+}
+
+
 @settings(max_examples=25, deadline=None)
 @given(_radial_cases())
+@example((load_case(_DUST_CASE), 3))
 def test_sopwl_path_is_certified(drawn):
     case, segments = drawn
     config = RunConfig(case=case.name, mode="sopwl", num_segments=segments)

@@ -585,6 +585,35 @@ class TestScipyAdapter:
         assert sol.missing == frozenset()
         assert format_solution(sol) == "optimal\nobj 0.5\nb 0.0\nc 1.0\ny -0.0\nz 1.0\n"
 
+    def test_clip_that_breaks_a_row_is_polished(self, monkeypatch):
+        # HiGHS's MILP point meets the row exactly but leaves y 5e-7 below
+        # its bound; clipping y to 0 alone would miss the row by 2e-6, so the
+        # point is re-solved as an LP with b fixed at its value
+        m = MilpModel(name="dust")
+        m.add_variable("b", 0, 1, kind=BINARY)
+        m.add_variable("y", lower=0.0, upper=1.0)
+        m.add_variable("z", lower=-1.0, upper=10.0)
+        m.add_constraint({"z": 1.0, "y": -4.0}, "=", 0.0, tag="link")
+        m.add_constraint({"y": 1.0, "b": -1.0}, "<=", 0.0, tag="gate")
+        m.set_objective("min", {"z": 1.0, "b": 1.0})
+        m.freeze()
+        dusty = scipy.optimize.OptimizeResult(status=0, x=np.array([1.0, -5e-7, -2e-6]))
+        assert check_solution(m, Solution("optimal", 0.0, {"b": 1.0, "y": 0.0, "z": -2e-6}))
+        real, calls = solvers.sopt.milp, []
+
+        def milp_once_dusty(**kwargs):
+            calls.append(kwargs)
+            return dusty if len(calls) == 1 else real(**kwargs)
+
+        monkeypatch.setattr(solvers.sopt, "milp", milp_once_dusty)
+        sol = ScipyMilpAdapter().run(m)
+        assert len(calls) == 2 and calls[1]["integrality"] is None
+        assert sol.status == "optimal"
+        assert sol.values["b"] == 1.0
+        assert sol.values["y"] == pytest.approx(0.0, abs=1e-9)
+        assert sol.objective_value == pytest.approx(1.0)
+        assert check_solution(m, sol) == []
+
     def test_solver_statistics(self):
         # the dual bound is reported in the model's sense: HiGHS minimizes
         # the negated objective of a "max" model
