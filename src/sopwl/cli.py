@@ -18,6 +18,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import milp
 from .distflow import (
     MODE_PWL,
@@ -109,12 +111,11 @@ def _solution_injections(
     """Net per-bus injections implied by a solved model, for the exact sweep."""
     injections: dict[int, tuple[float, float]] = {}
     case = artifacts.case
-    for gen in case.generators:
-        gp, gq = artifacts.gen_vars[gen.bus]
+    x = solution.x
+    for gen, (gp, gq) in zip(case.generators, x[artifacts.gen].tolist()):
         p, q = injections.get(gen.bus, (0.0, 0.0))
-        injections[gen.bus] = (p + solution.values[gp], q + solution.values[gq])
-    for load in case.loads:
-        beta = solution.values[artifacts.pickup_vars[load.bus]]
+        injections[gen.bus] = (p + gp, q + gq)
+    for load, beta in zip(case.loads, x[artifacts.pickup].tolist()):
         p, q = injections.get(load.bus, (0.0, 0.0))
         injections[load.bus] = (p - beta * load.p_pu, q - beta * load.q_pu)
     return injections
@@ -164,15 +165,15 @@ def _lp_screen(
     ``lift_ordered`` finds every block ordered and the sopwl model's
     ``check_solution`` finds no violated row."""
     pwl_model, pwl = _build(case, config, MODE_PWL)
-    relaxed = adapter.run_relaxed_two_stage(pwl_model, list(pwl.isqr_vars.values()))
+    relaxed = adapter.run_relaxed_two_stage(pwl_model, pwl.isqr)
     if relaxed.status != "optimal":
         return None
-    values = dict(relaxed.values)
+    x = relaxed.x.copy()
     for block in pwl.blocks.values():
-        up = values[block.pos_name] - values[block.neg_name]
-        values[block.z_pos_name] = 1.0 if up > 0 else 0.0
-        values[block.z_neg_name] = 1.0 if up < 0 else 0.0
-    lifted = lift_ordered(replace(relaxed, values=values), artifacts)
+        up = x[block.pos] - x[block.neg]
+        x[block.z_pos] = np.where(up > 0, 1.0, 0.0)
+        x[block.z_neg] = np.where(up < 0, 1.0, 0.0)
+    lifted = lift_ordered(replace(relaxed, x=x), artifacts)
     if lifted is None or milp.check_solution(artifacts.model, lifted):
         return None
     return lifted
@@ -227,7 +228,7 @@ def _run_one_mode(
     except Exception as exc:
         print(f"[{mode}] solver failure: {exc}", file=sys.stderr)
         return 1, {}, None
-    (out / f"{model.name}.sol").write_text(milp.format_solution(solution))
+    (out / f"{model.name}.sol").write_text(milp.format_solution(solution, model))
     if solution.status not in ("optimal", "feasible"):
         print(f"[{mode}] solve ended with status {solution.status}", file=sys.stderr)
         return 1, {}, solution
@@ -325,7 +326,7 @@ def cmd_validate(config: RunConfig, solution_path: Path) -> int:
         print(f"solution status is {solution.status}; nothing to validate")
         return 1
     if solution.missing:
-        print(f"{len(solution.missing)} variables missing from the solution, read as 0")
+        print(f"{solution.missing} variables missing from the solution, read as 0")
 
     violations = milp.check_solution(model, solution)
     for tag, gap in violations:
@@ -340,9 +341,9 @@ def cmd_validate(config: RunConfig, solution_path: Path) -> int:
         f"root slack injection: P={sweep.root_injection[0]:.6e} pu, "
         f"Q={sweep.root_injection[1]:.6e} pu"
     )
+    linearized = solution.x[artifacts.voltage].tolist()
     dev = max(
-        abs(sweep.voltages[b] ** 2 - solution.values[artifacts.voltage_vars[b]])
-        for b in sweep.voltages
+        abs(sweep.voltages[bus.id] ** 2 - v) for bus, v in zip(case.buses, linearized)
     )
     print(f"max |V^2 deviation| linearized vs exact: {dev:.6e} pu^2")
     return 0 if not violations else 1

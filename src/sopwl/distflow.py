@@ -9,6 +9,10 @@ Every branch declares the same variables and rows, so the builder describes
 one branch as a template of array columns and emits all branches with one
 bulk call for the variables and one for the rows (:class:`_Batch`);
 :func:`emit_pwl_block` is the same emitter for a single block.
+
+The build hands back the column of every variable it declared
+(:class:`DistflowArtifacts`); past the build a variable is addressed by its
+column alone, and its name is only the text of the LP and solution files.
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ import numpy as np
 
 from .milp import MilpModel
 from .network import Branch, NetworkCase
-from .pwl import PwlGrid, segment_slope
+from .pwl import PwlGrid
 
 __all__ = [
     "BuildOptions",
-    "PwlBlockHandle",
+    "BlockColumns",
     "DistflowArtifacts",
     "flow_bound",
     "epsilon_plus",
@@ -60,39 +64,34 @@ def epsilon_plus(grid: PwlGrid) -> float:
 
 
 @dataclass(frozen=True)
-class PwlBlockHandle:
-    branch_key: str
-    kind: str  # "P" or "Q"
-    mode: str
-    grid: PwlGrid
-    delta_names: tuple[str, ...]
-    pos_name: str
-    neg_name: str
-    z_pos_name: str
-    z_neg_name: str
-    x_names: tuple[str, ...]  # empty in plain mode
+class BlockColumns:
+    """Columns of the linearized square of one flow kind, one row per item
+    (per branch, in file order, in :class:`DistflowArtifacts`)."""
 
-    @property
-    def f_terms(self) -> tuple[tuple[str, float], ...]:
-        """Linear expression approximating the squared flow."""
-        return tuple(
-            (name, segment_slope(self.grid, lam))
-            for lam, name in enumerate(self.delta_names, start=1)
-        )
+    y: np.ndarray  # the flow the block squares; one column
+    delta: np.ndarray  # one column per segment
+    pos: np.ndarray  # one column each: the sign split of y
+    neg: np.ndarray
+    z_pos: np.ndarray  # one column each: the sign binaries
+    z_neg: np.ndarray
+    x: np.ndarray  # ordering binaries, one per segment; no columns in plain mode
 
 
 @dataclass
 class DistflowArtifacts:
+    """The built model and the columns of its variables. Per-branch arrays
+    follow ``case.branches``, per-bus ones ``case.buses``, ``pickup``
+    ``case.loads`` and ``gen`` ``case.generators``."""
+
     case: NetworkCase
     options: BuildOptions
     model: MilpModel
-    blocks: dict[tuple[str, str], PwlBlockHandle]
-    flow_vars: dict[tuple[str, str], str]  # (branch key, kind) -> var name
-    isqr_vars: dict[str, str]
-    voltage_vars: dict[int, str]
-    pickup_vars: dict[int, str]  # load bus -> beta var
-    gen_vars: dict[int, tuple[str, str]]  # bus -> (gp, gq)
-    grids: dict[str, PwlGrid]
+    blocks: dict[str, BlockColumns]  # "P" / "Q" -> columns
+    isqr: np.ndarray
+    voltage: np.ndarray
+    pickup: np.ndarray
+    gen: np.ndarray  # (generators, 2): gp and gq
+    grids: tuple[PwlGrid, ...]  # per branch
 
 
 def flow_bound(branch: Branch, case: NetworkCase, options: BuildOptions) -> PwlGrid:
@@ -125,7 +124,6 @@ class _Batch:
 
     def __init__(self, count: int, first: int, stride: int):
         self.count = count
-        self.first = first
         self.stride = stride
         self._base = first + stride * np.arange(count, dtype=np.intp)[:, None]
         self._width = 0
@@ -139,7 +137,6 @@ class _Batch:
         self._senses: list[str] = []
         self._rhs: list[np.ndarray] = []
         self._tags: list[np.ndarray] = []
-        self._all_names = np.empty(0, dtype=object)
 
     def _per_item(self, templates: Sequence[str], args: Sequence[str]) -> np.ndarray:
         """``template % arg`` for every item's ``arg``, one row per item."""
@@ -195,14 +192,12 @@ class _Batch:
     def emit(self, model: MilpModel) -> None:
         if self._width != self.stride:
             raise ValueError(f"items declared {self._width} variables, not {self.stride}")
-        names = np.hstack(self._names).ravel()
         model.add_variables(
-            names.tolist(),
+            np.hstack(self._names).ravel().tolist(),
             np.hstack(self._lower).ravel(),
             np.hstack(self._upper).ravel(),
             np.tile(np.concatenate(self._binary), self.count),
         )
-        self._all_names = names
         lengths = np.tile(np.asarray(self._lengths, dtype=np.intp), self.count)
         row_start = np.zeros(len(lengths) + 1, dtype=np.intp)
         np.cumsum(lengths, out=row_start[1:])
@@ -214,22 +209,6 @@ class _Batch:
             np.hstack(self._rhs).ravel(),
             np.hstack(self._tags).ravel().tolist(),
         )
-
-    def names_of(self, cols: np.ndarray) -> list:
-        """Names of emitted columns, as nested lists shaped like ``cols``."""
-        return self._all_names[cols - self.first].tolist()
-
-
-@dataclass(frozen=True)
-class _BlockCols:
-    """Columns of one linearized square per item, one row per item."""
-
-    delta: np.ndarray
-    pos: np.ndarray
-    neg: np.ndarray
-    z_pos: np.ndarray
-    z_neg: np.ndarray
-    x: np.ndarray  # no columns in plain mode
 
 
 def _block_width(num_segments: int, mode: str) -> int:
@@ -246,7 +225,7 @@ def _emit_blocks(
     mode: str,
     prefixes: Sequence[str],
     tag_suffixes: Sequence[str],
-) -> _BlockCols:
+) -> BlockColumns:
     """Declare into ``batch`` the segment/sign/binary variables and the rows
     of one linearized square of column ``y`` per item, on ``n`` segments."""
     y_max = _column([g.y_max for g in grids])
@@ -293,53 +272,28 @@ def _emit_blocks(
             "<=",
             0.0,
         )
-    return _BlockCols(delta, pos, neg, z_pos, z_neg, x)
-
-
-def _handles(
-    batch: _Batch,
-    cols: _BlockCols,
-    keys: Sequence[str],
-    kind: str,
-    mode: str,
-    grids: Sequence[PwlGrid],
-) -> list[PwlBlockHandle]:
-    """The handle of each item's block, after ``batch`` is emitted."""
-    fields = zip(
-        batch.names_of(cols.delta),
-        batch.names_of(cols.pos[:, 0]),
-        batch.names_of(cols.neg[:, 0]),
-        batch.names_of(cols.z_pos[:, 0]),
-        batch.names_of(cols.z_neg[:, 0]),
-        batch.names_of(cols.x),
-    )
-    return [
-        PwlBlockHandle(key, kind, mode, grid, tuple(delta), pos, neg, z_pos, z_neg, tuple(x))
-        for key, grid, (delta, pos, neg, z_pos, z_neg, x) in zip(keys, grids, fields)
-    ]
+    return BlockColumns(y, delta, pos, neg, z_pos, z_neg, x)
 
 
 def emit_pwl_block(
     model: MilpModel,
-    y_var: str,
+    y: int,
     grid: PwlGrid,
     mode: str,
     branch_key: str = "y",
     kind: str = "y",
-) -> PwlBlockHandle:
+) -> BlockColumns:
     """Declare segment/sign/binary variables and constraint rows for one
-    linearized square, returning a handle to everything emitted."""
+    linearized square of column ``y``, returning their columns (one row)."""
     if mode not in (MODE_PWL, MODE_SOPWL):
         raise ValueError(f"unknown mode {mode!r}")
-    y = model.variable(y_var).index
     batch = _Batch(1, model.num_variables, _block_width(grid.num_segments, mode))
     prefix = f"{kind}_{_key_name(branch_key)}"
     cols = _emit_blocks(
         batch, np.array([[y]]), [grid], grid.num_segments, mode, [prefix], [f"{branch_key}:{kind}"]
     )
     batch.emit(model)
-    (handle,) = _handles(batch, cols, [branch_key], kind, mode, [grid])
-    return handle
+    return cols
 
 
 def build_distflow(
@@ -357,13 +311,13 @@ def build_distflow(
     branches = case.branches
     position = {bus.id: i for i, bus in enumerate(buses)}
 
-    voltage_vars = {bus.id: f"V_{bus.id}" for bus in buses}
     voltage = model.add_variables(
-        list(voltage_vars.values()),
+        [f"V_{bus.id}" for bus in buses],
         [bus.v_sqr_min for bus in buses],
         [bus.v_sqr_max for bus in buses],
     )
-    model.add_constraint([(voltage_vars[case.root], 1.0)], "=", 1.0, tag=f"rootV:{case.root}")
+    # the root is the first bus
+    model.add_rows([voltage.start], [1.0], [0, 1], ["="], [1.0], [f"rootV:{case.root}"])
 
     keys = [br.key for br in branches]
     names = [_key_name(key) for key in keys]
@@ -418,26 +372,10 @@ def build_distflow(
     )
     batch.emit(model)
 
-    flow_names = {kind: batch.names_of(col[:, 0]) for kind, col in (("P", p), ("Q", q))}
-    isqr_names = batch.names_of(isqr[:, 0])
-    handles = {
-        kind: _handles(batch, block_cols[kind], keys, kind, mode, grid_list)
-        for kind in ("P", "Q")
-    }
-    blocks: dict[tuple[str, str], PwlBlockHandle] = {}
-    flow_vars: dict[tuple[str, str], str] = {}
-    for i, key in enumerate(keys):
-        for kind in ("P", "Q"):
-            blocks[(key, kind)] = handles[kind][i]
-            flow_vars[(key, kind)] = flow_names[kind][i]
-    isqr_vars = dict(zip(keys, isqr_names))
-    grids = dict(zip(keys, grid_list))
-
     loads, gens = case.loads, case.generators
-    pickup_vars = {load.bus: f"beta_{load.bus}" for load in loads}
-    gen_vars = {gen.bus: (f"gp_{gen.bus}", f"gq_{gen.bus}") for gen in gens}
     tail = model.add_variables(
-        list(pickup_vars.values()) + [name for pair in gen_vars.values() for name in pair],
+        [f"beta_{load.bus}" for load in loads]
+        + [name for g in gens for name in (f"gp_{g.bus}", f"gq_{g.bus}")],
         0.0,
         [1.0] * len(loads) + [limit for g in gens for limit in (g.p_max_pu, g.q_max_pu)],
     )
@@ -483,13 +421,12 @@ def build_distflow(
         case=case,
         options=options,
         model=model,
-        blocks=blocks,
-        flow_vars=flow_vars,
-        isqr_vars=isqr_vars,
-        voltage_vars=voltage_vars,
-        pickup_vars=pickup_vars,
-        gen_vars=gen_vars,
-        grids=grids,
+        blocks=block_cols,
+        isqr=isqr[:, 0],
+        voltage=np.asarray(voltage),
+        pickup=beta,
+        gen=np.stack([gp, gp + 1], axis=1),
+        grids=tuple(grid_list),
     )
 
 
@@ -498,12 +435,9 @@ def build_restoration_objective(
 ) -> None:
     """Maximize restored active load, optionally penalizing branch losses."""
     case = artifacts.case
-    terms: dict[str, float] = {}
-    for load in case.loads:
-        beta = artifacts.pickup_vars[load.bus]
-        terms[beta] = terms.get(beta, 0.0) + load.p_pu
+    cols = artifacts.pickup.tolist()
+    coefs = [load.p_pu for load in case.loads]
     if artifacts.options.objective == OBJECTIVE_RESTORATION_LOSS:
-        for br in case.branches:
-            isqr = artifacts.isqr_vars[br.key]
-            terms[isqr] = terms.get(isqr, 0.0) - br.r_pu
-    model.set_objective("max", terms)
+        cols += artifacts.isqr.tolist()
+        coefs += [-br.r_pu for br in case.branches]
+    model.set_objective_columns("max", cols, coefs)

@@ -20,7 +20,7 @@ import math
 import re
 import string
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -154,8 +154,8 @@ class MilpModel:
             )
         ]
         self.objective_sense: str = "min"
-        self.objective_terms: tuple[tuple[str, float], ...] = ()
         self._obj_cols: list[int] = []
+        self._obj_coefs: list[float] = []
         self._frozen = False
         self._gathered: Optional[ModelArrays] = None
 
@@ -317,13 +317,20 @@ class MilpModel:
         return self.add_rows(cols, coefs, (0, len(cols)), (sense,), (rhs,), (tag,)).start
 
     def set_objective(self, sense: str, terms: Terms) -> None:
+        names, coefs = _unzip(terms)
+        self.set_objective_columns(sense, self._columns(names, "objective"), coefs)
+
+    def set_objective_columns(
+        self, sense: str, cols: Sequence[int], coefs: Sequence[float]
+    ) -> None:
+        """Set the objective to ``sum(coefs[k] * x[cols[k]])``; a column
+        given twice counts twice."""
         self._require_unfrozen()
         if sense not in ("min", "max"):
             raise ValueError(f"objective sense must be 'min' or 'max', got {sense!r}")
-        names, coefs = _unzip(terms)
-        self._obj_cols = self._columns(names, "objective")
+        self._obj_cols = list(cols)
+        self._obj_coefs = list(coefs)
         self.objective_sense = sense
-        self.objective_terms = tuple(zip(names, coefs))
         self._gathered = None
 
     def _gather(self) -> ModelArrays:
@@ -351,7 +358,7 @@ class MilpModel:
                 row_lo=np.where(senses == SENSES.index("<="), -np.inf, rhs),
                 row_hi=np.where(senses == SENSES.index(">="), np.inf, rhs),
                 obj_cols=np.asarray(self._obj_cols, dtype=np.intp),
-                obj_coefs=np.asarray([c for _, c in self.objective_terms], dtype=float),
+                obj_coefs=np.asarray(self._obj_coefs, dtype=float),
             )
         return self._gathered
 
@@ -396,6 +403,10 @@ class MilpModel:
         return views
 
     @property
+    def objective_terms(self) -> tuple[tuple[str, float], ...]:
+        return tuple((self._names[j], c) for j, c in zip(self._obj_cols, self._obj_coefs))
+
+    @property
     def constraints(self) -> tuple[LinearConstraint, ...]:
         return tuple(self._rows(range(len(self._tags))))
 
@@ -409,12 +420,14 @@ class MilpModel:
         return self._rows(r for r, t in enumerate(self._tags) if t.startswith(prefix))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Solution:
     status: str
     objective_value: float
-    values: dict[str, float]
-    missing: frozenset[str] = frozenset()
+    # one value per column of the model, in column order; empty unless the
+    # status is "optimal" or "feasible"
+    x: np.ndarray = field(default_factory=lambda: np.empty(0))
+    missing: int = 0  # variables the solution text left out, read as 0
     solve_seconds: Optional[float] = None
     # branch-and-bound statistics, None when the solver does not report them;
     # the dual bound is in the model's objective sense
@@ -422,8 +435,14 @@ class Solution:
     mip_gap: Optional[float] = None
     mip_dual_bound: Optional[float] = None
 
-    def __getitem__(self, name: str) -> float:
-        return self.values[name]
+    def column_values(self, model: MilpModel) -> np.ndarray:
+        """``x``, checked to hold one value per column of ``model``."""
+        if len(self.x) != model.num_variables:
+            raise ValueError(
+                f"a {self.status} solution with {len(self.x)} values "
+                f"for a model of {model.num_variables} variables"
+            )
+        return self.x
 
 
 # -- LP export -------------------------------------------------------------
@@ -625,7 +644,7 @@ def write_lp(model: MilpModel) -> str:
 # -- solution text ---------------------------------------------------------
 
 
-def format_solution(solution: Solution) -> str:
+def format_solution(solution: Solution, model: MilpModel) -> str:
     """The solution text format, which ``solve`` writes and ``validate``
     reads; another solver run on the ``export-lp`` file writes it too::
 
@@ -634,11 +653,14 @@ def format_solution(solution: Solution) -> str:
         <name> <value>
         ...
 
-    Numbers are written with ``repr``, so :func:`parse_solution` reads back
-    the same floats, ``-0.0`` included.
+    One line per column of ``model``, in column order, when the solution has
+    values. Numbers are written with ``repr``, so :func:`parse_solution` reads
+    back the same floats, ``-0.0`` included.
     """
     lines = [solution.status, f"obj {solution.objective_value!r}"]
-    lines.extend(f"{name} {val!r}" for name, val in solution.values.items())
+    if len(solution.x):
+        values = solution.column_values(model).tolist()
+        lines.extend(f"{name} {val!r}" for name, val in zip(model.arrays.names, values))
     return "\n".join(lines) + "\n"
 
 
@@ -659,7 +681,6 @@ def parse_solution(
         raise ValueError(f"unknown status token {lines[0]!r}")
 
     objective = 0.0
-    values: dict[str, float] = {}
     body = lines[1:]
     parts = body[0].split() if body else []
     if parts and parts[0].lower() == "obj":
@@ -669,6 +690,7 @@ def parse_solution(
             raise ValueError(f"unparseable objective line {body[0]!r}") from exc
         body = body[1:]
     index = model._index
+    given: dict[int, float] = {}  # column -> value; a repeated line overrides
     for ln in body:
         parts = ln.split()
         if len(parts) != 2:
@@ -677,30 +699,28 @@ def parse_solution(
         if name not in index:
             raise ValueError(f"solution line {ln!r} names no variable of the model")
         try:
-            values[name] = float(raw)
+            given[index[name]] = float(raw)
         except ValueError as exc:
             raise ValueError(f"unparseable value in line {ln!r}") from exc
 
     if status not in ("optimal", "feasible"):
-        return Solution(status=status, objective_value=objective, values={})
+        return Solution(status=status, objective_value=objective)
     arrays = model.arrays
-    missing = [name for name in arrays.names if name not in values]
-    for name in missing:
-        values[name] = 0.0
-    x = np.array([values[name] for name in arrays.names], dtype=float)
+    x = np.zeros(len(arrays.names))
+    x[np.fromiter(given, np.intp, len(given))] = list(given.values())
     bad = np.flatnonzero((x < arrays.lower - tol) | (x > arrays.upper + tol))
     if bad.size:
         i = int(bad[0])
         name = arrays.names[i]
         bounds = f"bounds [{float(arrays.lower[i])}, {float(arrays.upper[i])}]"
-        if name in missing:
+        if i not in given:
             raise ValueError(f"{name} is missing; its default 0.0 violates {bounds}")
-        raise ValueError(f"{name}={values[name]} violates {bounds}")
+        raise ValueError(f"{name}={given[i]} violates {bounds}")
     return Solution(
         status=status,
         objective_value=objective,
-        values=values,
-        missing=frozenset(missing),
+        x=x,
+        missing=len(x) - len(given),
     )
 
 
@@ -710,13 +730,11 @@ def check_solution(
     """Re-check every constraint by direct substitution.
 
     Returns (tag, violation amount) for each violated constraint; an empty
-    list means the solution is feasible within ``tol``. A variable the
-    solution lacks counts as 0.
+    list means the solution is feasible within ``tol``. The solution must
+    hold one value per column.
     """
     arrays = model.arrays
-    vals = solution.values
-    x = np.array([vals.get(name, 0.0) for name in arrays.names], dtype=float)
-    lhs = arrays.matrix() @ x
+    lhs = arrays.matrix() @ solution.column_values(model)
     # the infinite bound of an inequality gives -inf; for an equality the
     # two differences are exact negatives, so this is |lhs - rhs|
     gap = np.maximum(arrays.row_lo - lhs, lhs - arrays.row_hi)

@@ -132,10 +132,13 @@ def _parents_first(case: NetworkCase) -> tuple[Branch, ...]:
 
 
 def _number(raw: dict, key: str, default: Optional[float] = None) -> float:
-    """``raw[key]`` as a finite, nonnegative float."""
+    """``raw[key]``, a JSON number (not a boolean or a string), as a finite,
+    nonnegative float."""
     value = raw.get(key, default)
     if value is None:
         raise CaseError(f"missing required field {key!r} in {raw}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CaseError(f"{key} = {value!r} in {raw} must be a number")
     value = float(value)
     if not math.isfinite(value) or value < 0:
         raise CaseError(f"{key} = {value} in {raw} must be finite and nonnegative")
@@ -143,10 +146,14 @@ def _number(raw: dict, key: str, default: Optional[float] = None) -> float:
 
 
 def _bus(raw: dict, key: str) -> int:
-    """``raw[key]``, a bus id, as an int."""
+    """``raw[key]``, a bus id: a JSON integer, not a boolean, a fraction or a
+    string."""
     if key not in raw:
         raise CaseError(f"missing required field {key!r} in {raw}")
-    return int(raw[key])
+    value = raw[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise CaseError(f"{key} = {value!r} in {raw} must be an integer bus id")
+    return value
 
 
 def load_case(source: Union[str, Path, dict]) -> NetworkCase:

@@ -7,9 +7,8 @@ the MILP sign-split emitted by :mod:`sopwl.distflow`.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = [

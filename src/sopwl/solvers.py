@@ -48,7 +48,7 @@ class ScipyMilpAdapter:
             "mip_dual_bound": bound,
         }
         if res.x is None or status in ("infeasible", "unbounded", "error"):
-            return milp.Solution(status, 0.0, {}, **stats)
+            return milp.Solution(status, 0.0, **stats)
 
         x = np.asarray(res.x, dtype=float)
         # snap binaries so downstream bound checks see clean values; "+ 0.0"
@@ -56,8 +56,8 @@ class ScipyMilpAdapter:
         x[a.binary] = np.round(x[a.binary]) + 0.0
         if _breaks_a_row(_clip(x, a), a):
             x = self._polished(a, c, x)
-        objective, values = _clipped(x, a)
-        return milp.Solution(status, objective, values, **stats)
+        objective, x = _clipped(x, a)
+        return milp.Solution(status, objective, x, **stats)
 
     def _polished(self, a: milp.ModelArrays, c: np.ndarray, x: np.ndarray) -> np.ndarray:
         """``x`` re-solved as an LP with its binaries fixed, or ``x`` itself
@@ -73,17 +73,17 @@ class ScipyMilpAdapter:
         return np.asarray(res.x, dtype=float) if _status(res) == "optimal" else x
 
     def run_relaxed_two_stage(
-        self, model: milp.MilpModel, stage2: Sequence[str]
+        self, model: milp.MilpModel, stage2: np.ndarray
     ) -> milp.Solution:
         """Solve the LP relaxation of ``model`` (integrality dropped) twice.
 
         Stage 1 optimises the model's objective, whose optimum ``U`` bounds
         every integer solution. Stage 2 holds the objective within
         ``STAGE2_SLACK * max(1, |U|)`` of ``U`` and minimises the sum of the
-        ``stage2`` variables. The stage-2 point is returned unrounded (clipped
-        into its bounds, binaries possibly fractional) with ``U`` as its dual
-        bound, ``(U - objective) / |U|`` as its gap (in the model's sense)
-        and 0 nodes. Otherwise the status is that of the first stage that is
+        variables in the columns ``stage2``. The stage-2 point is returned
+        unrounded (clipped into its bounds, binaries possibly fractional)
+        with ``U`` as its dual bound, ``(U - objective) / |U|`` as its gap
+        (in the model's sense) and 0 nodes. Otherwise the status is that of the first stage that is
         not optimal, and ``U`` is kept when stage 1 found it.
         Each LP gets the adapter's ``time_limit``.
         """
@@ -92,7 +92,7 @@ class ScipyMilpAdapter:
         first = self._highs(a, c, integral=False)
         status = _status(first)
         if status != "optimal":
-            return milp.Solution(status, 0.0, {})
+            return milp.Solution(status, 0.0)
         # ``first.fun`` is the optimum of c @ x, so c @ x <= fun + slack
         # holds the objective near U in either sense
         sign = -1.0 if model.objective_sense == "max" else 1.0
@@ -101,17 +101,17 @@ class ScipyMilpAdapter:
             sp.csr_matrix(c), -np.inf, first.fun + STAGE2_SLACK * max(1.0, abs(bound))
         )
         c2 = np.zeros(len(a.names))
-        c2[[model.variable(name).index for name in stage2]] = 1.0
+        c2[stage2] = 1.0
         second = self._highs(a, c2, integral=False, extra=[hold])
         status = _status(second)
         if status != "optimal":
-            return milp.Solution(status, 0.0, {}, mip_dual_bound=bound)
-        objective, values = _clipped(np.asarray(second.x, dtype=float), a)
+            return milp.Solution(status, 0.0, mip_dual_bound=bound)
+        objective, x = _clipped(np.asarray(second.x, dtype=float), a)
         gap = -sign * (bound - objective) / abs(bound) if bound else 0.0
         return milp.Solution(
             "optimal",
             objective,
-            values,
+            x,
             mip_node_count=0,
             mip_gap=gap,
             mip_dual_bound=bound,
@@ -176,9 +176,8 @@ def _breaks_a_row(x: np.ndarray, a: milp.ModelArrays) -> bool:
     return bool((np.maximum(a.row_lo - lhs, lhs - a.row_hi) > milp.FEASIBILITY_TOL).any())
 
 
-def _clipped(x: np.ndarray, a: milp.ModelArrays) -> tuple[float, dict[str, float]]:
-    """The objective and the values of ``x`` clipped into its bounds
-    (:func:`_clip`).
+def _clipped(x: np.ndarray, a: milp.ModelArrays) -> tuple[float, np.ndarray]:
+    """The objective and ``x`` clipped into its bounds (:func:`_clip`).
 
     The objective is recomputed from the clipped values for consistency,
     summed term by term in the objective's order.
@@ -186,4 +185,4 @@ def _clipped(x: np.ndarray, a: milp.ModelArrays) -> tuple[float, dict[str, float
     x = _clip(x, a)
     obj_values = x[a.obj_cols].tolist()
     objective = float(sum(c * v for c, v in zip(a.obj_coefs.tolist(), obj_values)))
-    return objective, dict(zip(a.names, x.tolist()))
+    return objective, x

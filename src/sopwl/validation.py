@@ -4,22 +4,16 @@ errors, ordered-filling compliance, and an exact radial sweep cross-check.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from .distflow import (
-    MODE_PWL,
-    MODE_SOPWL,
-    DistflowArtifacts,
-    PwlBlockHandle,
-    emit_pwl_block,
-    epsilon_plus,
-)
+import numpy as np
+
+from .distflow import MODE_PWL, MODE_SOPWL, DistflowArtifacts, emit_pwl_block, epsilon_plus
 from .milp import FEASIBILITY_TOL, MilpModel, Solution, check_solution
 from .network import NetworkCase
-from .pwl import FillingState, PwlGrid, eso_fill, is_eso, pwl_value, relative_error
+from .pwl import FillingState, is_eso, pwl_value, relative_error
 
 __all__ = [
     "BranchErrorRecord",
@@ -39,16 +33,25 @@ __all__ = [
 ZERO_FLOW_FLOOR_WIDTHS = math.sqrt(12.5)
 
 
-def extract_filling(solution: Solution, block: PwlBlockHandle) -> FillingState:
-    """Read the block's segment variables out of a solution, clipping solver
-    feasibility dust back into the segment bounds."""
-    h = block.grid.seg_width
-    deltas = []
-    for name in block.delta_names:
-        if name not in solution.values:
-            raise KeyError(f"solution has no value for {name}")
-        deltas.append(min(max(solution.values[name], 0.0), h))
-    return FillingState(grid=block.grid, deltas=tuple(deltas))
+def extract_filling(
+    solution: Solution, artifacts: DistflowArtifacts
+) -> dict[str, list[FillingState]]:
+    """Every block's segment values, clipped back into ``[0, h]`` where the
+    solver left feasibility dust: ``"P"``/``"Q"`` -> one state per branch.
+    The clip leaves a ``-0.0`` as it is, which ``np.clip`` against an array
+    of widths does not, so ``filling_dump`` keeps writing it."""
+    x = solution.column_values(artifacts.model)
+    h = np.array([g.seg_width for g in artifacts.grids]).reshape(-1, 1)
+    fillings = {}
+    for kind, block in artifacts.blocks.items():
+        d = x[block.delta]
+        d = np.where(d < 0.0, 0.0, d)
+        d = np.where(d > h, h, d)
+        fillings[kind] = [
+            FillingState(grid, tuple(deltas))
+            for grid, deltas in zip(artifacts.grids, d.tolist())
+        ]
+    return fillings
 
 
 def lift_ordered(
@@ -58,13 +61,14 @@ def lift_ordered(
     or return None when the solution is not optimal or a filling is not ordered.
 
     The sopwl model is the pwl model plus the ordering binaries and their
-    ``eq20``/``eq21`` rows, under the same objective, so a pwl optimum whose
+    ``eq20``/``eq21`` rows, under the same objective, and its columns are the
+    pwl model's with the binaries' columns inserted. So a pwl optimum whose
     fillings are all ordered is a sopwl optimum within the same gap. Every
-    value is copied; in each block ``x_lam`` is 1 before the last segment
-    holding more than ``FEASIBILITY_TOL`` and 0 from there on. A filling that
-    passes :func:`is_eso` at that tolerance then meets ``eq20`` and ``eq21``
-    within the tolerance of :func:`check_solution`. Clipping into ``[0, h]``
-    changes no such verdict, so the check reads the clipped filling.
+    value is copied into its column; in each block ``x_lam`` is 1 before the
+    last segment holding more than ``FEASIBILITY_TOL`` and 0 from there on. A
+    filling that passes :func:`is_eso` at that tolerance then meets ``eq20``
+    and ``eq21`` within the tolerance of :func:`check_solution`. Clipping into
+    ``[0, h]`` changes no such verdict, so the check reads the clipped filling.
 
     ``solution`` may also be a point of the pwl model's LP relaxation with
     its sign binaries set; nothing here checks its other rows, so the caller
@@ -73,19 +77,18 @@ def lift_ordered(
     if solution.status != "optimal":
         return None
     tol = FEASIBILITY_TOL
-    x: dict[str, float] = {}
+    ordering = np.zeros(artifacts.model.num_variables, dtype=bool)
     for block in artifacts.blocks.values():
-        state = extract_filling(solution, block)
-        if not is_eso(state, tol):
-            return None
-        last = max((lam for lam, d in enumerate(state.deltas, 1) if d > tol), default=1)
-        for lam, name in enumerate(block.x_names, start=1):
-            x[name] = 1.0 if lam < last else 0.0
-    values = {
-        name: x[name] if name in x else solution.values[name]
-        for name in artifacts.model.arrays.names
-    }
-    return replace(solution, values=values)
+        ordering[block.x] = True
+    x = np.zeros(len(ordering))
+    x[~ordering] = solution.x
+    for kind, states in extract_filling(replace(solution, x=x), artifacts).items():
+        for state, cols in zip(states, artifacts.blocks[kind].x):
+            if not is_eso(state, tol):
+                return None
+            last = max((lam for lam, d in enumerate(state.deltas, 1) if d > tol), default=1)
+            x[cols] = [1.0 if lam < last else 0.0 for lam in range(1, len(cols) + 1)]
+    return replace(solution, x=x)
 
 
 @dataclass(frozen=True)
@@ -160,19 +163,22 @@ def branch_errors(
     ``ZERO_FLOW_FLOOR_WIDTHS``. A filling is flagged ordered when
     :func:`is_eso` passes it at ``epsilon_plus`` of its grid plus
     ``FEASIBILITY_TOL``."""
+    fillings = extract_filling(solution, artifacts)
+    flows = {
+        kind: np.abs(solution.x[block.y[:, 0]]).tolist()
+        for kind, block in artifacts.blocks.items()
+    }
     records = []
-    for br in artifacts.case.branches:
-        key = br.key
-        grid = artifacts.grids[key]
+    for i, (br, grid) in enumerate(zip(artifacts.case.branches, artifacts.grids)):
         eso_tol = epsilon_plus(grid) + FEASIBILITY_TOL
         floor = zero_flow_floor
         if floor is None:
             floor = grid.seg_width * ZERO_FLOW_FLOOR_WIDTHS
-        row: dict[str, object] = {"branch_key": key}
+        row: dict[str, object] = {"branch_key": br.key}
         for kind in ("P", "Q"):
-            state = extract_filling(solution, artifacts.blocks[(key, kind)])
+            state = fillings[kind][i]
             f = pwl_value(state)
-            y = abs(solution.values[artifacts.flow_vars[(key, kind)]])
+            y = flows[kind][i]
             negligible = y < floor
             err = None if negligible else relative_error(f, y)
             lk = kind.lower()
@@ -191,11 +197,11 @@ def branch_errors(
 
 def filling_dump(solution: Solution, artifacts: DistflowArtifacts) -> str:
     """Segment-by-segment dump of every block's filling state."""
+    fillings = extract_filling(solution, artifacts)
     lines = ["branch kind lambda delta"]
-    for br in artifacts.case.branches:
+    for i, br in enumerate(artifacts.case.branches):
         for kind in ("P", "Q"):
-            state = extract_filling(solution, artifacts.blocks[(br.key, kind)])
-            for lam, d in enumerate(state.deltas, start=1):
+            for lam, d in enumerate(fillings[kind][i].deltas, start=1):
                 lines.append(f"{br.key} {kind} {lam} {d!r}")
     return "\n".join(lines) + "\n"
 
@@ -213,25 +219,23 @@ def check_unordered_feasibility(
     results = []
     for mode in (MODE_PWL, MODE_SOPWL):
         model = MilpModel(name=f"witness_{mode}")
-        y_var = model.add_variable("y", lower=-grid.y_max, upper=grid.y_max)
-        block = emit_pwl_block(model, y_var, grid, mode)
-        values = {y_var: total, block.pos_name: total, block.neg_name: 0.0,
-                  block.z_pos_name: 1.0, block.z_neg_name: 0.0}
-        for name, d in zip(block.delta_names, state.deltas):
-            values[name] = d
+        (y,) = model.add_variables(["y"], -grid.y_max, grid.y_max)
+        block = emit_pwl_block(model, y, grid, mode)
+        model.freeze()
+        # the sign split and its binaries stay 0 on the negative side
+        x = np.zeros(model.num_variables)
+        x[[y, block.pos[0, 0], block.z_pos[0, 0]]] = total, total, 1.0
+        x[block.delta[0]] = state.deltas
         # indicator binaries: forced to 1 wherever the next segment is used,
         # free (set 0) elsewhere
-        for lam, name in enumerate(block.x_names, start=1):
-            forced = lam < grid.num_segments and state.deltas[lam] > tol
-            values[name] = 1.0 if forced else 0.0
-        model.freeze()
-        solution = Solution(status="feasible", objective_value=0.0, values=values)
-        ok = not check_solution(model, solution, tol=tol)
-        for v in model.variables:
-            val = values[v.name]
-            if val < v.lower - tol or val > v.upper + tol:
-                ok = False
-        results.append(ok)
+        x[block.x[0]] = [
+            1.0 if lam < grid.num_segments and state.deltas[lam] > tol else 0.0
+            for lam in range(1, len(block.x[0]) + 1)
+        ]
+        a = model.arrays
+        solution = Solution(status="feasible", objective_value=0.0, x=x)
+        within = (x >= a.lower - tol) & (x <= a.upper + tol)
+        results.append(bool(within.all()) and not check_solution(model, solution, tol=tol))
     return results[0], results[1]
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from sopwl import milp, solvers
-from sopwl.cli import main
+from sopwl.cli import RunConfig, _build, main
 from sopwl.distflow import BuildOptions, build_distflow, build_restoration_objective
 from sopwl.network import load_case
 
@@ -129,6 +129,18 @@ class TestSolve:
         assert (out / "pwl" / "report.txt").exists()
         assert (out / "pwl" / "fillings.txt").exists()
 
+    def test_case_without_branches(self, tmp_path, cases_dir, capsys):
+        # a lone bus: every per-branch array is empty
+        doc = json.loads((cases_dir / "twobus.json").read_text())
+        doc.update(buses=doc["buses"][:1], branches=[], loads=[], generators=[])
+        path = tmp_path / "onebus.json"
+        path.write_text(json.dumps(doc))
+        common = ["--case", str(path), "--segments", "3"]
+        assert main(["solve", *common, "--mode", "both", "--out", str(tmp_path / "run")]) == 0
+        sol = tmp_path / "run" / "sopwl" / "twobus_sopwl.sol"
+        assert main(["validate", *common, "--mode", "sopwl", "--solution", str(sol)]) == 0
+        assert "VIOLATED" not in capsys.readouterr().out
+
     def test_both_modes_comparison(self, tmp_path, cases_dir):
         out = tmp_path / "run"
         status = main(
@@ -184,8 +196,11 @@ class TestSolve:
     def test_unordered_pwl_solution_runs_lp_screen(self, tmp_path, cases_dir, count_solves):
         def unordered(model, solution):
             # half a segment, then a full one: the P filling is not ordered
+            d1, d2 = model.variable("P_1_2_d1").index, model.variable("P_1_2_d2").index
             h = model.variable("P_1_2_d1").upper
-            return replace(solution, values={**solution.values, "P_1_2_d1": h / 2, "P_1_2_d2": h})
+            x = solution.x.copy()
+            x[[d1, d2]] = h / 2, h
+            return replace(solution, x=x)
 
         solves = count_solves(tamper=unordered)
         out = tmp_path / "run"
@@ -300,6 +315,24 @@ class TestSopwlFallback:
         assert metas["sopwl"]["sopwl_path"] == "milp"
         assert metas["sopwl"]["objective_value"] == pytest.approx(alone["objective_value"], rel=1e-4)
         assert metas["pwl"]["objective_value"] > 1.05 * metas["sopwl"]["objective_value"]
+
+
+    def test_relaxation_not_optimal_falls_to_milp(self, tmp_path, cases_dir):
+        # tinyq3: the only DG's reactive limit is 7.98e-8 pu. Stage 1 of the
+        # relaxation is optimal but stage 2, held near its bound, is
+        # infeasible, so the screen gives up on the relaxation's status
+        case = load_case(cases_dir / "tinyq3.json")
+        pwl_model, pwl = _build(case, RunConfig(case="tinyq3", num_segments=2), "pwl")
+        relaxed = solvers.ScipyMilpAdapter().run_relaxed_two_stage(pwl_model, pwl.isqr)
+        assert relaxed.status == "infeasible"
+        assert relaxed.mip_dual_bound == pytest.approx(8.46e-6, rel=1e-2)
+        out = tmp_path / "run"
+        args = ["--case", str(cases_dir / "tinyq3.json"), "--segments", "2", "--mode", "sopwl"]
+        assert main(["solve", *args, "--out", str(out)]) == 0
+        meta = json.loads((out / "sopwl" / "run.json").read_text())
+        assert meta["sopwl_path"] == "milp"
+        assert meta["status"] == "optimal"
+        assert meta["violations"] == 0
 
 
 class TestBadSettings:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from sopwl.distflow import (
@@ -49,7 +50,7 @@ class TestFlowBound:
 class TestEmitBlock:
     def _base_model(self, grid):
         m = MilpModel()
-        y = m.add_variable("y", lower=-grid.y_max, upper=grid.y_max)
+        (y,) = m.add_variables(["y"], -grid.y_max, grid.y_max)
         return m, y
 
     def test_plain_counts(self):
@@ -60,8 +61,9 @@ class TestEmitBlock:
         assert len(m.variables) == 1 + 50 + 2 + 2
         assert sum(1 for v in m.variables if v.kind == "binary") == 2
         assert len(m.constraints) == 5  # sign split, total, two links, pair cap
-        assert len(block.f_terms) == 50
-        assert block.x_names == ()
+        assert block.y.tolist() == [[y]]
+        assert block.delta.shape == (1, 50)
+        assert block.x.shape == (1, 0)
 
     def test_ordered_counts(self):
         grid = PwlGrid(1.0, 50)
@@ -70,13 +72,15 @@ class TestEmitBlock:
         assert sum(1 for v in m.variables if v.kind == "binary") == 2 + 50
         assert len(m.constraints_by_tag("eq20")) == 50
         assert len(m.constraints_by_tag("eq21")) == 49
-        assert len(block.x_names) == 50
+        assert [m.variables[j].kind for j in block.x[0]] == ["binary"] * 50
 
     def test_single_segment(self):
         grid = PwlGrid(1.0, 1)
         m, y = self._base_model(grid)
         block = emit_pwl_block(m, y, grid, "sopwl")
-        assert block.f_terms[0][1] == pytest.approx(1.0)  # slope equals y_max
+        # the one segment spans the whole range
+        (delta,) = block.delta[0]
+        assert m.variables[delta].upper == pytest.approx(1.0)
         assert len(m.constraints_by_tag("eq20")) == 1
         assert len(m.constraints_by_tag("eq21")) == 0
 
@@ -91,8 +95,8 @@ class TestEmitBlock:
         grid = PwlGrid(1.0, 4)
         m, y = self._base_model(grid)
         block = emit_pwl_block(m, y, grid, "pwl")
-        for name in block.delta_names:
-            v = m.variable(name)
+        for j in block.delta[0]:
+            v = m.variables[j]
             assert v.lower == 0.0
             assert v.upper == pytest.approx(grid.seg_width)
 
@@ -102,9 +106,14 @@ class TestBuildDistflow:
         opts = BuildOptions(num_segments=50, mode="pwl")
         m = MilpModel()
         art = build_distflow(m, ieee33, opts)
-        assert len(art.blocks) == 64
+        assert {kind: block.delta.shape for kind, block in art.blocks.items()} == {
+            "P": (32, 50),
+            "Q": (32, 50),
+        }
         deltas = [v for v in m.variables if "_d" in v.name]
         assert len(deltas) == 3200
+        columns = np.concatenate([block.delta.ravel() for block in art.blocks.values()])
+        assert sorted(columns.tolist()) == [v.index for v in deltas]
 
     def test_empty_network_feasible(self, cases_dir):
         case = load_case(cases_dir / "empty2bus.json")
@@ -116,18 +125,21 @@ class TestBuildDistflow:
         sol = solve(m, ScipyMilpAdapter())
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(0.0, abs=1e-9)
-        assert sol.values[art.voltage_vars[2]] == pytest.approx(1.0, abs=1e-6)
+        (_, v2) = sol.x[art.voltage]
+        assert v2 == pytest.approx(1.0, abs=1e-6)
 
     def test_twobus_balance_by_hand(self, twobus):
         opts = BuildOptions(num_segments=5, mode="pwl")
         m = MilpModel()
         art = build_distflow(m, twobus, opts)
         (bal,) = m.constraints_by_tag("balanceP:2")
-        terms = dict(bal.terms)
-        assert terms[art.flow_vars[("1-2", "P")]] == 1.0
-        assert terms[art.isqr_vars["1-2"]] == pytest.approx(-0.01)
-        assert terms[art.pickup_vars[2]] == pytest.approx(-0.01)
-        assert terms[art.gen_vars[2][0]] == 1.0
+        terms = {m.variable(name).index: c for name, c in bal.terms}
+        assert terms == {
+            art.blocks["P"].y[0, 0]: 1.0,
+            art.isqr[0]: pytest.approx(-0.01),
+            art.pickup[0]: pytest.approx(-0.01),
+            art.gen[0, 0]: 1.0,
+        }
         assert bal.rhs == 0.0
 
     def test_twobus_full_restoration(self, twobus):
@@ -139,7 +151,8 @@ class TestBuildDistflow:
         m.freeze()
         sol = solve(m, ScipyMilpAdapter())
         assert sol.status == "optimal"
-        assert sol.values[art.pickup_vars[2]] == pytest.approx(1.0, abs=1e-6)
+        (beta,) = sol.x[art.pickup]
+        assert beta == pytest.approx(1.0, abs=1e-6)
         assert check_solution(m, sol) == []
 
     def test_model_calls_do_not_grow_with_branches(self, ieee33, twobus, monkeypatch):
@@ -176,6 +189,32 @@ class TestBuildDistflow:
         assert sol.objective_value <= 4 * 0.05 + 1e-6
 
 
+@pytest.mark.parametrize("segments", [1, 3, 10])
+@pytest.mark.parametrize("name", ["twobus", "branching6", "feeder400"])
+def test_sopwl_columns_are_pwl_columns_plus_ordering_binaries(cases_dir, name, segments):
+    # validation.lift_ordered copies a pwl vector into the sopwl columns that
+    # are not ordering binaries: those must be the pwl model's, in order
+    case = load_case(cases_dir / f"{name}.json")
+    arrays, ordering = {}, None
+    for mode in ("pwl", "sopwl"):
+        m = MilpModel()
+        art = build_distflow(m, case, BuildOptions(num_segments=segments, mode=mode))
+        build_restoration_objective(m, art)
+        arrays[mode] = m.freeze().arrays
+        ordering = np.concatenate([block.x.ravel() for block in art.blocks.values()])
+    pwl, sopwl = arrays["pwl"], arrays["sopwl"]
+    assert len(ordering) == 2 * len(case.branches) * segments
+    assert sopwl.binary[ordering].all()
+    kept = np.delete(np.arange(len(sopwl.names)), ordering)
+    assert [sopwl.names[j] for j in kept] == list(pwl.names)
+    assert sopwl.lower[kept].tolist() == pwl.lower.tolist()
+    assert sopwl.upper[kept].tolist() == pwl.upper.tolist()
+    assert sopwl.binary[kept].tolist() == pwl.binary.tolist()
+    # the same objective, term for term
+    assert sopwl.obj_cols.tolist() == kept[pwl.obj_cols].tolist()
+    assert sopwl.obj_coefs.tolist() == pwl.obj_coefs.tolist()
+
+
 class TestLossPenaltyObjective:
     def test_terms_include_losses(self, twobus):
         opts = BuildOptions(
@@ -184,7 +223,7 @@ class TestLossPenaltyObjective:
         m = MilpModel()
         art = build_distflow(m, twobus, opts)
         build_restoration_objective(m, art)
-        terms = dict(m.objective_terms)
+        terms = {m.variable(name).index: c for name, c in m.objective_terms}
         # each branch's loss r * Isqr at weight 1
-        assert terms[art.isqr_vars["1-2"]] == -twobus.branches[0].r_pu == pytest.approx(-0.01)
+        assert terms[art.isqr[0]] == -twobus.branches[0].r_pu == pytest.approx(-0.01)
         assert m.objective_sense == "max"

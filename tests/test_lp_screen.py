@@ -24,12 +24,13 @@ class TestRelaxedTwoStage:
         m.add_constraint({"x": 1.0, "y": 1.0}, "<=", 1.5, tag="cap")
         m.set_objective("max", {"x": 1.0, "y": 1.0})
         m.freeze()
-        sol = ScipyMilpAdapter().run_relaxed_two_stage(m, ["y"])
+        sol = ScipyMilpAdapter().run_relaxed_two_stage(m, [1])
         assert sol.status == "optimal"
         assert sol.mip_dual_bound == pytest.approx(1.5)
         assert sol.mip_node_count == 0
-        assert sol.values["x"] == pytest.approx(1.0)
-        assert sol.values["y"] == pytest.approx(0.5, abs=2e-7)
+        x, y = sol.x
+        assert x == pytest.approx(1.0)
+        assert y == pytest.approx(0.5, abs=2e-7)
         assert 1.5 - 2e-7 <= sol.objective_value <= 1.5 + 1e-9
         assert sol.mip_gap == pytest.approx((1.5 - sol.objective_value) / 1.5)
 
@@ -40,9 +41,9 @@ class TestRelaxedTwoStage:
         m.add_constraint({"x": 1.0, "y": 1.0}, ">=", 2.0, tag="need")
         m.set_objective("min", {"x": 1.0, "y": 1.0})
         m.freeze()
-        sol = ScipyMilpAdapter().run_relaxed_two_stage(m, ["x"])
+        sol = ScipyMilpAdapter().run_relaxed_two_stage(m, [0])
         assert sol.mip_dual_bound == pytest.approx(2.0)
-        assert sol.values["x"] == pytest.approx(0.0, abs=1e-9)
+        assert sol.x[0] == pytest.approx(0.0, abs=1e-9)
         assert sol.mip_gap == pytest.approx((sol.objective_value - 2.0) / 2.0)
         assert sol.mip_gap >= -1e-12
 
@@ -52,9 +53,9 @@ class TestRelaxedTwoStage:
         m.add_constraint({"x": 1.0}, ">=", 2.0, tag="impossible")
         m.set_objective("max", {"x": 1.0})
         m.freeze()
-        sol = ScipyMilpAdapter().run_relaxed_two_stage(m, ["x"])
+        sol = ScipyMilpAdapter().run_relaxed_two_stage(m, [0])
         assert sol.status == "infeasible"
-        assert sol.values == {}
+        assert len(sol.x) == 0
 
 
 @st.composite
@@ -142,7 +143,7 @@ def test_sopwl_path_is_certified(drawn):
     config = RunConfig(case=case.name, mode="sopwl", num_segments=segments)
     adapter = ScipyMilpAdapter()
     pwl_model, pwl = _build(case, config, "pwl")
-    bound = adapter.run_relaxed_two_stage(pwl_model, list(pwl.isqr_vars.values()))
+    bound = adapter.run_relaxed_two_stage(pwl_model, pwl.isqr)
     model, artifacts = _build(case, config, "sopwl")
     reference = milp.solve(model, adapter)
     assert bound.status == reference.status == "optimal"

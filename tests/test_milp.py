@@ -357,19 +357,19 @@ class TestParseSolution:
         sol = parse_solution("optimal\nobj 1\nx 1\n", m)
         assert sol.status == "optimal"
         assert sol.objective_value == 1.0
-        assert sol.values["x"] == 1.0
+        assert sol.x.tolist() == [1.0]
 
     def test_infeasible(self):
         m = simple_model().freeze()
         sol = parse_solution("infeasible\n", m)
         assert sol.status == "infeasible"
-        assert sol.values == {}
+        assert len(sol.x) == 0
 
     def test_missing_defaults_to_zero(self):
         m = simple_model().freeze()
         sol = parse_solution("optimal\nobj 0\n", m)
-        assert sol.values["x"] == 0.0
-        assert "x" in sol.missing
+        assert sol.x.tolist() == [0.0]
+        assert sol.missing == 1
 
     def test_missing_checked_against_bounds(self, cases_dir):
         case = load_case(cases_dir / "twobus.json")
@@ -395,8 +395,8 @@ class TestParseSolution:
         m.freeze()
         sol = parse_solution("optimal\nobjx 3\ny 1\n", m)
         assert sol.objective_value == 0.0
-        assert sol.values == {"objx": 3.0, "y": 1.0}
-        assert sol.missing == frozenset()
+        assert sol.x.tolist() == [3.0, 1.0]
+        assert sol.missing == 0
 
     def test_objective_spelled_out_rejected(self):
         m = simple_model().freeze()
@@ -429,10 +429,10 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 def _solutions(draw):
     names = draw(_names)
     status = draw(st.sampled_from(STATUS_TOKENS))
-    values = {}
+    values = []
     if status in ("optimal", "feasible"):
-        values = {name: draw(_finite) for name in names}
-    return names, Solution(status, draw(_finite), values)
+        values = [draw(_finite) for name in names]
+    return names, Solution(status, draw(_finite), np.array(values))
 
 
 class TestSolutionText:
@@ -444,27 +444,32 @@ class TestSolutionText:
         for name in names:
             m.add_variable(name)
         m.freeze()
-        back = parse_solution(format_solution(solution), m)
+        back = parse_solution(format_solution(solution, m), m)
         assert back.status == solution.status
         # repr round-trips every float; compare the text to keep -0.0 apart
         assert repr(back.objective_value) == repr(solution.objective_value)
-        assert list(map(repr, back.values.values())) == list(map(repr, solution.values.values()))
-        assert list(back.values) == list(solution.values)
-        assert back.missing == frozenset()
+        assert list(map(repr, back.x.tolist())) == list(map(repr, solution.x.tolist()))
+        assert back.missing == 0
 
 
 class TestCheckSolution:
     def test_clean(self):
         m = simple_model().freeze()
-        sol = Solution(status="optimal", objective_value=1.0, values={"x": 1.0})
+        sol = Solution(status="optimal", objective_value=1.0, x=np.array([1.0]))
         assert check_solution(m, sol) == []
+
+    def test_vector_of_another_model_rejected(self):
+        m = simple_model().freeze()
+        for x in ([], [1.0, 0.0]):
+            with pytest.raises(ValueError, match="values for a model of 1 variables"):
+                check_solution(m, Solution("optimal", 1.0, np.array(x)))
 
     def test_violation_reported_by_tag(self):
         m = MilpModel()
         m.add_variable("x", lower=0, upper=10)
         m.add_constraint({"x": 1.0}, "<=", 1.0, tag="cap:branch")
         m.freeze()
-        sol = Solution(status="feasible", objective_value=0.0, values={"x": 3.0})
+        sol = Solution(status="feasible", objective_value=0.0, x=np.array([3.0]))
         violations = check_solution(m, sol)
         assert violations == [("cap:branch", pytest.approx(2.0))]
 
@@ -484,7 +489,7 @@ def _small_models(draw):
         terms = [(name, draw(_dyadic)) for name in cols]
         # repeated tags: the check reports each violated row, not each tag
         rows.append((terms, draw(st.sampled_from(["<=", "=", ">="])), draw(_dyadic), f"r{r % 3}"))
-    values = {name: draw(_dyadic) for name in names if draw(st.booleans())}
+    values = {name: draw(_dyadic) for name in names}
     return names, rows, values
 
 
@@ -506,7 +511,8 @@ class TestCheckSolutionProperty:
             gap = {"<=": lhs - rhs, ">=": rhs - lhs, "=": abs(lhs - rhs)}[sense]
             if gap > 0.1:
                 expected.append((tag, gap))
-        sol = Solution(status="feasible", objective_value=0.0, values=values)
+        x = np.array([values[name] for name in names])
+        sol = Solution(status="feasible", objective_value=0.0, x=x)
         assert check_solution(m, sol, tol=0.1) == expected
 
         assert m.constraints == tuple(
@@ -559,7 +565,7 @@ class TestSolve:
         monkeypatch.chdir(tmp_path)
         sol = solve(simple_model().freeze(), ScipyMilpAdapter())
         assert sol.status == "optimal"
-        assert sol.values == {"x": 1.0}
+        assert sol.x.tolist() == [1.0]
         assert list(tmp_path.iterdir()) == []
 
 
@@ -579,11 +585,11 @@ class TestScipyAdapter:
         sol = ScipyMilpAdapter().run(m)
         assert sol.status == "optimal"
         assert sol.objective_value == 0.5
-        assert sol.values == {"b": 0.0, "c": 1.0, "y": 0.0, "z": 1.0}
-        signs = {name: math.copysign(1.0, v) for name, v in sol.values.items()}
-        assert signs == {"b": 1.0, "c": 1.0, "y": -1.0, "z": 1.0}
-        assert sol.missing == frozenset()
-        assert format_solution(sol) == "optimal\nobj 0.5\nb 0.0\nc 1.0\ny -0.0\nz 1.0\n"
+        assert sol.x.tolist() == [0.0, 1.0, 0.0, 1.0]
+        signs = [math.copysign(1.0, v) for v in sol.x.tolist()]
+        assert signs == [1.0, 1.0, -1.0, 1.0]
+        assert sol.missing == 0
+        assert format_solution(sol, m) == "optimal\nobj 0.5\nb 0.0\nc 1.0\ny -0.0\nz 1.0\n"
 
     def test_clip_that_breaks_a_row_is_polished(self, monkeypatch):
         # HiGHS's MILP point meets the row exactly but leaves y 5e-7 below
@@ -598,7 +604,7 @@ class TestScipyAdapter:
         m.set_objective("min", {"z": 1.0, "b": 1.0})
         m.freeze()
         dusty = scipy.optimize.OptimizeResult(status=0, x=np.array([1.0, -5e-7, -2e-6]))
-        assert check_solution(m, Solution("optimal", 0.0, {"b": 1.0, "y": 0.0, "z": -2e-6}))
+        assert check_solution(m, Solution("optimal", 0.0, np.array([1.0, 0.0, -2e-6])))
         real, calls = solvers.sopt.milp, []
 
         def milp_once_dusty(**kwargs):
@@ -609,8 +615,9 @@ class TestScipyAdapter:
         sol = ScipyMilpAdapter().run(m)
         assert len(calls) == 2 and calls[1]["integrality"] is None
         assert sol.status == "optimal"
-        assert sol.values["b"] == 1.0
-        assert sol.values["y"] == pytest.approx(0.0, abs=1e-9)
+        b, y, _ = sol.x
+        assert b == 1.0
+        assert y == pytest.approx(0.0, abs=1e-9)
         assert sol.objective_value == pytest.approx(1.0)
         assert check_solution(m, sol) == []
 

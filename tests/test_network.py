@@ -185,6 +185,31 @@ def test_missing_bus_field_named(field):
         load_case(doc)
 
 
+@pytest.mark.parametrize(
+    "where, field, value",
+    [
+        ("buses", "id", 2.7),
+        ("buses", "id", "2"),
+        ("buses", "id", True),
+        ("branches", "from", 1.0),
+        ("branches", "to", "2"),
+        ("loads", "bus", False),
+        ("branches", "x_pu", True),
+        ("branches", "r_pu", "0.01"),
+        ("branches", "r_pu", "abc"),
+        ("loads", "p_pu", [0.01]),
+        ("generators", "q_max_pu", False),
+    ],
+)
+def test_malformed_value_rejected_by_field(where, field, value):
+    # a bus id must be a JSON integer and a quantity a JSON number; booleans,
+    # strings and fractional ids are rejected, not converted
+    doc = _doc([(1, 2), (2, 3)], loads=[dict(_LOAD)], generators=[dict(_GEN)])
+    doc[where][1 if where == "buses" else 0][field] = value
+    with pytest.raises(CaseError, match=f"^{field} = "):
+        load_case(doc)
+
+
 def test_case_must_be_an_object():
     with pytest.raises(CaseError, match="JSON object, not a list"):
         load_case([1])

@@ -1,10 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from sopwl.distflow import BuildOptions, build_distflow, build_restoration_objective
-from sopwl.milp import MilpModel, Solution, check_solution, solve
+from sopwl.milp import MilpModel, Solution, check_solution, format_solution, parse_solution, solve
 from sopwl.network import load_case
 from sopwl.pwl import FillingState, PwlGrid, eso_fill
 from sopwl.solvers import ScipyMilpAdapter
@@ -41,33 +42,27 @@ def solved_twobus(twobus):
 class TestExtractFilling:
     def test_pass_through(self, solved_twobus):
         art, sol = solved_twobus
-        block = art.blocks[("1-2", "P")]
-        values = dict(sol.values)
+        x = sol.x.copy()
         hand = [0.0] * 10
-        hand[0] = block.grid.seg_width
-        for name, d in zip(block.delta_names, hand):
-            values[name] = d
-        state = extract_filling(
-            Solution(status="optimal", objective_value=0.0, values=values), block
-        )
+        hand[0] = art.grids[0].seg_width
+        x[art.blocks["P"].delta[0]] = hand
+        state = extract_filling(Solution("optimal", 0.0, x), art)["P"][0]
         assert state.deltas == pytest.approx(tuple(hand))
 
     def test_clips_solver_dust(self, solved_twobus):
+        # below 0 reads 0; -0.0 is not below 0 and stays as it is
         art, sol = solved_twobus
-        block = art.blocks[("1-2", "P")]
-        values = {name: -1e-9 for name in block.delta_names}
-        state = extract_filling(
-            Solution(status="optimal", objective_value=0.0, values=values), block
-        )
-        assert all(d == 0.0 for d in state.deltas)
+        x = sol.x.copy()
+        x[art.blocks["P"].delta[0]] = [-1e-9] * 9 + [-0.0]
+        (state,) = extract_filling(Solution("optimal", 0.0, x), art)["P"]
+        assert list(map(repr, state.deltas)) == ["0.0"] * 9 + ["-0.0"]
 
     def test_missing_variable(self, solved_twobus):
-        art, _ = solved_twobus
-        block = art.blocks[("1-2", "P")]
-        with pytest.raises(KeyError):
-            extract_filling(
-                Solution(status="optimal", objective_value=0.0, values={}), block
-            )
+        # a solution without values, or with the values of another model
+        art, sol = solved_twobus
+        for x in (np.empty(0), sol.x[:-1]):
+            with pytest.raises(ValueError, match="values for a model of"):
+                extract_filling(Solution("optimal", 0.0, x), art)
 
 
 class TestLiftOrdered:
@@ -83,9 +78,9 @@ class TestLiftOrdered:
         return art, pwl_art, solve(m, ScipyMilpAdapter())
 
     def _with_p_filling(self, solution, art, deltas):
-        values = dict(solution.values)
-        values.update(zip(art.blocks[("1-2", "P")].delta_names, deltas))
-        return Solution("optimal", solution.objective_value, values)
+        x = solution.x.copy()
+        x[art.blocks["P"].delta[0]] = deltas
+        return Solution("optimal", solution.objective_value, x)
 
     @pytest.mark.parametrize(
         "head",
@@ -97,13 +92,16 @@ class TestLiftOrdered:
     )
     def test_ordered_filling_lifts(self, twobus_pwl, head):
         art, pwl_art, sol = twobus_pwl
-        h = art.grids["1-2"].seg_width
+        h = art.grids[0].seg_width
         hand = self._with_p_filling(sol, pwl_art, head(h) + [0.0] * 6)
         lifted = lift_ordered(hand, art)
-        assert list(lifted.values) == list(art.model.arrays.names)
+        assert len(lifted.x) == art.model.num_variables
         assert lifted.objective_value == hand.objective_value
-        assert [lifted.values[n] for n in art.blocks[("1-2", "P")].x_names] == [1.0, 1.0] + [0.0] * 8
-        assert all(lifted.values[n] == hand.values[n] for n in hand.values)
+        ordering = np.concatenate([b.x.ravel() for b in art.blocks.values()])
+        assert lifted.x[art.blocks["P"].x[0]].tolist() == [1.0, 1.0] + [0.0] * 8
+        # every other column holds the pwl value of the same variable
+        kept = np.delete(np.arange(len(lifted.x)), ordering)
+        assert lifted.x[kept].tolist() == hand.x.tolist()
         assert not [tag for tag, _ in check_solution(art.model, lifted)
                     if tag.startswith(("eq20", "eq21"))]
 
@@ -114,13 +112,13 @@ class TestLiftOrdered:
 
     def test_unordered_filling_is_not_lifted(self, twobus_pwl):
         art, pwl_art, sol = twobus_pwl
-        h = art.grids["1-2"].seg_width
+        h = art.grids[0].seg_width
         hand = self._with_p_filling(sol, pwl_art, [h / 2, h] + [0.0] * 8)
         assert lift_ordered(hand, art) is None
 
     def test_non_optimal_is_not_lifted(self, twobus_pwl):
         art, _, sol = twobus_pwl
-        feasible = Solution("feasible", sol.objective_value, dict(sol.values))
+        feasible = Solution("feasible", sol.objective_value, sol.x)
         assert lift_ordered(feasible, art) is None
 
 
@@ -146,15 +144,16 @@ class TestBranchErrors:
     def test_default_floor_is_per_branch(self, twobus):
         # from seg_width * sqrt(12.5) on an ordered filling's relative error
         # is at most 2 %; below that the flow is not reported
-        art = build_distflow(MilpModel(), twobus, BuildOptions(num_segments=10))
-        grid = art.grids["1-2"]
-        p_block, q_block = art.blocks[("1-2", "P")], art.blocks[("1-2", "Q")]
+        m = MilpModel()
+        art = build_distflow(m, twobus, BuildOptions(num_segments=10))
+        (grid,) = art.grids
+        p_block = art.blocks["P"]
         for widths, reported in ((3.5, False), (3.6, True)):
             y = widths * grid.seg_width
-            values = {art.flow_vars[("1-2", "P")]: y, art.flow_vars[("1-2", "Q")]: 0.0}
-            values.update(zip(p_block.delta_names, eso_fill(grid, y).deltas))
-            values.update((name, 0.0) for name in q_block.delta_names)
-            report = branch_errors(Solution("optimal", 0.0, values), art)
+            x = np.zeros(m.num_variables)
+            x[p_block.y[0]] = y
+            x[p_block.delta[0]] = eso_fill(grid, y).deltas
+            report = branch_errors(Solution("optimal", 0.0, x), art)
             (record,) = report.records
             assert report.zero_flow_floor is None
             assert record.negligible_p is not reported and record.negligible_q
@@ -173,6 +172,30 @@ class TestBranchErrors:
         dump = filling_dump(sol, art)
         # one line per branch, kind, and segment plus the header
         assert len(dump.strip().splitlines()) == 1 + 1 * 2 * 10
+
+
+class TestGoldenPostSolve:
+    """The post-solve text of ``solve --mode both`` on ``branching6`` at 3
+    segments, rebuilt from its solution files alone: no solver runs. The
+    delimited report is taken at a 1e-9 pu floor so that it holds numbers."""
+
+    @pytest.mark.parametrize("mode", ["pwl", "sopwl"])
+    def test_reproduced_byte_for_byte(self, cases_dir, golden_dir, mode):
+        case = load_case(cases_dir / "branching6.json")
+        model = MilpModel(name=f"branching6_{mode}")
+        art = build_distflow(model, case, BuildOptions(num_segments=3, mode=mode))
+        build_restoration_objective(model, art)
+        model.freeze()
+
+        def golden(suffix):
+            return (golden_dir / f"branching6_{mode}{suffix}").read_bytes()
+
+        sol = parse_solution(golden(".sol").decode(), model)
+        assert format_solution(sol, model).encode() == golden(".sol")
+        assert branch_errors(sol, art).to_table().encode() == golden("_report.txt")
+        floored = branch_errors(sol, art, zero_flow_floor=1e-9)
+        assert floored.to_delimited().encode() == golden("_report_floor1e-9.csv")
+        assert filling_dump(sol, art).encode() == golden("_fillings.txt")
 
 
 class TestUnorderedFeasibility:
