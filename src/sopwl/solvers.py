@@ -1,6 +1,14 @@
 """The solver: :class:`ScipyMilpAdapter` solves in process with HiGHS (via
 scipy), reads and writes no file, and returns a :class:`sopwl.milp.Solution`.
 
+Every HiGHS call sets two options beyond the time limit. ``mip_rel_gap``
+(:data:`MIP_REL_GAP`, 1e-4) bounds how far a returned MILP objective may lie
+from the optimum. ZI round (:data:`ZI_ROUND_OPTION`) turns on a rounding
+heuristic that HiGHS leaves off by default. It rounds the root LP point into
+an incumbent. On the plain-PWL models of the bundled cases that incumbent is
+already optimal, so the MILP stops at its root node instead of waiting for
+HiGHS's sub-MIP heuristic.
+
 Another MILP solver is used through files, outside this module: ``export-lp``
 writes the LP and ``validate --solution`` re-checks that solver's answer in
 the solution text format of :func:`sopwl.milp.format_solution`.
@@ -8,6 +16,7 @@ the solution text format of :func:`sopwl.milp.format_solution`.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,6 +32,10 @@ DEFAULT_TIMEOUT_SECONDS = 600.0
 # HiGHS's relative MIP gap: a returned objective is within this share of the
 # optimum
 MIP_REL_GAP = 1e-4
+# HiGHS's zero-integrality rounding heuristic ("ZI round", Wallace 2010), off
+# in HiGHS by default and on in every call (see the module docstring);
+# scipy.optimize.milp does not name the option and passes it on verbatim
+ZI_ROUND_OPTION = "mip_heuristic_run_zi_round"
 # how far below the LP optimum U stage 2 of the relaxed solve may move the
 # objective, relative to max(1, |U|)
 STAGE2_SLACK = 1e-7
@@ -41,7 +54,9 @@ class ScipyMilpAdapter:
         status = _status(res)
         bound = res.get("mip_dual_bound")
         if bound is not None and model.objective_sense == "max":
-            bound = -bound  # HiGHS bounds c @ x, the negated objective
+            # HiGHS bounds c @ x, the negated objective; "+ 0.0" turns a
+            # negated 0.0 into 0.0
+            bound = -bound + 0.0
         stats = {
             "mip_node_count": res.get("mip_node_count"),
             "mip_gap": res.get("mip_gap"),
@@ -96,7 +111,7 @@ class ScipyMilpAdapter:
         # ``first.fun`` is the optimum of c @ x, so c @ x <= fun + slack
         # holds the objective near U in either sense
         sign = -1.0 if model.objective_sense == "max" else 1.0
-        bound = sign * first.fun
+        bound = sign * first.fun + 0.0  # as in run: no -0.0
         hold = sopt.LinearConstraint(
             sp.csr_matrix(c), -np.inf, first.fun + STAGE2_SLACK * max(1.0, abs(bound))
         )
@@ -132,13 +147,25 @@ class ScipyMilpAdapter:
         constraints = list(extra)
         if len(a.row_lo):
             constraints.insert(0, sopt.LinearConstraint(a.matrix(), a.row_lo, a.row_hi))
-        return sopt.milp(
-            c=c,
-            constraints=constraints,
-            bounds=sopt.Bounds(lower, upper) if n else None,
-            integrality=a.binary.astype(int) if integral and n else None,
-            options={"time_limit": self.time_limit, "mip_rel_gap": MIP_REL_GAP},
-        )
+        with warnings.catch_warnings():
+            # scipy warns that it passes ZI_ROUND_OPTION on verbatim; a HiGHS
+            # that does not know the option still warns (OptimizeWarning)
+            warnings.filterwarnings(
+                "ignore",
+                message="Unrecognized options detected: .* passed to HiGHS verbatim",
+                category=RuntimeWarning,
+            )
+            return sopt.milp(
+                c=c,
+                constraints=constraints,
+                bounds=sopt.Bounds(lower, upper) if n else None,
+                integrality=a.binary.astype(int) if integral and n else None,
+                options={
+                    "time_limit": self.time_limit,
+                    "mip_rel_gap": MIP_REL_GAP,
+                    ZI_ROUND_OPTION: True,
+                },
+            )
 
 
 def _costs(model: milp.MilpModel) -> np.ndarray:

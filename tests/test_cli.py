@@ -1,5 +1,7 @@
 import json
 import os
+import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -267,6 +269,29 @@ class TestSolve:
         # the run's own summary still reaches the user
         assert "[pwl] status=optimal" in captured.out
 
+    def test_highs_option_warning_stays_silent(self, tmp_path, cases_dir, capfd):
+        # scipy warns that it passes solvers.ZI_ROUND_OPTION to HiGHS
+        # verbatim; the adapter keeps that warning out of the log and the
+        # terminal
+        def show(message, category, filename, lineno, file=None, line=None):
+            sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+        out = tmp_path / "run"
+        args = ["--case", str(cases_dir / "twobus.json"), "--mode", "both", "--segments", "5"]
+        with warnings.catch_warnings():
+            # print every warning, as a plain interpreter run would, instead
+            # of handing it to pytest's recorder
+            warnings.simplefilter("always")
+            warnings.showwarning = show
+            assert main(["solve", *args, "--out", str(out)]) == 0
+        captured = capfd.readouterr()
+        for text in (
+            captured.out,
+            captured.err,
+            *((out / mode / "solver.log").read_text() for mode in ("pwl", "sopwl")),
+        ):
+            assert "Unrecognized options" not in text
+
     def test_config_file_overrides_flags(self, tmp_path, cases_dir):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"num_segments": 4}))
@@ -329,10 +354,14 @@ class TestSopwlFallback:
         out = tmp_path / "run"
         args = ["--case", str(cases_dir / "tinyq3.json"), "--segments", "2", "--mode", "sopwl"]
         assert main(["solve", *args, "--out", str(out)]) == 0
-        meta = json.loads((out / "sopwl" / "run.json").read_text())
+        text = (out / "sopwl" / "run.json").read_text()
+        meta = json.loads(text)
         assert meta["sopwl_path"] == "milp"
         assert meta["status"] == "optimal"
         assert meta["violations"] == 0
+        # HiGHS's zero bound of the negated objective is written unsigned
+        assert meta["objective_value"] == 0.0
+        assert '"mip_dual_bound": 0.0' in text
 
 
 class TestBadSettings:

@@ -2,6 +2,8 @@
 relaxation of the adapter, and a property test of the whole sopwl path on
 random small radial cases."""
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -46,6 +48,16 @@ class TestRelaxedTwoStage:
         assert sol.x[0] == pytest.approx(0.0, abs=1e-9)
         assert sol.mip_gap == pytest.approx((sol.objective_value - 2.0) / 2.0)
         assert sol.mip_gap >= -1e-12
+
+    def test_zero_bound_is_unsigned(self):
+        # a maximising model's bound is HiGHS's negated optimum; a zero one
+        # is written 0.0, never -0.0
+        m = MilpModel(name="relax_zero")
+        m.add_variable("x", 0.0, 0.0)
+        m.set_objective("max", {"x": 1.0})
+        m.freeze()
+        sol = ScipyMilpAdapter().run_relaxed_two_stage(m, [0])
+        assert math.copysign(1.0, sol.mip_dual_bound) == 1.0
 
     def test_infeasible_first_stage(self):
         m = MilpModel(name="relax_infeasible")

@@ -3,6 +3,7 @@ import hashlib
 import math
 import tempfile
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -621,16 +622,42 @@ class TestScipyAdapter:
         assert sol.objective_value == pytest.approx(1.0)
         assert check_solution(m, sol) == []
 
-    def test_solver_statistics(self):
-        # the dual bound is reported in the model's sense: HiGHS minimizes
-        # the negated objective of a "max" model
+    @staticmethod
+    def _packing():
         m = MilpModel(name="pack")
         m.add_variable("x", 0, 1, kind=BINARY)
         m.add_variable("y", 0, 1, kind=BINARY)
         m.add_constraint({"x": 1.0, "y": 1.0}, "<=", 1.0, tag="one")
         m.set_objective("max", {"x": 1.0, "y": 1.0})
-        m.freeze()
-        sol = ScipyMilpAdapter().run(m)
+        return m.freeze()
+
+    def test_zi_round_is_on_and_silent(self, monkeypatch):
+        # every HiGHS call asks for ZI rounding; scipy's "passed to HiGHS
+        # verbatim" warning stays inside the adapter, and a HiGHS that did
+        # not know the option would fail here with an OptimizeWarning
+        real, options = solvers.sopt.milp, []
+
+        def spy(**kwargs):
+            options.append(dict(kwargs["options"]))
+            return real(**kwargs)
+
+        monkeypatch.setattr(solvers.sopt, "milp", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = ScipyMilpAdapter().run(self._packing())
+        assert sol.status == "optimal"
+        assert options and all(o[solvers.ZI_ROUND_OPTION] is True for o in options)
+
+    def test_option_unknown_to_highs_still_warns(self, monkeypatch):
+        # only scipy's pass-through RuntimeWarning is silenced
+        monkeypatch.setattr(solvers, "ZI_ROUND_OPTION", "no_such_highs_option")
+        with pytest.warns(scipy.optimize.OptimizeWarning, match="no_such_highs_option"):
+            ScipyMilpAdapter().run(self._packing())
+
+    def test_solver_statistics(self):
+        # the dual bound is reported in the model's sense: HiGHS minimizes
+        # the negated objective of a "max" model
+        sol = ScipyMilpAdapter().run(self._packing())
         assert isinstance(sol.mip_node_count, int)
         assert sol.mip_gap == pytest.approx(0.0)
         assert sol.mip_dual_bound == pytest.approx(1.0)
