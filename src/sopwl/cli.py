@@ -16,7 +16,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -32,13 +32,15 @@ from .distflow import (
     build_restoration_objective,
 )
 from .network import NetworkCase, bundled_case_path, load_case
-from .solvers import DEFAULT_TIMEOUT_SECONDS, ScipyMilpAdapter
 from .validation import (
     branch_errors,
     filling_dump,
     lift_ordered,
     radial_sweep,
 )
+
+if TYPE_CHECKING:
+    from .solvers import ScipyMilpAdapter
 
 
 @dataclass
@@ -47,7 +49,7 @@ class RunConfig:
     mode: str = MODE_PWL  # pwl | sopwl | both
     num_segments: int = 50
     objective: str = OBJECTIVE_RESTORATION
-    timeout: float = DEFAULT_TIMEOUT_SECONDS
+    timeout: float = milp.DEFAULT_TIMEOUT_SECONDS
     out_dir: Path = Path("sopwl_out")
     # None: each branch's own floor (validation.branch_errors)
     zero_flow_floor: Optional[float] = None
@@ -91,6 +93,10 @@ class RunConfig:
         raise FileNotFoundError(f"case {self.case!r}: no such file or bundled case")
 
     def make_adapter(self) -> ScipyMilpAdapter:
+        # imported here: scipy.optimize is slow to import, and only a solve
+        # needs it
+        from .solvers import ScipyMilpAdapter
+
         return ScipyMilpAdapter(time_limit=self.timeout)
 
 
@@ -153,9 +159,10 @@ def _lp_screen(
     config: RunConfig,
     artifacts: DistflowArtifacts,
     adapter: ScipyMilpAdapter,
+    pwl: Optional[DistflowArtifacts],
 ) -> Optional[milp.Solution]:
-    """A certified sopwl optimum from the LP relaxation of the pwl model, or
-    None when the relaxation is not tight.
+    """A certified sopwl optimum from the LP relaxation of the pwl model
+    ``pwl`` (built here when None), or None when the relaxation is not tight.
 
     The relaxation's optimum ``U`` bounds the sopwl optimum. Stage 2 keeps
     the restoration within 1e-7 * max(1, |U|) of ``U`` and minimises the
@@ -164,8 +171,9 @@ def _lp_screen(
     follow the sign of ``pos - neg``; the point is accepted only when
     ``lift_ordered`` finds every block ordered and the sopwl model's
     ``check_solution`` finds no violated row."""
-    pwl_model, pwl = _build(case, config, MODE_PWL)
-    relaxed = adapter.run_relaxed_two_stage(pwl_model, pwl.isqr)
+    if pwl is None:
+        pwl = _build(case, config, MODE_PWL)[1]
+    relaxed = adapter.run_relaxed_two_stage(pwl.model, pwl.isqr)
     if relaxed.status != "optimal":
         return None
     x = relaxed.x.copy()
@@ -183,20 +191,23 @@ def _solve_sopwl(
     case: NetworkCase,
     config: RunConfig,
     artifacts: DistflowArtifacts,
-    pwl_solution: Optional[milp.Solution],
+    pwl: Optional[tuple[DistflowArtifacts, Optional[milp.Solution]]],
 ) -> tuple[milp.Solution, str]:
     """Solve the sopwl model by the first path that gives a solution: lift
-    ``pwl_solution`` (the plain-PWL run's, under ``--mode both``) when every
-    filling in it is ordered, then the LP screen, then the MILP. Returns the
-    solution and the path's name; its ``solve_seconds`` covers the pwl solve,
-    when one was given, and every path tried."""
+    the plain-PWL run's solution (``pwl``, its artifacts and solution, under
+    ``--mode both``) when every filling in it is ordered, then the LP screen
+    on that run's model, then the MILP. Returns the solution and the path's
+    name; its ``solve_seconds`` covers the pwl solve, when one was given, and
+    every path tried."""
     start = time.perf_counter()
     adapter = config.make_adapter()
+    pwl_artifacts, pwl_solution = pwl if pwl is not None else (None, None)
     solution, path = None, "lifted"
     if pwl_solution is not None:
         solution = lift_ordered(pwl_solution, artifacts)
     if solution is None:
-        solution, path = _lp_screen(case, config, artifacts, adapter), "lp_screen"
+        solution = _lp_screen(case, config, artifacts, adapter, pwl_artifacts)
+        path = "lp_screen"
     if solution is None:
         solution, path = milp.solve(artifacts.model, adapter), "milp"
     spent = time.perf_counter() - start
@@ -209,12 +220,13 @@ def _run_one_mode(
     case: NetworkCase,
     config: RunConfig,
     mode: str,
-    pwl_solution: Optional[milp.Solution] = None,
-) -> tuple[int, dict, Optional[milp.Solution]]:
-    """Solve and report one mode; sopwl lifts ``pwl_solution`` when it can.
-    What the solver prints goes to ``<out>/<mode>/solver.log``. Returns the
-    exit status, the report and run metadata (empty on failure), and the
-    solution (None when the solver raised)."""
+    pwl: Optional[tuple[DistflowArtifacts, Optional[milp.Solution]]] = None,
+) -> tuple[int, dict, Optional[milp.Solution], DistflowArtifacts]:
+    """Solve and report one mode; sopwl reuses the pwl run ``pwl`` (its
+    artifacts and solution) when given. What the solver prints goes to
+    ``<out>/<mode>/solver.log``. Returns the exit status, the report and run
+    metadata (empty on failure), the solution (None when the solver raised)
+    and the artifacts."""
     out = config.out_dir / mode
     out.mkdir(parents=True, exist_ok=True)
     model, artifacts = _build(case, config, mode)
@@ -222,16 +234,16 @@ def _run_one_mode(
     try:
         with _output_to(out / "solver.log"):
             if mode == MODE_SOPWL:
-                solution, path = _solve_sopwl(case, config, artifacts, pwl_solution)
+                solution, path = _solve_sopwl(case, config, artifacts, pwl)
             else:
                 solution = milp.solve(model, config.make_adapter())
     except Exception as exc:
         print(f"[{mode}] solver failure: {exc}", file=sys.stderr)
-        return 1, {}, None
+        return 1, {}, None, artifacts
     (out / f"{model.name}.sol").write_text(milp.format_solution(solution, model))
     if solution.status not in ("optimal", "feasible"):
         print(f"[{mode}] solve ended with status {solution.status}", file=sys.stderr)
-        return 1, {}, solution
+        return 1, {}, solution, artifacts
 
     violations = milp.check_solution(model, solution)
     for tag, gap in violations:
@@ -266,7 +278,7 @@ def _run_one_mode(
     print(f"[{mode}] status={solution.status} objective={solution.objective_value:.6f}")
     print(text, end="")
     status = 0 if not violations else 1
-    return status, {"report": report, "meta": meta}, solution
+    return status, {"report": report, "meta": meta}, solution, artifacts
 
 
 def cmd_solve(config: RunConfig) -> int:
@@ -274,13 +286,13 @@ def cmd_solve(config: RunConfig) -> int:
     modes = [MODE_PWL, MODE_SOPWL] if config.mode == "both" else [config.mode]
     results = {}
     exit_status = 0
-    pwl_solution = None  # sopwl lifts it under --mode both
+    pwl = None  # the pwl run's artifacts and solution; sopwl reuses them
     for mode in modes:
-        status, res, solution = _run_one_mode(case, config, mode, pwl_solution)
+        status, res, solution, artifacts = _run_one_mode(case, config, mode, pwl)
         exit_status = max(exit_status, status)
         results[mode] = res
         if mode == MODE_PWL:
-            pwl_solution = solution
+            pwl = artifacts, solution
     if config.mode == "both" and all(results.values()):
         sep = "," if config.report_format == "delimited" else "\t"
         lines = [sep.join(["feeder", "E_p_pwl", "E_p_sopwl", "E_q_pwl", "E_q_sopwl"])]
@@ -358,7 +370,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default="restoration",
         choices=["restoration", "restoration_with_loss_penalty"],
     )
-    parser.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_SECONDS)
+    parser.add_argument("--timeout", type=float, default=milp.DEFAULT_TIMEOUT_SECONDS)
     parser.add_argument("--out", default="sopwl_out")
     parser.add_argument(
         "--zero-flow-floor",

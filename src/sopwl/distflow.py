@@ -175,18 +175,31 @@ class _Batch:
         """Add ``len(templates)`` rows per item, tagged ``template % arg``.
 
         Each ``(cols, coefs)`` of ``terms`` is one term of every row; both
-        broadcast to one row per item and one column per row."""
-        shape = (self.count, len(templates))
-        cols = np.stack([np.broadcast_to(c, shape) for c, _ in terms], axis=-1)
-        coefs = np.stack(
-            [np.broadcast_to(np.asarray(k, dtype=float), shape) for _, k in terms], axis=-1
-        )
-        width = len(templates) * len(terms)
-        self._cols.append(cols.reshape(self.count, width))
-        self._coefs.append(coefs.reshape(self.count, width))
-        self._lengths += [len(terms)] * len(templates)
-        self._senses += [sense] * len(templates)
-        self._rhs.append(np.broadcast_to(rhs, shape))
+        broadcast to one row per item and one column per row. With a single
+        template, a term may instead be a block: cols and coefs broadcast to
+        ``(count, w)``, the ``w`` terms of the row in column order."""
+        k = len(templates)
+        if k == 1:
+            shapes = [
+                np.broadcast_shapes(np.shape(c), np.shape(v), (self.count, 1)) for c, v in terms
+            ]
+            cols = np.hstack([np.broadcast_to(c, s) for (c, _), s in zip(terms, shapes)])
+            coefs = np.hstack(
+                [np.broadcast_to(np.asarray(v, dtype=float), s) for (_, v), s in zip(terms, shapes)]
+            )
+            per_row = cols.shape[1]
+        else:
+            shape = (self.count, k)
+            cols = np.stack([np.broadcast_to(c, shape) for c, _ in terms], axis=-1)
+            coefs = np.stack(
+                [np.broadcast_to(np.asarray(v, dtype=float), shape) for _, v in terms], axis=-1
+            )
+            per_row = len(terms)
+        self._cols.append(cols.reshape(self.count, k * per_row))
+        self._coefs.append(coefs.reshape(self.count, k * per_row))
+        self._lengths += [per_row] * k
+        self._senses += [sense] * k
+        self._rhs.append(np.broadcast_to(rhs, (self.count, k)))
         self._tags.append(self._per_item(templates, args))
 
     def emit(self, model: MilpModel) -> None:
@@ -239,13 +252,7 @@ def _emit_blocks(
     )
 
     batch.rows(["eq6:%s"], tag_suffixes, [(y, 1.0), (pos, -1.0), (neg, 1.0)], "=", 0.0)
-    batch.rows(
-        ["eq7:%s"],
-        tag_suffixes,
-        [(pos, 1.0), (neg, 1.0)] + [(delta[:, [lam]], -1.0) for lam in range(n)],
-        "=",
-        0.0,
-    )
+    batch.rows(["eq7:%s"], tag_suffixes, [(pos, 1.0), (neg, 1.0), (delta, -1.0)], "=", 0.0)
     batch.rows(["eq10:%s"], tag_suffixes, [(pos, 1.0), (z_pos, -y_max)], "<=", 0.0)
     batch.rows(["eq11:%s"], tag_suffixes, [(neg, 1.0), (z_neg, -y_max)], "<=", 0.0)
     batch.rows(["eq12:%s"], tag_suffixes, [(z_pos, 1.0), (z_neg, 1.0)], "<=", 1.0)
@@ -351,10 +358,7 @@ def build_distflow(
     }
     # squared-current coupling: Isqr = f(P) + f(Q), v_norm = 1
     slopes = np.arange(1, 2 * n, 2) * _column([g.seg_width for g in grid_list])
-    coupling = [(isqr, 1.0)]
-    for kind in ("P", "Q"):
-        delta = block_cols[kind].delta
-        coupling += [(delta[:, [lam]], -slopes[:, [lam]]) for lam in range(n)]
+    coupling = [(isqr, 1.0)] + [(block_cols[kind].delta, -slopes) for kind in ("P", "Q")]
     batch.rows(["eq4:%s"], keys, coupling, "=", 0.0)
     # voltage drop along the branch
     batch.rows(

@@ -24,9 +24,10 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 if TYPE_CHECKING:
+    import scipy.sparse as sp
+
     from .solvers import ScipyMilpAdapter
 
 __all__ = [
@@ -50,12 +51,21 @@ SENSES = ("<=", "=", ">=")
 STATUS_TOKENS = ("optimal", "feasible", "infeasible", "unbounded", "error")
 
 _LP_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
+# Lines of exactly two whitespace-separated tokens, joined by "\n"; ``\s``
+# and ``\S`` split as ``str.split`` does.
+_PAIR_LINES = re.compile(r"\S+[^\S\n]+\S+(?:\n\S+[^\S\n]+\S+)*")
+# Solution lines that parse_solution splits at a time: the token strings of
+# one piece are all it holds at once.
+_READ_LINES = 1024
 
 # How far a value may lie outside a bound or row and still count as feasible:
 # in parse_solution's bound check, check_solution's row check, the
 # ordered-filling tests of validation.lift_ordered and branch_errors' eso_ok
 # flag (on top of the segment slack), and check_unordered_feasibility.
 FEASIBILITY_TOL = 1e-6
+
+# The default time limit of one solve, in seconds.
+DEFAULT_TIMEOUT_SECONDS = 600.0
 
 Terms = Mapping[str, float] | Sequence[tuple[str, float]]
 
@@ -105,6 +115,9 @@ class ModelArrays:
 
     def matrix(self) -> sp.csr_matrix:
         """The rows as a CSR matrix, terms in the order they were given."""
+        # imported here: building and exporting a model need no scipy
+        import scipy.sparse as sp
+
         return sp.csr_matrix(
             (self.coefs, self.cols, self.row_start),
             shape=(len(self.row_lo), len(self.names)),
@@ -673,7 +686,7 @@ def parse_solution(
     Every name must be a variable of ``model``. A variable the text leaves
     out reads as 0, which must lie within its bounds like any other value.
     """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines:
         raise ValueError("empty solution text")
     status = lines[0].split(";")[0].strip().lower()
@@ -689,8 +702,56 @@ def parse_solution(
         except ValueError as exc:
             raise ValueError(f"unparseable objective line {body[0]!r}") from exc
         body = body[1:]
+    cols, values = _read_body(body, model)
+
+    if status not in ("optimal", "feasible"):
+        return Solution(status=status, objective_value=objective)
+    arrays = model.arrays
+    x = np.zeros(len(arrays.names))
+    x[cols] = values
+    bad = np.flatnonzero((x < arrays.lower - tol) | (x > arrays.upper + tol))
+    if bad.size:
+        i = int(bad[0])
+        name = arrays.names[i]
+        bounds = f"bounds [{float(arrays.lower[i])}, {float(arrays.upper[i])}]"
+        if i not in cols:
+            raise ValueError(f"{name} is missing; its default 0.0 violates {bounds}")
+        raise ValueError(f"{name}={float(x[i])} violates {bounds}")
+    return Solution(
+        status=status,
+        objective_value=objective,
+        x=x,
+        missing=len(x) - len(cols),
+    )
+
+
+def _read_body(body: list[str], model: MilpModel) -> tuple[np.ndarray, list[float]]:
+    """The columns that the ``name value`` lines of ``body`` name, each once,
+    and their values; a repeated line overrides.
+
+    A body that names every column once, in column order, as
+    :func:`format_solution` writes it, is split ``_READ_LINES`` lines at a
+    time and its values are read by one ``map`` per piece. Any other body is
+    read line by line, which also names the first bad line."""
+    names = model._names
+    if len(body) == len(names):
+        values: list[float] = []
+        for start in range(0, len(body), _READ_LINES):
+            piece = slice(start, start + _READ_LINES)
+            text = "\n".join(body[piece])
+            if not _PAIR_LINES.fullmatch(text):
+                break
+            tokens = text.split()
+            if tokens[::2] != names[piece]:
+                break
+            try:
+                values.extend(map(float, tokens[1::2]))
+            except ValueError:
+                break
+        else:
+            return np.arange(len(body)), values
     index = model._index
-    given: dict[int, float] = {}  # column -> value; a repeated line overrides
+    given = {}
     for ln in body:
         parts = ln.split()
         if len(parts) != 2:
@@ -702,26 +763,7 @@ def parse_solution(
             given[index[name]] = float(raw)
         except ValueError as exc:
             raise ValueError(f"unparseable value in line {ln!r}") from exc
-
-    if status not in ("optimal", "feasible"):
-        return Solution(status=status, objective_value=objective)
-    arrays = model.arrays
-    x = np.zeros(len(arrays.names))
-    x[np.fromiter(given, np.intp, len(given))] = list(given.values())
-    bad = np.flatnonzero((x < arrays.lower - tol) | (x > arrays.upper + tol))
-    if bad.size:
-        i = int(bad[0])
-        name = arrays.names[i]
-        bounds = f"bounds [{float(arrays.lower[i])}, {float(arrays.upper[i])}]"
-        if i not in given:
-            raise ValueError(f"{name} is missing; its default 0.0 violates {bounds}")
-        raise ValueError(f"{name}={given[i]} violates {bounds}")
-    return Solution(
-        status=status,
-        objective_value=objective,
-        x=x,
-        missing=len(x) - len(given),
-    )
+    return np.fromiter(given, np.intp, len(given)), list(given.values())
 
 
 def check_solution(

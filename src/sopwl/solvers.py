@@ -28,7 +28,6 @@ from . import milp
 
 __all__ = ["ScipyMilpAdapter"]
 
-DEFAULT_TIMEOUT_SECONDS = 600.0
 # HiGHS's relative MIP gap: a returned objective is within this share of the
 # optimum
 MIP_REL_GAP = 1e-4
@@ -45,7 +44,7 @@ STAGE2_SLACK = 1e-7
 class ScipyMilpAdapter:
     """Solves the model in process with scipy's HiGHS-backed MILP solver."""
 
-    time_limit: float = DEFAULT_TIMEOUT_SECONDS
+    time_limit: float = milp.DEFAULT_TIMEOUT_SECONDS
 
     def run(self, model: milp.MilpModel) -> milp.Solution:
         a = model.arrays

@@ -13,7 +13,7 @@ import numpy as np
 from .distflow import MODE_PWL, MODE_SOPWL, DistflowArtifacts, emit_pwl_block, epsilon_plus
 from .milp import FEASIBILITY_TOL, MilpModel, Solution, check_solution
 from .network import NetworkCase
-from .pwl import FillingState, is_eso, pwl_value, relative_error
+from .pwl import FillingState, relative_error
 
 __all__ = [
     "BranchErrorRecord",
@@ -35,23 +35,43 @@ ZERO_FLOW_FLOOR_WIDTHS = math.sqrt(12.5)
 
 def extract_filling(
     solution: Solution, artifacts: DistflowArtifacts
-) -> dict[str, list[FillingState]]:
+) -> dict[str, np.ndarray]:
     """Every block's segment values, clipped back into ``[0, h]`` where the
-    solver left feasibility dust: ``"P"``/``"Q"`` -> one state per branch.
-    The clip leaves a ``-0.0`` as it is, which ``np.clip`` against an array
-    of widths does not, so ``filling_dump`` keeps writing it."""
+    solver left feasibility dust: ``"P"``/``"Q"`` -> a (branches x segments)
+    array. The clip leaves a ``-0.0`` as it is, which ``np.clip`` against an
+    array of widths does not, so ``filling_dump`` keeps writing it."""
     x = solution.column_values(artifacts.model)
-    h = np.array([g.seg_width for g in artifacts.grids]).reshape(-1, 1)
+    h = _widths(artifacts)
     fillings = {}
     for kind, block in artifacts.blocks.items():
         d = x[block.delta]
         d = np.where(d < 0.0, 0.0, d)
-        d = np.where(d > h, h, d)
-        fillings[kind] = [
-            FillingState(grid, tuple(deltas))
-            for grid, deltas in zip(artifacts.grids, d.tolist())
-        ]
+        fillings[kind] = np.where(d > h, h, d)
     return fillings
+
+
+def _widths(artifacts: DistflowArtifacts) -> np.ndarray:
+    """Each branch's segment width, as a column."""
+    return np.array([g.seg_width for g in artifacts.grids]).reshape(-1, 1)
+
+
+def _ordered(d: np.ndarray, h: np.ndarray, tol: float | np.ndarray) -> np.ndarray:
+    """:func:`sopwl.pwl.is_eso` of every row of the fillings ``d`` (segment
+    widths ``h`` and tolerances ``tol`` broadcast as columns): no segment
+    short of full (``>= h - tol``) comes before a used one (not ``<= tol``)."""
+    full = d >= h - tol
+    used_from = np.logical_or.accumulate(~(d <= tol)[:, ::-1], axis=1)[:, ::-1]
+    return ~(~full[:, :-1] & used_from[:, 1:]).any(axis=1)
+
+
+def _pwl_values(d: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """:func:`sopwl.pwl.pwl_value` of every row of ``d``, summed segment by
+    segment in the same order, so each value has the same bits."""
+    slopes = np.arange(1, 2 * d.shape[1], 2) * h
+    f = np.zeros(len(d))
+    for lam in range(d.shape[1]):
+        f += slopes[:, lam] * d[:, lam]
+    return f
 
 
 def lift_ordered(
@@ -66,7 +86,7 @@ def lift_ordered(
     fillings are all ordered is a sopwl optimum within the same gap. Every
     value is copied into its column; in each block ``x_lam`` is 1 before the
     last segment holding more than ``FEASIBILITY_TOL`` and 0 from there on. A
-    filling that passes :func:`is_eso` at that tolerance then meets ``eq20``
+    filling that passes :func:`sopwl.pwl.is_eso` at that tolerance meets ``eq20``
     and ``eq21`` within the tolerance of :func:`check_solution`. Clipping into
     ``[0, h]`` changes no such verdict, so the check reads the clipped filling.
 
@@ -82,12 +102,14 @@ def lift_ordered(
         ordering[block.x] = True
     x = np.zeros(len(ordering))
     x[~ordering] = solution.x
-    for kind, states in extract_filling(replace(solution, x=x), artifacts).items():
-        for state, cols in zip(states, artifacts.blocks[kind].x):
-            if not is_eso(state, tol):
-                return None
-            last = max((lam for lam, d in enumerate(state.deltas, 1) if d > tol), default=1)
-            x[cols] = [1.0 if lam < last else 0.0 for lam in range(1, len(cols) + 1)]
+    h = _widths(artifacts)
+    for kind, d in extract_filling(replace(solution, x=x), artifacts).items():
+        if not _ordered(d, h, tol).all():
+            return None
+        # 1-based index of the last segment holding more than tol, 1 if none
+        held = d > tol
+        last = np.where(held.any(axis=1), d.shape[1] - held[:, ::-1].argmax(axis=1), 1)
+        x[artifacts.blocks[kind].x] = np.arange(1, d.shape[1] + 1) < last[:, None]
     return replace(solution, x=x)
 
 
@@ -161,33 +183,40 @@ def branch_errors(
     flagged negligible and excluded from summaries. Without
     ``zero_flow_floor`` each branch's floor is its segment width times
     ``ZERO_FLOW_FLOOR_WIDTHS``. A filling is flagged ordered when
-    :func:`is_eso` passes it at ``epsilon_plus`` of its grid plus
+    :func:`sopwl.pwl.is_eso` passes it at ``epsilon_plus`` of its grid plus
     ``FEASIBILITY_TOL``."""
     fillings = extract_filling(solution, artifacts)
-    flows = {
-        kind: np.abs(solution.x[block.y[:, 0]]).tolist()
-        for kind, block in artifacts.blocks.items()
-    }
-    records = []
-    for i, (br, grid) in enumerate(zip(artifacts.case.branches, artifacts.grids)):
-        eso_tol = epsilon_plus(grid) + FEASIBILITY_TOL
-        floor = zero_flow_floor
-        if floor is None:
-            floor = grid.seg_width * ZERO_FLOW_FLOOR_WIDTHS
-        row: dict[str, object] = {"branch_key": br.key}
-        for kind in ("P", "Q"):
-            state = fillings[kind][i]
-            f = pwl_value(state)
-            y = flows[kind][i]
-            negligible = y < floor
-            err = None if negligible else relative_error(f, y)
-            lk = kind.lower()
-            row[lk] = y
-            row[f"f_{lk}"] = f
-            row[f"e_{lk}"] = err
-            row[f"eso_ok_{lk}"] = is_eso(state, eso_tol)
-            row[f"negligible_{lk}"] = negligible
-        records.append(BranchErrorRecord(**row))  # type: ignore[arg-type]
+    h = _widths(artifacts)
+    eso_tol = np.array([epsilon_plus(g) for g in artifacts.grids]).reshape(-1, 1) + FEASIBILITY_TOL
+    if zero_flow_floor is None:
+        floors = (h[:, 0] * ZERO_FLOW_FLOOR_WIDTHS).tolist()
+    else:
+        floors = [zero_flow_floor] * len(h)
+    per_kind = []
+    for kind in ("P", "Q"):
+        d = fillings[kind]
+        y = np.abs(solution.x[artifacts.blocks[kind].y[:, 0]])
+        per_kind.append(
+            zip(y.tolist(), _pwl_values(d, h).tolist(), _ordered(d, h, eso_tol).tolist())
+        )
+    records = [
+        BranchErrorRecord(
+            branch_key=br.key,
+            p=p,
+            q=q,
+            f_p=f_p,
+            f_q=f_q,
+            e_p=None if p < floor else relative_error(f_p, p),
+            e_q=None if q < floor else relative_error(f_q, q),
+            eso_ok_p=ok_p,
+            eso_ok_q=ok_q,
+            negligible_p=p < floor,
+            negligible_q=q < floor,
+        )
+        for br, floor, (p, f_p, ok_p), (q, f_q, ok_q) in zip(
+            artifacts.case.branches, floors, *per_kind
+        )
+    ]
     return ErrorReport(
         mode=artifacts.options.mode,
         records=tuple(records),
@@ -198,11 +227,14 @@ def branch_errors(
 def filling_dump(solution: Solution, artifacts: DistflowArtifacts) -> str:
     """Segment-by-segment dump of every block's filling state."""
     fillings = extract_filling(solution, artifacts)
+    n = artifacts.options.num_segments
+    tails = [f" {lam} " for lam in range(1, n + 1)]
     lines = ["branch kind lambda delta"]
-    for i, br in enumerate(artifacts.case.branches):
-        for kind in ("P", "Q"):
-            for lam, d in enumerate(fillings[kind][i].deltas, start=1):
-                lines.append(f"{br.key} {kind} {lam} {d!r}")
+    rows = zip(fillings["P"].tolist(), fillings["Q"].tolist())
+    for br, per_kind in zip(artifacts.case.branches, rows):
+        for kind, deltas in zip(("P", "Q"), per_kind):
+            head = f"{br.key} {kind}"
+            lines += [f"{head}{tail}{d!r}" for tail, d in zip(tails, deltas)]
     return "\n".join(lines) + "\n"
 
 

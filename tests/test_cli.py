@@ -1,5 +1,6 @@
 import json
 import os
+import subprocess
 import sys
 import warnings
 from dataclasses import replace
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sopwl import milp, solvers
+from sopwl import cli, milp, solvers
 from sopwl.cli import RunConfig, _build, main
 from sopwl.distflow import BuildOptions, build_distflow, build_restoration_objective
 from sopwl.network import load_case
@@ -29,8 +30,20 @@ class TestExportLp:
         produced = (out / "twobus_pwl.lp").read_bytes()
         assert produced == (golden_dir / "twobus_pwl.lp.golden").read_bytes()
 
-    @pytest.mark.parametrize("mode", ["pwl", "sopwl"])
-    def test_branching_golden_fixture(self, tmp_path, cases_dir, golden_dir, mode):
+    @pytest.mark.parametrize(
+        "mode, segments, golden",
+        [
+            ("pwl", 3, "branching6_pwl.lp.golden"),
+            ("sopwl", 3, "branching6_sopwl.lp.golden"),
+            # one segment: no eq21 row, and one-column segment blocks in the
+            # eq7 and eq4 rows
+            ("sopwl", 1, "branching6_sopwl_seg1.lp.golden"),
+        ],
+        ids=["pwl", "sopwl", "sopwl-seg1"],
+    )
+    def test_branching_golden_fixture(
+        self, tmp_path, cases_dir, golden_dir, mode, segments, golden
+    ):
         # branches listed out of parents-first order, a bus with two children:
         # pins the term order inside each bus-balance row
         out = tmp_path / "lp"
@@ -39,13 +52,30 @@ class TestExportLp:
                 "export-lp",
                 "--case", str(cases_dir / "branching6.json"),
                 "--mode", mode,
-                "--segments", "3",
+                "--segments", str(segments),
                 "--out", str(out),
             ]
         )
         assert status == 0
         produced = (out / f"branching6_{mode}.lp").read_bytes()
-        assert produced == (golden_dir / f"branching6_{mode}.lp.golden").read_bytes()
+        assert produced == (golden_dir / golden).read_bytes()
+
+    def test_needs_no_scipy(self, tmp_path, cases_dir):
+        # building and writing a model uses neither scipy's solvers nor its
+        # sparse matrices, which take most of the package's import time
+        args = ["export-lp", "--case", str(cases_dir / "twobus.json"), "--out", str(tmp_path)]
+        script = (
+            "import sys\n"
+            "from sopwl.cli import main\n"
+            f"assert main({args!r}) == 0\n"
+            "print([m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules])\n"
+        )
+        paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout.splitlines()[-1] == "[]"
 
     def test_repeat_is_byte_identical(self, tmp_path, cases_dir):
         outs = []
@@ -195,7 +225,9 @@ class TestSolve:
         assert status == 0
         assert "VIOLATED" not in capsys.readouterr().out
 
-    def test_unordered_pwl_solution_runs_lp_screen(self, tmp_path, cases_dir, count_solves):
+    def test_unordered_pwl_solution_runs_lp_screen(
+        self, tmp_path, cases_dir, count_solves, monkeypatch
+    ):
         def unordered(model, solution):
             # half a segment, then a full one: the P filling is not ordered
             d1, d2 = model.variable("P_1_2_d1").index, model.variable("P_1_2_d2").index
@@ -205,6 +237,14 @@ class TestSolve:
             return replace(solution, x=x)
 
         solves = count_solves(tamper=unordered)
+        built = []
+        real_build = cli.build_distflow
+
+        def build(model, case, options):
+            built.append(options.mode)
+            return real_build(model, case, options)
+
+        monkeypatch.setattr(cli, "build_distflow", build)
         out = tmp_path / "run"
         status = main(
             [
@@ -216,9 +256,11 @@ class TestSolve:
             ]
         )
         # the tampered pwl solution breaks its own rows; the LP screen
-        # certifies a clean sopwl optimum without the MILP
+        # certifies a clean sopwl optimum without the MILP, on the pwl run's
+        # own model
         assert status == 1
         assert solves == ["twobus_pwl"]
+        assert built == ["pwl", "sopwl"]
         pwl = json.loads((out / "pwl" / "run.json").read_text())
         sopwl = json.loads((out / "sopwl" / "run.json").read_text())
         assert sopwl["sopwl_path"] == "lp_screen"

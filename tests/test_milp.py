@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import math
+import re
 import tempfile
 import types
 import warnings
@@ -408,6 +409,52 @@ class TestParseSolution:
         m = simple_model().freeze()
         with pytest.raises(ValueError, match="'ghost 1' names no variable"):
             parse_solution("optimal\nobj 1\nx 1\nghost 1\n", m)
+
+    @staticmethod
+    def _xy() -> MilpModel:
+        m = MilpModel()
+        m.add_variables(["x", "y"], 0.0, 5.0)
+        return m.freeze()
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("x 1\ny one\nghost 1\n", "unparseable value in line 'y one'"),
+            ("x 1\nghost 1\ny one\n", "solution line 'ghost 1' names no variable"),
+            # as many tokens as two per line, but not two on every line
+            ("x 1\ny\nghost 1 2\n", "unparseable solution line 'y'"),
+            ("x\n1 y 2\n", "unparseable solution line 'x'"),
+            ("x 1\ny 1 2\nghost\n", "unparseable solution line 'y 1 2'"),
+        ],
+        ids=["value", "name", "one-token", "names-in-column-order", "three-tokens"],
+    )
+    def test_first_bad_line_named(self, body, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_solution(f"optimal\nobj 1\n{body}", self._xy())
+
+    def test_lines_in_any_order(self):
+        # any whitespace between name and value; a repeated line overrides
+        sol = parse_solution("optimal\nobj 1\nx\t1\n  y   2 \n", self._xy())
+        assert sol.x.tolist() == [1.0, 2.0]
+        sol = parse_solution("optimal\nobj 1\ny\t2\n  x   1 \ny 3\n", self._xy())
+        assert sol.x.tolist() == [1.0, 3.0]
+        assert sol.missing == 0
+        sol = parse_solution("optimal\nobj 1\ny 2\n", self._xy())
+        assert sol.x.tolist() == [0.0, 2.0]
+        assert sol.missing == 1
+
+    def test_read_in_pieces(self, monkeypatch):
+        monkeypatch.setattr(milp, "_READ_LINES", 2)
+        m = MilpModel()
+        m.add_variables([f"v{i}" for i in range(5)], 0.0, 5.0)
+        m.freeze()
+        body = "".join(f"v{i} {i}\n" for i in range(5))
+        assert parse_solution(f"optimal\n{body}", m).x.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        # a bad value or name in a later piece is still named
+        with pytest.raises(ValueError, match="unparseable value in line 'v4 four'"):
+            parse_solution(f"optimal\n{body.replace('v4 4', 'v4 four')}", m)
+        with pytest.raises(ValueError, match="'w3 3' names no variable"):
+            parse_solution(f"optimal\n{body.replace('v3 3', 'w3 3')}", m)
 
     def test_unknown_status(self):
         m = simple_model().freeze()

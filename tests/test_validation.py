@@ -1,13 +1,25 @@
+import functools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sopwl.distflow import BuildOptions, build_distflow, build_restoration_objective
-from sopwl.milp import MilpModel, Solution, check_solution, format_solution, parse_solution, solve
+from sopwl.distflow import BuildOptions, build_distflow, build_restoration_objective, epsilon_plus
+from sopwl.milp import (
+    FEASIBILITY_TOL,
+    MilpModel,
+    Solution,
+    check_solution,
+    format_solution,
+    parse_solution,
+    solve,
+)
 from sopwl.network import load_case
-from sopwl.pwl import FillingState, PwlGrid, eso_fill
+from sopwl.pwl import FillingState, PwlGrid, eso_fill, is_eso, pwl_value
 from sopwl.solvers import ScipyMilpAdapter
 from sopwl.validation import (
     SweepDivergence,
@@ -46,16 +58,17 @@ class TestExtractFilling:
         hand = [0.0] * 10
         hand[0] = art.grids[0].seg_width
         x[art.blocks["P"].delta[0]] = hand
-        state = extract_filling(Solution("optimal", 0.0, x), art)["P"][0]
-        assert state.deltas == pytest.approx(tuple(hand))
+        filling = extract_filling(Solution("optimal", 0.0, x), art)["P"]
+        assert filling.shape == (1, 10)
+        assert filling[0].tolist() == pytest.approx(hand)
 
     def test_clips_solver_dust(self, solved_twobus):
         # below 0 reads 0; -0.0 is not below 0 and stays as it is
         art, sol = solved_twobus
         x = sol.x.copy()
         x[art.blocks["P"].delta[0]] = [-1e-9] * 9 + [-0.0]
-        (state,) = extract_filling(Solution("optimal", 0.0, x), art)["P"]
-        assert list(map(repr, state.deltas)) == ["0.0"] * 9 + ["-0.0"]
+        (deltas,) = extract_filling(Solution("optimal", 0.0, x), art)["P"].tolist()
+        assert list(map(repr, deltas)) == ["0.0"] * 9 + ["-0.0"]
 
     def test_missing_variable(self, solved_twobus):
         # a solution without values, or with the values of another model
@@ -196,6 +209,94 @@ class TestGoldenPostSolve:
         floored = branch_errors(sol, art, zero_flow_floor=1e-9)
         assert floored.to_delimited().encode() == golden("_report_floor1e-9.csv")
         assert filling_dump(sol, art).encode() == golden("_fillings.txt")
+
+
+@functools.lru_cache(maxsize=None)
+def _branching6(segments: int):
+    """The pwl and sopwl artifacts of ``branching6``: five branches of
+    different segment widths."""
+    case = load_case(Path(__file__).parent / "cases" / "branching6.json")
+    built = []
+    for mode in ("pwl", "sopwl"):
+        model = MilpModel(name=f"branching6_{mode}")
+        built.append(build_distflow(model, case, BuildOptions(num_segments=segments, mode=mode)))
+        model.freeze()
+    return tuple(built)
+
+
+def _cells(h: float, tol: float):
+    """Strategies of a full, an empty and any segment value: values at and
+    next to the thresholds of both ordered-filling tests (``tol`` and
+    ``FEASIBILITY_TOL``), with solver dust on either side of ``[0, h]``."""
+
+    def near(values, low, high):
+        values += [np.nextafter(v, s) for v in values for s in (-np.inf, np.inf)]
+        return st.sampled_from(values) | st.floats(low, high)
+
+    full = near([h - FEASIBILITY_TOL, h - tol, h, h + 1e-9], h - 2e-6, h + 2e-6)
+    empty = near([0.0, -0.0, -1e-9, FEASIBILITY_TOL, tol], -2e-6, 2e-6)
+    return full, empty, full | empty | st.floats(-2e-6, h + 2e-6)
+
+
+@st.composite
+def _fillings(draw):
+    """Segment values of every block of ``branching6`` on 1-5 segments; about
+    half the blocks are filled full, then partial, then empty, up to dust."""
+    pwl, _ = _branching6(draw(st.integers(1, 5)))
+    n = pwl.options.num_segments
+    fillings = {}
+    for kind in ("P", "Q"):
+        rows = []
+        for grid in pwl.grids:
+            full, empty, cell = _cells(grid.seg_width, epsilon_plus(grid) + FEASIBILITY_TOL)
+            if draw(st.booleans()):
+                k = draw(st.integers(0, n))
+                row = [draw(full) for _ in range(k)] + [draw(cell) for _ in range(min(1, n - k))]
+                row += [draw(empty) for _ in range(n - len(row))]
+            else:
+                row = [draw(cell) for _ in range(n)]
+            rows.append(row)
+        fillings[kind] = rows
+    return n, fillings
+
+
+class TestArrayPostSolve:
+    """The array post-solve agrees with the scalar reference of ``pwl.py``,
+    block by block: the ordered-filling verdicts of ``lift_ordered`` and
+    ``branch_errors`` (``is_eso`` at their tolerances), the lifted ordering
+    binaries, and the PWL value to the bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_fillings())
+    def test_matches_scalar_reference(self, drawn):
+        n, fillings = drawn
+        pwl, sopwl = _branching6(n)
+        x = np.zeros(pwl.model.num_variables)
+        for kind, rows in fillings.items():
+            x[pwl.blocks[kind].delta] = rows
+        solution = Solution("optimal", 0.0, x)
+        clipped = extract_filling(solution, pwl)
+        report = branch_errors(solution, pwl)
+        lifted = lift_ordered(solution, sopwl)
+        all_ordered = True
+        for kind in ("P", "Q"):
+            for i, grid in enumerate(pwl.grids):
+                state = FillingState(grid, clipped[kind][i].tolist())
+                record = report.records[i]
+                ok = record.eso_ok_p if kind == "P" else record.eso_ok_q
+                assert ok == is_eso(state, epsilon_plus(grid) + FEASIBILITY_TOL)
+                f = record.f_p if kind == "P" else record.f_q
+                assert repr(f) == repr(pwl_value(state))
+                ordered = is_eso(state, FEASIBILITY_TOL)
+                all_ordered = all_ordered and ordered
+                if lifted is not None:
+                    last = max(
+                        (lam for lam, d in enumerate(state.deltas, 1) if d > FEASIBILITY_TOL),
+                        default=1,
+                    )
+                    expected = [1.0 if lam < last else 0.0 for lam in range(1, n + 1)]
+                    assert lifted.x[sopwl.blocks[kind].x[i]].tolist() == expected
+        assert (lifted is not None) == all_ordered
 
 
 class TestUnorderedFeasibility:
