@@ -287,18 +287,14 @@ def emit_pwl_block(
     y: int,
     grid: PwlGrid,
     mode: str,
-    branch_key: str = "y",
-    kind: str = "y",
 ) -> BlockColumns:
     """Declare segment/sign/binary variables and constraint rows for one
-    linearized square of column ``y``, returning their columns (one row)."""
+    linearized square of column ``y``, returning their columns (one row).
+    Names start ``y_y_`` and tags ``y:y``."""
     if mode not in (MODE_PWL, MODE_SOPWL):
         raise ValueError(f"unknown mode {mode!r}")
     batch = _Batch(1, model.num_variables, _block_width(grid.num_segments, mode))
-    prefix = f"{kind}_{_key_name(branch_key)}"
-    cols = _emit_blocks(
-        batch, np.array([[y]]), [grid], grid.num_segments, mode, [prefix], [f"{branch_key}:{kind}"]
-    )
+    cols = _emit_blocks(batch, np.array([[y]]), [grid], grid.num_segments, mode, ["y_y"], ["y:y"])
     batch.emit(model)
     return cols
 

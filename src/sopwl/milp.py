@@ -51,17 +51,12 @@ SENSES = ("<=", "=", ">=")
 STATUS_TOKENS = ("optimal", "feasible", "infeasible", "unbounded", "error")
 
 _LP_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
-# Lines of exactly two whitespace-separated tokens, joined by "\n"; ``\s``
-# and ``\S`` split as ``str.split`` does.
-_PAIR_LINES = re.compile(r"\S+[^\S\n]+\S+(?:\n\S+[^\S\n]+\S+)*")
-# Solution lines that parse_solution splits at a time: the token strings of
-# one piece are all it holds at once.
-_READ_LINES = 1024
 
 # How far a value may lie outside a bound or row and still count as feasible:
-# in parse_solution's bound check, check_solution's row check, the
-# ordered-filling tests of validation.lift_ordered and branch_errors' eso_ok
-# flag (on top of the segment slack), and check_unordered_feasibility.
+# read by the two checks of a vector, ModelArrays.outside_bounds and
+# ModelArrays.missed_rows, and by the ordered-filling tests of
+# validation.lift_ordered and branch_errors' eso_ok flag (on top of the
+# segment slack).
 FEASIBILITY_TOL = 1e-6
 
 # The default time limit of one solve, in seconds.
@@ -122,6 +117,24 @@ class ModelArrays:
             (self.coefs, self.cols, self.row_start),
             shape=(len(self.row_lo), len(self.names)),
         )
+
+    def outside_bounds(self, x: np.ndarray) -> np.ndarray:
+        """The columns whose value in ``x`` lies beyond a bound by more than
+        ``FEASIBILITY_TOL``, in column order; a NaN lies beyond."""
+        tol = FEASIBILITY_TOL
+        return np.flatnonzero(~((x >= self.lower - tol) & (x <= self.upper + tol)))
+
+    def missed_rows(
+        self, x: np.ndarray, tol: float = FEASIBILITY_TOL
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The rows that ``x`` misses by more than ``tol``, in row order, and
+        by how much; a row whose value is NaN is missed by NaN."""
+        lhs = self.matrix() @ x
+        # the infinite bound of an inequality gives -inf; for an equality the
+        # two differences are exact negatives, so this is |lhs - rhs|
+        gap = np.maximum(self.row_lo - lhs, lhs - self.row_hi)
+        rows = np.flatnonzero(~(gap <= tol))
+        return rows, gap[rows]
 
     def sizes(self) -> dict[str, int]:
         return {
@@ -677,14 +690,13 @@ def format_solution(solution: Solution, model: MilpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_solution(
-    text: str, model: MilpModel, tol: float = FEASIBILITY_TOL
-) -> Solution:
+def parse_solution(text: str, model: MilpModel) -> Solution:
     """Parse the solution text format: status line, optional ``obj <v>``
     line (the token ``obj`` exactly), then one ``name value`` pair per line.
 
-    Every name must be a variable of ``model``. A variable the text leaves
-    out reads as 0, which must lie within its bounds like any other value.
+    Every name must be a variable of ``model`` and every number finite. A
+    variable the text leaves out reads as 0, which must lie within its bounds
+    like any other value.
     """
     lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines:
@@ -701,6 +713,8 @@ def parse_solution(
             (objective,) = map(float, parts[1:])
         except ValueError as exc:
             raise ValueError(f"unparseable objective line {body[0]!r}") from exc
+        if not math.isfinite(objective):
+            raise ValueError(f"non-finite value in line {body[0]!r}")
         body = body[1:]
     cols, values = _read_body(body, model)
 
@@ -709,7 +723,7 @@ def parse_solution(
     arrays = model.arrays
     x = np.zeros(len(arrays.names))
     x[cols] = values
-    bad = np.flatnonzero((x < arrays.lower - tol) | (x > arrays.upper + tol))
+    bad = arrays.outside_bounds(x)
     if bad.size:
         i = int(bad[0])
         name = arrays.names[i]
@@ -727,42 +741,26 @@ def parse_solution(
 
 def _read_body(body: list[str], model: MilpModel) -> tuple[np.ndarray, list[float]]:
     """The columns that the ``name value`` lines of ``body`` name, each once,
-    and their values; a repeated line overrides.
-
-    A body that names every column once, in column order, as
-    :func:`format_solution` writes it, is split ``_READ_LINES`` lines at a
-    time and its values are read by one ``map`` per piece. Any other body is
-    read line by line, which also names the first bad line."""
-    names = model._names
-    if len(body) == len(names):
-        values: list[float] = []
-        for start in range(0, len(body), _READ_LINES):
-            piece = slice(start, start + _READ_LINES)
-            text = "\n".join(body[piece])
-            if not _PAIR_LINES.fullmatch(text):
-                break
-            tokens = text.split()
-            if tokens[::2] != names[piece]:
-                break
-            try:
-                values.extend(map(float, tokens[1::2]))
-            except ValueError:
-                break
-        else:
-            return np.arange(len(body)), values
+    and their values, read line by line; a repeated line overrides. The first
+    bad line is named."""
     index = model._index
+    isfinite = math.isfinite
     given = {}
     for ln in body:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"unparseable solution line {ln!r}")
-        name, raw = parts
-        if name not in index:
+        try:
+            name, raw = ln.split()
+        except ValueError:
+            raise ValueError(f"unparseable solution line {ln!r}") from None
+        col = index.get(name)
+        if col is None:
             raise ValueError(f"solution line {ln!r} names no variable of the model")
         try:
-            given[index[name]] = float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise ValueError(f"unparseable value in line {ln!r}") from exc
+        if not isfinite(value):
+            raise ValueError(f"non-finite value in line {ln!r}")
+        given[col] = value
     return np.fromiter(given, np.intp, len(given)), list(given.values())
 
 
@@ -773,15 +771,11 @@ def check_solution(
 
     Returns (tag, violation amount) for each violated constraint; an empty
     list means the solution is feasible within ``tol``. The solution must
-    hold one value per column.
+    hold one value per column; a NaN violates each row it appears in.
     """
-    arrays = model.arrays
-    lhs = arrays.matrix() @ solution.column_values(model)
-    # the infinite bound of an inequality gives -inf; for an equality the
-    # two differences are exact negatives, so this is |lhs - rhs|
-    gap = np.maximum(arrays.row_lo - lhs, lhs - arrays.row_hi)
+    rows, gaps = model.arrays.missed_rows(solution.column_values(model), tol)
     tags = model._tags
-    return [(tags[r], float(gap[r])) for r in np.flatnonzero(gap > tol)]
+    return [(tags[r], g) for r, g in zip(rows.tolist(), gaps.tolist())]
 
 
 # -- solving ---------------------------------------------------------------

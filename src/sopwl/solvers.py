@@ -66,16 +66,17 @@ class ScipyMilpAdapter:
 
         x = np.asarray(res.x, dtype=float)
         # snap binaries so downstream bound checks see clean values; "+ 0.0"
-        # turns a rounded -0.0 into 0.0. _clipped clips integrality dust
+        # turns a rounded -0.0 into 0.0. _clip clips integrality dust
         x[a.binary] = np.round(x[a.binary]) + 0.0
-        if _breaks_a_row(_clip(x, a), a):
+        x = _clip(x, a)
+        if a.missed_rows(x)[0].size:
             x = self._polished(a, c, x)
-        objective, x = _clipped(x, a)
-        return milp.Solution(status, objective, x, **stats)
+        return milp.Solution(status, _objective(x, a), x, **stats)
 
     def _polished(self, a: milp.ModelArrays, c: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """``x`` re-solved as an LP with its binaries fixed, or ``x`` itself
-        when that LP is not solved to optimality.
+        """The clipped point ``x`` re-solved as an LP with its binaries fixed
+        and clipped into its bounds, or ``x`` itself when that LP is not
+        solved to optimality.
 
         HiGHS may leave a MILP point outside a bound by up to its MIP
         feasibility tolerance (1e-6) with every row met exactly; clipping the
@@ -84,7 +85,7 @@ class ScipyMilpAdapter:
         and any point it returns is as good as ``x`` up to that tolerance."""
         fixed = (np.where(a.binary, x, a.lower), np.where(a.binary, x, a.upper))
         res = self._highs(a, c, integral=False, bounds=fixed)
-        return np.asarray(res.x, dtype=float) if _status(res) == "optimal" else x
+        return _clip(np.asarray(res.x, dtype=float), a) if _status(res) == "optimal" else x
 
     def run_relaxed_two_stage(
         self, model: milp.MilpModel, stage2: np.ndarray
@@ -120,7 +121,8 @@ class ScipyMilpAdapter:
         status = _status(second)
         if status != "optimal":
             return milp.Solution(status, 0.0, mip_dual_bound=bound)
-        objective, x = _clipped(np.asarray(second.x, dtype=float), a)
+        x = _clip(np.asarray(second.x, dtype=float), a)
+        objective = _objective(x, a)
         gap = -sign * (bound - objective) / abs(bound) if bound else 0.0
         return milp.Solution(
             "optimal",
@@ -193,22 +195,8 @@ def _clip(x: np.ndarray, a: milp.ModelArrays) -> np.ndarray:
     return np.where(x > a.upper, a.upper, x)
 
 
-def _breaks_a_row(x: np.ndarray, a: milp.ModelArrays) -> bool:
-    """Whether ``x`` misses a row by more than ``milp.FEASIBILITY_TOL``, the
-    tolerance of :func:`sopwl.milp.check_solution`."""
-    if not len(a.row_lo):
-        return False
-    lhs = a.matrix() @ x
-    return bool((np.maximum(a.row_lo - lhs, lhs - a.row_hi) > milp.FEASIBILITY_TOL).any())
-
-
-def _clipped(x: np.ndarray, a: milp.ModelArrays) -> tuple[float, np.ndarray]:
-    """The objective and ``x`` clipped into its bounds (:func:`_clip`).
-
-    The objective is recomputed from the clipped values for consistency,
-    summed term by term in the objective's order.
-    """
-    x = _clip(x, a)
+def _objective(x: np.ndarray, a: milp.ModelArrays) -> float:
+    """The objective at the clipped point ``x``, recomputed for consistency
+    and summed term by term in the objective's order."""
     obj_values = x[a.obj_cols].tolist()
-    objective = float(sum(c * v for c, v in zip(a.obj_coefs.tolist(), obj_values)))
-    return objective, x
+    return float(sum(c * v for c, v in zip(a.obj_coefs.tolist(), obj_values)))

@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .distflow import MODE_PWL, MODE_SOPWL, DistflowArtifacts, emit_pwl_block, epsilon_plus
-from .milp import FEASIBILITY_TOL, MilpModel, Solution, check_solution
+from .milp import FEASIBILITY_TOL, MilpModel, Solution
 from .network import NetworkCase
 from .pwl import FillingState, relative_error
 
@@ -149,13 +149,13 @@ class ErrorReport:
         vals = self._reported("p")
         return sum(vals) / len(vals) if vals else 0.0
 
-    def to_delimited(self, sep: str = ",") -> str:
-        lines = [sep.join(["feeder", "mode", "E_p", "E_q", "eso_ok"])]
+    def to_delimited(self) -> str:
+        lines = [",".join(["feeder", "mode", "E_p", "E_q", "eso_ok"])]
         for r in self.records:
             e_p = "negligible" if r.e_p is None else f"{r.e_p:.6f}"
             e_q = "negligible" if r.e_q is None else f"{r.e_q:.6f}"
             eso_ok = str(r.eso_ok_p and r.eso_ok_q).lower()
-            lines.append(sep.join([r.branch_key, self.mode, e_p, e_q, eso_ok]))
+            lines.append(",".join([r.branch_key, self.mode, e_p, e_q, eso_ok]))
         return "\n".join(lines) + "\n"
 
     def to_table(self) -> str:
@@ -238,15 +238,13 @@ def filling_dump(solution: Solution, artifacts: DistflowArtifacts) -> str:
     return "\n".join(lines) + "\n"
 
 
-def check_unordered_feasibility(
-    state: FillingState, tol: float = FEASIBILITY_TOL
-) -> tuple[bool, bool]:
+def check_unordered_feasibility(state: FillingState) -> tuple[bool, bool]:
     """Substitute a candidate filling into a standalone linearized-square
     block in each mode and report (feasible in plain mode, feasible in
     ordered mode) by direct constraint evaluation. Rows and bounds hold
-    within ``tol``, which also decides which segments count as used."""
+    within ``FEASIBILITY_TOL``, which also decides which segments count as
+    used."""
     grid = state.grid
-    h = grid.seg_width
     total = state.total
     results = []
     for mode in (MODE_PWL, MODE_SOPWL):
@@ -261,13 +259,11 @@ def check_unordered_feasibility(
         # indicator binaries: forced to 1 wherever the next segment is used,
         # free (set 0) elsewhere
         x[block.x[0]] = [
-            1.0 if lam < grid.num_segments and state.deltas[lam] > tol else 0.0
+            1.0 if lam < grid.num_segments and state.deltas[lam] > FEASIBILITY_TOL else 0.0
             for lam in range(1, len(block.x[0]) + 1)
         ]
         a = model.arrays
-        solution = Solution(status="feasible", objective_value=0.0, x=x)
-        within = (x >= a.lower - tol) & (x <= a.upper + tol)
-        results.append(bool(within.all()) and not check_solution(model, solution, tol=tol))
+        results.append(not a.outside_bounds(x).size and not a.missed_rows(x)[0].size)
     return results[0], results[1]
 
 

@@ -525,6 +525,24 @@ class TestValidate:
         assert status == 1
         assert "VIOLATED" in out
 
+    def test_non_finite_value_rejected(self, tmp_path, cases_dir, capsys):
+        sol_path = self._solve(tmp_path, cases_dir)
+        lines = sol_path.read_text().splitlines()
+        bad = [f"{ln.split()[0]} nan" if ln.startswith("P_1_2_d1 ") else ln for ln in lines]
+        sol_path.write_text("\n".join(bad) + "\n")
+        capsys.readouterr()
+        status = main(
+            [
+                "validate",
+                "--case", str(cases_dir / "twobus.json"),
+                "--mode", "sopwl",
+                "--segments", "10",
+                "--solution", str(sol_path),
+            ]
+        )
+        assert status == 2
+        assert capsys.readouterr().err == "error: non-finite value in line 'P_1_2_d1 nan'\n"
+
     def test_solution_of_another_solver(self, tmp_path, cases_dir, capsys):
         # another solver reads the exported LP and writes the solution text
         # format; its status token is read case-insensitively

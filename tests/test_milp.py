@@ -443,18 +443,17 @@ class TestParseSolution:
         assert sol.x.tolist() == [0.0, 2.0]
         assert sol.missing == 1
 
-    def test_read_in_pieces(self, monkeypatch):
-        monkeypatch.setattr(milp, "_READ_LINES", 2)
-        m = MilpModel()
-        m.add_variables([f"v{i}" for i in range(5)], 0.0, 5.0)
-        m.freeze()
-        body = "".join(f"v{i} {i}\n" for i in range(5))
-        assert parse_solution(f"optimal\n{body}", m).x.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
-        # a bad value or name in a later piece is still named
-        with pytest.raises(ValueError, match="unparseable value in line 'v4 four'"):
-            parse_solution(f"optimal\n{body.replace('v4 4', 'v4 four')}", m)
-        with pytest.raises(ValueError, match="'w3 3' names no variable"):
-            parse_solution(f"optimal\n{body.replace('v3 3', 'w3 3')}", m)
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("body", ["x {v}\ny 4\n", "y 4\nx {v}\n"], ids=["in-order", "out-of-order"])
+    def test_non_finite_value_named(self, body, value):
+        # a NaN would pass every bound and row check that follows
+        with pytest.raises(ValueError, match=re.escape(f"non-finite value in line 'x {value}'")):
+            parse_solution(f"optimal\nobj 1\n{body.format(v=value)}", self._xy())
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_objective_named(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"non-finite value in line 'obj {value}'")):
+            parse_solution(f"optimal\nobj {value}\nx 1\ny 1\n", self._xy())
 
     def test_unknown_status(self):
         m = simple_model().freeze()
@@ -485,14 +484,22 @@ def _solutions(draw):
 
 class TestSolutionText:
     @settings(max_examples=200, deadline=None)
-    @given(_solutions())
-    def test_round_trip(self, drawn):
+    @given(_solutions(), st.data())
+    def test_round_trip(self, drawn, data):
         names, solution = drawn
         m = MilpModel()
         for name in names:
             m.add_variable(name)
         m.freeze()
-        back = parse_solution(format_solution(solution, m), m)
+        # the value lines in any order, one of them also given earlier with
+        # another value: the last line of a name wins
+        lines = format_solution(solution, m).splitlines()
+        head, body = lines[:2], data.draw(st.permutations(lines[2:]))
+        if body:
+            k = data.draw(st.integers(0, len(body) - 1))
+            stale = f"{body[k].split()[0]} {data.draw(_finite)!r}"
+            body.insert(data.draw(st.integers(0, k)), stale)
+        back = parse_solution("\n".join(head + body) + "\n", m)
         assert back.status == solution.status
         # repr round-trips every float; compare the text to keep -0.0 apart
         assert repr(back.objective_value) == repr(solution.objective_value)
@@ -520,6 +527,19 @@ class TestCheckSolution:
         sol = Solution(status="feasible", objective_value=0.0, x=np.array([3.0]))
         violations = check_solution(m, sol)
         assert violations == [("cap:branch", pytest.approx(2.0))]
+
+    def test_nan_reported_against_its_rows(self):
+        m = MilpModel()
+        m.add_variables(["x", "y"], 0.0, 5.0)
+        m.add_constraint({"x": 1.0, "y": 1.0}, "<=", 1.0, tag="sum")
+        m.add_constraint({"y": 1.0}, "<=", 5.0, tag="y_only")
+        m.add_constraint({"x": 1.0}, ">=", 0.0, tag="x_only")
+        m.freeze()
+        sol = Solution(status="feasible", objective_value=0.0, x=np.array([math.nan, 4.0]))
+        violations = check_solution(m, sol)
+        assert [tag for tag, _ in violations] == ["sum", "x_only"]
+        assert all(math.isnan(gap) for _, gap in violations)
+        assert m.arrays.outside_bounds(sol.x).tolist() == [0]
 
 
 # dyadic values keep every sum exact, so the reference and the sparse product
