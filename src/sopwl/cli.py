@@ -433,7 +433,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "export-lp":
             return cmd_export_lp(config)
         return cmd_validate(config, Path(args.solution))
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

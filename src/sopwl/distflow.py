@@ -13,6 +13,8 @@ bulk call for the variables and one for the rows (:class:`_Batch`);
 The build hands back the column of every variable it declared
 (:class:`DistflowArtifacts`); past the build a variable is addressed by its
 column alone, and its name is only the text of the LP and solution files.
+A row's tag is LP-format-safe (``eq20_1_2_P_l1``, ``balanceP_2``): it is the
+row's name in the LP file and in every message about the row.
 """
 
 from __future__ import annotations
@@ -59,7 +61,9 @@ class BuildOptions:
             raise ValueError(f"unknown objective {self.objective!r}")
 
 def epsilon_plus(grid: PwlGrid) -> float:
-    """The margin by which an active ``eq20`` row asks a segment to be full."""
+    """The margin by which an active ``eq20`` row asks a segment to be full;
+    :func:`sopwl.validation.branch_errors` adds it to ``FEASIBILITY_TOL`` in
+    its ordered test."""
     return 1e-6 * grid.seg_width
 
 
@@ -102,10 +106,6 @@ def flow_bound(branch: Branch, case: NetworkCase, options: BuildOptions) -> PwlG
         raise ValueError("zero or negative current base")
     i_max_pu = branch.i_max_amps / i_base
     return PwlGrid(y_max=i_max_pu, num_segments=options.num_segments)
-
-
-def _key_name(branch_key: str) -> str:
-    return branch_key.replace("-", "_")
 
 
 def _column(values: Sequence[float]) -> np.ndarray:
@@ -251,11 +251,11 @@ def _emit_blocks(
         batch.variables(["%s_zpos", "%s_zneg"], prefixes, 0.0, 1.0, binary=True), 2
     )
 
-    batch.rows(["eq6:%s"], tag_suffixes, [(y, 1.0), (pos, -1.0), (neg, 1.0)], "=", 0.0)
-    batch.rows(["eq7:%s"], tag_suffixes, [(pos, 1.0), (neg, 1.0), (delta, -1.0)], "=", 0.0)
-    batch.rows(["eq10:%s"], tag_suffixes, [(pos, 1.0), (z_pos, -y_max)], "<=", 0.0)
-    batch.rows(["eq11:%s"], tag_suffixes, [(neg, 1.0), (z_neg, -y_max)], "<=", 0.0)
-    batch.rows(["eq12:%s"], tag_suffixes, [(z_pos, 1.0), (z_neg, 1.0)], "<=", 1.0)
+    batch.rows(["eq6_%s"], tag_suffixes, [(y, 1.0), (pos, -1.0), (neg, 1.0)], "=", 0.0)
+    batch.rows(["eq7_%s"], tag_suffixes, [(pos, 1.0), (neg, 1.0), (delta, -1.0)], "=", 0.0)
+    batch.rows(["eq10_%s"], tag_suffixes, [(pos, 1.0), (z_pos, -y_max)], "<=", 0.0)
+    batch.rows(["eq11_%s"], tag_suffixes, [(neg, 1.0), (z_neg, -y_max)], "<=", 0.0)
+    batch.rows(["eq12_%s"], tag_suffixes, [(z_pos, 1.0), (z_neg, 1.0)], "<=", 1.0)
 
     x = delta[:, :0]
     if mode == MODE_SOPWL:
@@ -265,7 +265,7 @@ def _emit_blocks(
         x = batch.variables([f"%s_x{lam}" for lam in lams], prefixes, 0.0, 1.0, binary=True)
         # delta_lam - h + (1 - x_lam) * M + eps >= 0
         batch.rows(
-            [f"eq20:%s:l{lam}" for lam in lams],
+            [f"eq20_%s_l{lam}" for lam in lams],
             tag_suffixes,
             [(delta, 1.0), (x, -m_const)],
             ">=",
@@ -273,7 +273,7 @@ def _emit_blocks(
         )
         # 0 <= delta_{lam+1} <= x_lam * h (lower bound held by the variable)
         batch.rows(
-            [f"eq21:%s:l{lam}" for lam in range(1, n)],
+            [f"eq21_%s_l{lam}" for lam in range(1, n)],
             tag_suffixes,
             [(delta[:, 1:], 1.0), (x[:, :-1], -h)],
             "<=",
@@ -290,11 +290,11 @@ def emit_pwl_block(
 ) -> BlockColumns:
     """Declare segment/sign/binary variables and constraint rows for one
     linearized square of column ``y``, returning their columns (one row).
-    Names start ``y_y_`` and tags ``y:y``."""
+    Names start ``y_y_``; tags are ``eq6_y_y``, ``eq20_y_y_l1`` and so on."""
     if mode not in (MODE_PWL, MODE_SOPWL):
         raise ValueError(f"unknown mode {mode!r}")
     batch = _Batch(1, model.num_variables, _block_width(grid.num_segments, mode))
-    cols = _emit_blocks(batch, np.array([[y]]), [grid], grid.num_segments, mode, ["y_y"], ["y:y"])
+    cols = _emit_blocks(batch, np.array([[y]]), [grid], grid.num_segments, mode, ["y_y"], ["y_y"])
     batch.emit(model)
     return cols
 
@@ -320,10 +320,10 @@ def build_distflow(
         [bus.v_sqr_max for bus in buses],
     )
     # the root is the first bus
-    model.add_rows([voltage.start], [1.0], [0, 1], ["="], [1.0], [f"rootV:{case.root}"])
+    model.add_rows([voltage.start], [1.0], [0, 1], ["="], [1.0], [f"rootV_{case.root}"])
 
-    keys = [br.key for br in branches]
-    names = [_key_name(key) for key in keys]
+    # the branch key in variable names and row tags: "1-2" -> "1_2"
+    names = [br.key.replace("-", "_") for br in branches]
     grid_list = [flow_bound(br, case, options) for br in branches]
     y_max = _column([g.y_max for g in grid_list])
     # squares taken on Python floats: numpy's r**2 differs from Python's in
@@ -348,18 +348,18 @@ def build_distflow(
             n,
             mode,
             [f"{kind}_{a}" for a in names],
-            [f"{key}:{kind}" for key in keys],
+            [f"{a}_{kind}" for a in names],
         )
         for kind, y in (("P", p), ("Q", q))
     }
     # squared-current coupling: Isqr = f(P) + f(Q), v_norm = 1
     slopes = np.arange(1, 2 * n, 2) * _column([g.seg_width for g in grid_list])
     coupling = [(isqr, 1.0)] + [(block_cols[kind].delta, -slopes) for kind in ("P", "Q")]
-    batch.rows(["eq4:%s"], keys, coupling, "=", 0.0)
+    batch.rows(["eq4_%s"], names, coupling, "=", 0.0)
     # voltage drop along the branch
     batch.rows(
-        ["vdrop:%s"],
-        keys,
+        ["vdrop_%s"],
+        names,
         [
             (voltage.start + to_bus[:, None], 1.0),
             (voltage.start + from_bus[:, None], -1.0),
@@ -414,7 +414,7 @@ def build_distflow(
         row_start,
         ["="] * (2 * len(buses)),
         np.zeros(2 * len(buses)),
-        [f"balance{kind}:{bus.id}" for bus in buses for kind in ("P", "Q")],
+        [f"balance{kind}_{bus.id}" for bus in buses for kind in ("P", "Q")],
     )
 
     return DistflowArtifacts(

@@ -16,9 +16,9 @@ read those.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
-import string
 import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -56,7 +56,8 @@ _LP_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 # read by the two checks of a vector, ModelArrays.outside_bounds and
 # ModelArrays.missed_rows, and by the ordered-filling tests of
 # validation.lift_ordered and branch_errors' eso_ok flag (on top of the
-# segment slack).
+# segment slack); lift_ordered and validation.check_unordered_feasibility
+# count a segment holding more than this as used.
 FEASIBILITY_TOL = 1e-6
 
 # The default time limit of one solve, in seconds.
@@ -479,63 +480,6 @@ class Solution:
 LP_CHUNK_ROWS = 8192
 
 
-class _RowNameChars(dict):
-    """``str.translate`` table of LP row names: every character outside
-    ``[A-Za-z0-9_.]`` becomes ``_``, except ``"\\n"``, which separates the
-    joined tags."""
-
-    def __init__(self) -> None:
-        safe = string.ascii_letters + string.digits + "_.\n"
-        super().__init__((c, chr(c) if chr(c) in safe else "_") for c in range(128))
-
-    def __missing__(self, c: int) -> str:
-        return "_"  # no character beyond ASCII is safe
-
-
-_ROW_NAME_CHARS = _RowNameChars()
-
-
-def _row_bases(tags: list[str]) -> list[str]:
-    """Each tag with every character outside ``[A-Za-z0-9_.]`` replaced by
-    ``_``, and ``c_`` in front of one that would not start with a letter or
-    ``_``.
-
-    One translation runs over all tags joined by ``"\\n"``; when a tag holds
-    a ``"\\n"`` itself the split comes out longer, and each tag is translated
-    on its own."""
-    bases = "\n".join(tags).translate(_ROW_NAME_CHARS).split("\n")
-    if len(bases) != len(tags):
-        bases = [tag.translate(_ROW_NAME_CHARS).replace("\n", "_") for tag in tags]
-    return [b if b and b[0] not in "0123456789." else "c_" + b for b in bases]
-
-
-def _row_names(tags: list[str]) -> Iterator[list[str]]:
-    """LP row names, ``LP_CHUNK_ROWS`` at a time: each tag's base
-    (:func:`_row_bases`), with ``__<n>`` after the ``n``-th repeat of that
-    base in the whole model.
-
-    A first pass keeps only each base's hash, so that no name outlives its
-    piece: a base whose hash no other row shares is not repeated, and only
-    the bases with a shared hash are counted."""
-    starts = range(0, len(tags), LP_CHUNK_ROWS)
-    hashes = [np.empty(0, dtype=np.int64)]
-    for lo in starts:
-        hashes.append(np.fromiter(map(hash, _row_bases(tags[lo : lo + LP_CHUNK_ROWS])), np.int64))
-    values, counts = np.unique(np.concatenate(hashes), return_counts=True)
-    shared = set(values[counts > 1].tolist())
-    used: dict[str, int] = {}
-    for lo in starts:
-        names = _row_bases(tags[lo : lo + LP_CHUNK_ROWS])
-        if shared:
-            for i, base in enumerate(names):
-                if hash(base) in shared:
-                    n = used.get(base, 0)
-                    used[base] = n + 1
-                    if n:
-                        names[i] = f"{base}__{n}"
-        yield names
-
-
 def _format_coef(c: float) -> str:
     return repr(c) if c != int(c) else str(int(c))
 
@@ -570,12 +514,10 @@ def _expression(cols: np.ndarray, coefs: np.ndarray, name_of: np.ndarray) -> str
     return " ".join(terms.tolist())
 
 
-def _rows_text(
-    a: ModelArrays, rows: slice, row_names: list[str], name_of: np.ndarray
-) -> str:
-    """The rows ``rows`` of the ``Subject To`` section, named ``row_names``,
-    each line led by ``"\\n"``: `` name: <expression> <sense> <rhs>``, an
-    expression without terms written ``0 __dummy__``.
+def _rows_text(a: ModelArrays, rows: slice, tags: list[str], name_of: np.ndarray) -> str:
+    """The rows ``rows`` of the ``Subject To`` section, named by their
+    ``tags``, each line led by ``"\\n"``: `` tag: <expression> <sense>
+    <rhs>``, an expression without terms written ``0 __dummy__``.
 
     The text is one join of four pieces per nonzero: the row's head before
     its first term (else ``""``), the signed coefficient (``"+ "`` dropped
@@ -587,7 +529,7 @@ def _rows_text(
     start = start - start[0]
     used = start[1:] > start[:-1]
     first = start[:-1][used]
-    head = "\n " + np.array(row_names, dtype=object) + ": "
+    head = "\n " + np.array(tags, dtype=object) + ": "
     sense = np.array([" <= ", " = ", " >= "], dtype=object)[a.senses[rows]]
     tail = sense + _texts(a.rhs[rows], _format_coef)
     pieces = np.full((len(cols), 4), "", dtype=object)
@@ -625,16 +567,29 @@ def lp_chunks(model: MilpModel) -> Iterator[str]:
     as many variables, then ``End``.
 
     The model is checked when this is called, before the first piece is
-    asked for: it must be frozen, its name must hold no line break, and every
-    variable name must be LP-format-safe."""
+    asked for: it must be frozen, its name must hold no line break, every
+    variable name and row tag must be LP-format-safe, and no two rows may
+    share a tag. A row's tag is its name in the LP text."""
     if not model.frozen:
         raise ModelFrozenError("freeze the model before exporting")
     if "\n" in model.name or "\r" in model.name:
         raise ValueError(f"model name {model.name!r} holds a line break")
-    names = model.arrays.names
-    if not all(map(_LP_NAME_RE.fullmatch, names)):
-        bad = next(n for n in names if not _LP_NAME_RE.fullmatch(n))
+    tags = model._tags
+    names = itertools.chain(model.arrays.names, tags)
+    bad = next(itertools.filterfalse(_LP_NAME_RE.fullmatch, names), None)
+    if bad is not None:
         raise ValueError(f"name {bad!r} is not LP-format-safe")
+    # hashes first, so that only the tags whose hash another tag shares are
+    # held in a set
+    hashes = np.fromiter(map(hash, tags), np.int64, len(tags))
+    values, counts = np.unique(hashes, return_counts=True)
+    if (counts > 1).any():
+        shared, seen = set(values[counts > 1].tolist()), set()
+        for tag in tags:
+            if hash(tag) in shared:
+                if tag in seen:
+                    raise ValueError(f"row tag {tag!r} is held by more than one row")
+                seen.add(tag)
     return _lp_pieces(model)
 
 
@@ -648,8 +603,9 @@ def _lp_pieces(model: MilpModel) -> Iterator[str]:
         objective = f"0 {a.names[0]}" if a.names else "0 __zero__"
     sense = "Maximize" if model.objective_sense == "max" else "Minimize"
     yield f"\\ {model.name}\n{sense}\n obj: {objective}\nSubject To"
-    for lo, row_names in zip(range(0, len(model._tags), LP_CHUNK_ROWS), _row_names(model._tags)):
-        yield _rows_text(a, slice(lo, lo + LP_CHUNK_ROWS), row_names, name_of)
+    tags = model._tags
+    for lo in range(0, len(tags), LP_CHUNK_ROWS):
+        yield _rows_text(a, slice(lo, lo + LP_CHUNK_ROWS), tags[lo : lo + LP_CHUNK_ROWS], name_of)
     yield "\nBounds\n"
     chunks = [slice(lo, lo + LP_CHUNK_ROWS) for lo in range(0, len(name_of), LP_CHUNK_ROWS)]
     for chunk in chunks:

@@ -156,6 +156,18 @@ def _bus(raw: dict, key: str) -> int:
     return value
 
 
+def _objects(doc: dict, key: str) -> list[dict]:
+    """``doc[key]``, a list of JSON objects; an absent field is an empty
+    list."""
+    items = doc.get(key, [])
+    if not isinstance(items, list):
+        raise CaseError(f"{key!r} must be a list of objects, not a {type(items).__name__}")
+    for item in items:
+        if not isinstance(item, dict):
+            raise CaseError(f"{key!r} must be a list of objects: {item!r} is not one")
+    return items
+
+
 def load_case(source: Union[str, Path, dict]) -> NetworkCase:
     """Load and validate a case document (JSON file or parsed dict)."""
     if isinstance(source, (str, Path)):
@@ -177,6 +189,8 @@ def load_case(source: Union[str, Path, dict]) -> NetworkCase:
         )
     if "bases" not in doc:
         raise CaseError("missing required field: 'bases'")
+    if not isinstance(doc["bases"], dict):
+        raise CaseError(f"'bases' must be an object, not a {type(doc['bases']).__name__}")
     s_base = _number(doc["bases"], "s_base_mva")
     v_base = _number(doc["bases"], "v_base_kv")
     if s_base <= 0 or v_base <= 0:
@@ -189,11 +203,11 @@ def load_case(source: Union[str, Path, dict]) -> NetworkCase:
             v_sqr_min=_number(b, "v_sqr_min", DEFAULT_V_SQR_MIN),
             v_sqr_max=_number(b, "v_sqr_max", DEFAULT_V_SQR_MAX),
         )
-        for b in doc.get("buses", [])
+        for b in _objects(doc, "buses")
     )
 
     branches = []
-    for raw in doc.get("branches", []):
+    for raw in _objects(doc, "branches"):
         if "r_pu" in raw:
             r_pu, x_pu = _number(raw, "r_pu"), _number(raw, "x_pu")
         elif "r_ohm" in raw:
@@ -216,7 +230,7 @@ def load_case(source: Union[str, Path, dict]) -> NetworkCase:
 
     loads = tuple(
         Load(bus=_bus(l, "bus"), p_pu=_number(l, "p_pu"), q_pu=_number(l, "q_pu"))
-        for l in doc.get("loads", [])
+        for l in _objects(doc, "loads")
     )
     generators = tuple(
         Generator(
@@ -224,7 +238,7 @@ def load_case(source: Union[str, Path, dict]) -> NetworkCase:
             p_max_pu=_number(g, "p_max_pu"),
             q_max_pu=_number(g, "q_max_pu"),
         )
-        for g in doc.get("generators", [])
+        for g in _objects(doc, "generators")
     )
 
     return NetworkCase(

@@ -26,6 +26,9 @@ __all__ = [
     "compensation_witness",
 ]
 
+# Rounding room, relative to max(1, h) or max(1, y_max), of this module's own
+# checks: FillingState's segment range, _check_domain's flow range and the
+# ordered test of compensation_witness.
 _INVARIANT_SLACK = 1e-9
 
 

@@ -28,15 +28,17 @@ from . import milp
 
 __all__ = ["ScipyMilpAdapter"]
 
-# HiGHS's relative MIP gap: a returned objective is within this share of the
-# optimum
+# HiGHS's relative MIP gap, set on every call by ScipyMilpAdapter._highs: a
+# returned objective is within this share of the optimum. HiGHS's own
+# feasibility tolerances stay at their defaults, 1e-6 for a MILP's rows and
+# 1e-7 for an LP's.
 MIP_REL_GAP = 1e-4
 # HiGHS's zero-integrality rounding heuristic ("ZI round", Wallace 2010), off
 # in HiGHS by default and on in every call (see the module docstring);
 # scipy.optimize.milp does not name the option and passes it on verbatim
 ZI_ROUND_OPTION = "mip_heuristic_run_zi_round"
 # how far below the LP optimum U stage 2 of the relaxed solve may move the
-# objective, relative to max(1, |U|)
+# objective, relative to max(1, |U|); read by run_relaxed_two_stage
 STAGE2_SLACK = 1e-7
 
 

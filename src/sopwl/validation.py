@@ -27,9 +27,9 @@ __all__ = [
     "radial_sweep",
 ]
 
-# Without an explicit floor, a branch's flow counts as negligible below this
-# many segment widths: from there on an ordered filling's relative error,
-# at most (h^2 / 4) / y^2, is at most 2 %.
+# Without an explicit floor, branch_errors counts a branch's flow as
+# negligible below this many segment widths: from there on an ordered
+# filling's relative error, at most (h^2 / 4) / y^2, is at most 2 %.
 ZERO_FLOW_FLOOR_WIDTHS = math.sqrt(12.5)
 
 
@@ -134,19 +134,18 @@ class ErrorReport:
     records: tuple[BranchErrorRecord, ...]
     zero_flow_floor: Optional[float]  # None: each branch's own floor
 
-    def _reported(self, kind: str) -> list[float]:
-        if kind == "p":
-            return [r.e_p for r in self.records if r.e_p is not None]
-        return [r.e_q for r in self.records if r.e_q is not None]
+    def _reported(self) -> list[float]:
+        """E_p of every branch whose active flow is not negligible."""
+        return [r.e_p for r in self.records if r.e_p is not None]
 
     @property
     def max_e_p(self) -> float:
-        vals = self._reported("p")
+        vals = self._reported()
         return max(vals) if vals else 0.0
 
     @property
     def mean_e_p(self) -> float:
-        vals = self._reported("p")
+        vals = self._reported()
         return sum(vals) / len(vals) if vals else 0.0
 
     def to_delimited(self) -> str:
@@ -168,7 +167,7 @@ class ErrorReport:
             lines.append(f"{r.branch_key:>8} {self.mode:>6} {e_p:>12} {e_q:>12} {ok:>7}")
         lines.append(
             f"summary: max E_p = {self.max_e_p:.6f} %, mean E_p = {self.mean_e_p:.6f} % "
-            f"over {len(self._reported('p'))} reported feeders"
+            f"over {len(self._reported())} reported feeders"
         )
         return "\n".join(lines) + "\n"
 
@@ -294,7 +293,8 @@ def radial_sweep(
 
     ``injections`` maps bus id to net (P, Q) injection in pu (generation
     positive, load negative); the root is the slack bus at 1.0 pu, the root
-    voltage of :func:`sopwl.distflow.build_distflow`.
+    voltage of :func:`sopwl.distflow.build_distflow`. The sweep has converged
+    when no bus voltage moves by ``tol`` pu or more in an iteration.
     """
     root = case.root
     voltage = {bus.id: complex(1.0, 0.0) for bus in case.buses}

@@ -143,6 +143,13 @@ class TestExportLp:
 
 
 class TestSolve:
+    def test_output_path_is_a_file(self, tmp_path, cases_dir, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        args = ["--case", str(cases_dir / "twobus.json"), "--segments", "2", "--out", str(out)]
+        assert main(["solve", *args]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_empty_case(self, tmp_path, cases_dir):
         out = tmp_path / "run"
         status = main(
@@ -524,6 +531,11 @@ class TestValidate:
         out = capsys.readouterr().out
         assert status == 1
         assert "VIOLATED" in out
+
+    def test_solution_path_is_a_directory(self, tmp_path, cases_dir, capsys):
+        args = ["--case", str(cases_dir / "twobus.json"), "--segments", "2"]
+        assert main(["validate", *args, "--solution", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_non_finite_value_rejected(self, tmp_path, cases_dir, capsys):
         sol_path = self._solve(tmp_path, cases_dir)

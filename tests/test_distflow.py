@@ -10,7 +10,7 @@ from sopwl.distflow import (
     emit_pwl_block,
     flow_bound,
 )
-from sopwl.milp import MilpModel, check_solution, solve
+from sopwl.milp import _LP_NAME_RE, MilpModel, check_solution, solve, write_lp
 from sopwl.network import bundled_case_path, load_case
 from sopwl.pwl import PwlGrid
 from sopwl.solvers import ScipyMilpAdapter
@@ -132,7 +132,7 @@ class TestBuildDistflow:
         opts = BuildOptions(num_segments=5, mode="pwl")
         m = MilpModel()
         art = build_distflow(m, twobus, opts)
-        (bal,) = m.constraints_by_tag("balanceP:2")
+        (bal,) = m.constraints_by_tag("balanceP_2")
         terms = {m.variable(name).index: c for name, c in bal.terms}
         assert terms == {
             art.blocks["P"].y[0, 0]: 1.0,
@@ -141,6 +141,18 @@ class TestBuildDistflow:
             art.gen[0, 0]: 1.0,
         }
         assert bal.rhs == 0.0
+
+    @pytest.mark.parametrize("mode", ["pwl", "sopwl"])
+    def test_tags_are_the_lp_row_names(self, twobus, mode):
+        m = MilpModel()
+        build_distflow(m, twobus, BuildOptions(num_segments=3, mode=mode))
+        (y,) = m.add_variables(["y"], -1.0, 1.0)
+        emit_pwl_block(m, y, PwlGrid(1.0, 3), mode)
+        tags = [c.tag for c in m.constraints]
+        assert all(map(_LP_NAME_RE.fullmatch, tags))
+        assert len(set(tags)) == len(tags)
+        rows = write_lp(m.freeze()).split("Subject To\n")[1].split("\nBounds")[0]
+        assert [ln.split(": ")[0].strip() for ln in rows.splitlines()] == tags
 
     def test_twobus_full_restoration(self, twobus):
         # local generation covers the local load: every pickup hits 1

@@ -293,12 +293,11 @@ class TestWriteLp:
         case = load_case(cases_dir / "feeder400.json")
         assert self._lp_sha256(case, 10, mode) == self.FEEDER400_LP_SHA256[mode]
 
-    def test_repeat_numbered_across_pieces(self):
-        # the first and the last row share a tag but fall in different pieces
+    def test_repeat_rejected_across_pieces(self):
         n = LP_CHUNK_ROWS + 2
         m = MilpModel()
         m.add_variable("x")
-        tags = ["r", *(f"u{i}" for i in range(n - 2)), "r"]
+        tags = [f"u{i}" for i in range(n)]
         m.add_rows(np.zeros(n), np.ones(n), np.arange(n + 1), ["<="] * n, np.ones(n), tags)
         m.freeze()
         pieces = list(lp_chunks(m))
@@ -306,26 +305,16 @@ class TestWriteLp:
         assert len(pieces) == 6
         assert max(p.count("\n") for p in pieces) == LP_CHUNK_ROWS
         rows = "".join(pieces).split("Subject To\n")[1].split("\nBounds")[0].splitlines()
-        assert rows[0] == " r: 1 x <= 1"
-        assert rows[-1] == " r__1: 1 x <= 1"
-
-    @pytest.mark.parametrize(
-        "tags, names",
-        [
-            (["1a", ".b", "a:b", "a-b", "a_b", ""], ["c_1a", "c_.b", "a_b", "a_b__1", "a_b__2", "c_"]),
-            # a non-ASCII character becomes "_"; a tag holding a newline takes
-            # the per-tag path
-            (["\u00e9:x", "a:b"], ["__x", "a_b"]),
-            (["a\nb", "a:b"], ["a_b", "a_b__1"]),
-        ],
-    )
-    def test_row_names(self, tags, names):
+        assert rows[0] == " u0: 1 x <= 1"
+        assert rows[-1] == f" u{n - 1}: 1 x <= 1"
+        # the first and the last row share a tag but fall in different pieces
         m = MilpModel()
         m.add_variable("x")
-        for tag in tags:
-            m.add_constraint({"x": 1.0}, "<=", 1.0, tag=tag)
-        rows = write_lp(m.freeze()).split("Subject To\n")[1].split("Bounds")[0]
-        assert [ln.split(":")[0].strip() for ln in rows.splitlines()] == names
+        tags[-1] = "u0"
+        m.add_rows(np.zeros(n), np.ones(n), np.arange(n + 1), ["<="] * n, np.ones(n), tags)
+        m.freeze()
+        with pytest.raises(ValueError, match="row tag 'u0' is held by more than one row"):
+            lp_chunks(m)
 
     def test_unsafe_name(self):
         # a name with a trailing newline would split its LP lines in two
@@ -351,6 +340,15 @@ class TestWriteLp:
             lp_chunks(m)  # raises without a piece being asked for
         with pytest.raises(ModelFrozenError):
             lp_chunks(simple_model())
+        # a row tag is the row's LP name, held to the rule of variable names
+        for tag in ["1a", ".b", "a:b", "a-b", "", "\u00e9:x", "a\nb"]:
+            m = MilpModel()
+            m.add_variable("x")
+            m.add_constraint({"x": 1.0}, "<=", 1.0, tag="ok")
+            m.add_constraint({"x": 1.0}, "<=", 1.0, tag=tag)
+            m.freeze()
+            with pytest.raises(ValueError, match=f"^name {re.escape(repr(tag))} is not LP"):
+                lp_chunks(m)
 
 
 class TestParseSolution:

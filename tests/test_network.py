@@ -213,3 +213,20 @@ def test_malformed_value_rejected_by_field(where, field, value):
 def test_case_must_be_an_object():
     with pytest.raises(CaseError, match="JSON object, not a list"):
         load_case([1])
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("bases", 5, "'bases' must be an object, not a int"),
+        ("buses", [1, 2], "'buses' must be a list of objects: 1 is not one"),
+        ("buses", {"id": 1}, "'buses' must be a list of objects, not a dict"),
+        ("loads", 3, "'loads' must be a list of objects, not a int"),
+        ("branches", [[1, 2]], r"'branches' must be a list of objects: \[1, 2\] is not one"),
+    ],
+)
+def test_malformed_document_rejected_by_field(field, value, message):
+    doc = _doc([(1, 2), (2, 3)], loads=[dict(_LOAD)], generators=[dict(_GEN)])
+    doc[field] = value
+    with pytest.raises(CaseError, match=f"^{message}$"):
+        load_case(doc)
