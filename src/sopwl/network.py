@@ -146,13 +146,16 @@ def _number(raw: dict, key: str, default: Optional[float] = None) -> float:
 
 
 def _bus(raw: dict, key: str) -> int:
-    """``raw[key]``, a bus id: a JSON integer, not a boolean, a fraction or a
-    string."""
+    """``raw[key]``, a bus id: a nonnegative JSON integer, not a boolean, a
+    fraction or a string. The id is written into variable names and row tags,
+    where a ``-`` is not LP-safe."""
     if key not in raw:
         raise CaseError(f"missing required field {key!r} in {raw}")
     value = raw[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise CaseError(f"{key} = {value!r} in {raw} must be an integer bus id")
+    if value < 0:
+        raise CaseError(f"{key} = {value} in {raw} must be a nonnegative bus id")
     return value
 
 

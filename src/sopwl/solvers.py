@@ -1,7 +1,15 @@
-"""The solver: :class:`ScipyMilpAdapter` solves in process with HiGHS (via
-scipy), reads and writes no file, and returns a :class:`sopwl.milp.Solution`.
+"""The solver: :class:`ScipyMilpAdapter` solves in process with HiGHS, reads
+and writes no file, and returns a :class:`sopwl.milp.Solution`.
 
-Every HiGHS call sets two options beyond the time limit. ``mip_rel_gap``
+A MILP goes through ``scipy.optimize.milp``, the public API. An LP goes
+through :class:`_LpSession`, one HiGHS object of the binding scipy ships
+(``scipy.optimize._highspy._core``; verified on scipy 1.17.1 / HiGHS 1.12.0):
+the object keeps its model and its optimal basis between runs, so stage 2 of
+:meth:`ScipyMilpAdapter.run_relaxed_two_stage`, which adds one row and swaps
+the costs, starts from stage 1's basis instead of solving from scratch, as
+``scipy.optimize.milp`` has to.
+
+Every MILP call sets two options beyond the time limit. ``mip_rel_gap``
 (:data:`MIP_REL_GAP`, 1e-4) bounds how far a returned MILP objective may lie
 from the optimum. ZI round (:data:`ZI_ROUND_OPTION`) turns on a rounding
 heuristic that HiGHS leaves off by default. It rounds the root LP point into
@@ -18,23 +26,21 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import scipy.optimize as sopt
-import scipy.sparse as sp
 
 from . import milp
 
 __all__ = ["ScipyMilpAdapter"]
 
-# HiGHS's relative MIP gap, set on every call by ScipyMilpAdapter._highs: a
+# HiGHS's relative MIP gap, set on every MILP call by ScipyMilpAdapter._highs: a
 # returned objective is within this share of the optimum. HiGHS's own
 # feasibility tolerances stay at their defaults, 1e-6 for a MILP's rows and
 # 1e-7 for an LP's.
 MIP_REL_GAP = 1e-4
 # HiGHS's zero-integrality rounding heuristic ("ZI round", Wallace 2010), off
-# in HiGHS by default and on in every call (see the module docstring);
+# in HiGHS by default and on in every MILP call (see the module docstring);
 # scipy.optimize.milp does not name the option and passes it on verbatim
 ZI_ROUND_OPTION = "mip_heuristic_run_zi_round"
 # how far below the LP optimum U stage 2 of the relaxed solve may move the
@@ -51,7 +57,7 @@ class ScipyMilpAdapter:
     def run(self, model: milp.MilpModel) -> milp.Solution:
         a = model.arrays
         c = _costs(model)
-        res = self._highs(a, c, integral=True)
+        res = self._highs(a, c)
         status = _status(res)
         bound = res.get("mip_dual_bound")
         if bound is not None and model.objective_sense == "max":
@@ -85,9 +91,10 @@ class ScipyMilpAdapter:
         point into its bounds then breaks a row by that much times the row's
         coefficients. The LP is held to HiGHS's tighter LP tolerance (1e-7),
         and any point it returns is as good as ``x`` up to that tolerance."""
-        fixed = (np.where(a.binary, x, a.lower), np.where(a.binary, x, a.upper))
-        res = self._highs(a, c, integral=False, bounds=fixed)
-        return _clip(np.asarray(res.x, dtype=float), a) if _status(res) == "optimal" else x
+        fixed = _LpSession(
+            a, c, np.where(a.binary, x, a.lower), np.where(a.binary, x, a.upper), self.time_limit
+        )
+        return _clip(fixed.x(), a) if fixed.run() == "optimal" else x
 
     def run_relaxed_two_stage(
         self, model: milp.MilpModel, stage2: np.ndarray
@@ -97,33 +104,34 @@ class ScipyMilpAdapter:
         Stage 1 optimises the model's objective, whose optimum ``U`` bounds
         every integer solution. Stage 2 holds the objective within
         ``STAGE2_SLACK * max(1, |U|)`` of ``U`` and minimises the sum of the
-        variables in the columns ``stage2``. The stage-2 point is returned
-        unrounded (clipped into its bounds, binaries possibly fractional)
-        with ``U`` as its dual bound, ``(U - objective) / |U|`` as its gap
-        (in the model's sense) and 0 nodes. Otherwise the status is that of the first stage that is
-        not optimal, and ``U`` is kept when stage 1 found it.
+        variables in the columns ``stage2``. Both stages run on one HiGHS
+        object, so stage 2 starts from stage 1's optimal basis. The stage-2
+        point is returned unrounded (clipped into its bounds, binaries
+        possibly fractional) with ``U`` as its dual bound,
+        ``(U - objective) / |U|`` as its gap (in the model's sense) and 0
+        nodes. Otherwise the status is that of the first stage that is not
+        optimal, and ``U`` is kept when stage 1 found it.
         Each LP gets the adapter's ``time_limit``.
         """
         a = model.arrays
         c = _costs(model)
-        first = self._highs(a, c, integral=False)
-        status = _status(first)
+        lp = _LpSession(a, c, a.lower, a.upper, self.time_limit)
+        status = lp.run()
         if status != "optimal":
             return milp.Solution(status, 0.0)
-        # ``first.fun`` is the optimum of c @ x, so c @ x <= fun + slack
-        # holds the objective near U in either sense
+        # ``fun`` is the optimum of c @ x, so c @ x <= fun + slack holds the
+        # objective near U in either sense
+        fun = lp.objective()
         sign = -1.0 if model.objective_sense == "max" else 1.0
-        bound = sign * first.fun + 0.0  # as in run: no -0.0
-        hold = sopt.LinearConstraint(
-            sp.csr_matrix(c), -np.inf, first.fun + STAGE2_SLACK * max(1.0, abs(bound))
-        )
+        bound = sign * fun + 0.0  # as in run: no -0.0
+        lp.add_row(c, fun + STAGE2_SLACK * max(1.0, abs(bound)))
         c2 = np.zeros(len(a.names))
         c2[stage2] = 1.0
-        second = self._highs(a, c2, integral=False, extra=[hold])
-        status = _status(second)
+        lp.set_costs(c2)
+        status = lp.run()
         if status != "optimal":
             return milp.Solution(status, 0.0, mip_dual_bound=bound)
-        x = _clip(np.asarray(second.x, dtype=float), a)
+        x = _clip(lp.x(), a)
         objective = _objective(x, a)
         gap = -sign * (bound - objective) / abs(bound) if bound else 0.0
         return milp.Solution(
@@ -135,21 +143,12 @@ class ScipyMilpAdapter:
             mip_dual_bound=bound,
         )
 
-    def _highs(
-        self,
-        a: milp.ModelArrays,
-        c: np.ndarray,
-        integral: bool,
-        extra: Sequence = (),
-        bounds: tuple[np.ndarray, np.ndarray] | None = None,
-    ):
-        """One HiGHS call minimising ``c @ x`` on the rows of ``a`` plus the
-        ``extra`` constraints, within ``bounds`` (default: those of ``a``)."""
-        n = len(a.names)
-        lower, upper = bounds if bounds is not None else (a.lower, a.upper)
-        constraints = list(extra)
+    def _highs(self, a: milp.ModelArrays, c: np.ndarray):
+        """One ``scipy.optimize.milp`` call minimising ``c @ x`` on the model
+        ``a``, its binaries integral."""
+        constraints = []
         if len(a.row_lo):
-            constraints.insert(0, sopt.LinearConstraint(a.matrix(), a.row_lo, a.row_hi))
+            constraints.append(sopt.LinearConstraint(a.matrix(), a.row_lo, a.row_hi))
         with warnings.catch_warnings():
             # scipy warns that it passes ZI_ROUND_OPTION on verbatim; a HiGHS
             # that does not know the option still warns (OptimizeWarning)
@@ -161,14 +160,90 @@ class ScipyMilpAdapter:
             return sopt.milp(
                 c=c,
                 constraints=constraints,
-                bounds=sopt.Bounds(lower, upper) if n else None,
-                integrality=a.binary.astype(int) if integral and n else None,
+                bounds=sopt.Bounds(a.lower, a.upper),
+                integrality=a.binary.astype(int),
                 options={
                     "time_limit": self.time_limit,
                     "mip_rel_gap": MIP_REL_GAP,
                     ZI_ROUND_OPTION: True,
                 },
             )
+
+
+class _LpSession:
+    """One LP, ``min c @ x`` on the rows of ``a`` within ``[lower, upper]``,
+    held by one HiGHS object that keeps the model and its basis between
+    runs: a run after :meth:`add_row` or :meth:`set_costs` starts from the
+    last optimal basis. The model is passed as ``scipy.optimize.milp`` passes
+    it (the rows column-wise, logging off), so a first run gives the same
+    point as that call."""
+
+    def __init__(
+        self,
+        a: milp.ModelArrays,
+        c: np.ndarray,
+        lower: np.ndarray,
+        upper: np.ndarray,
+        time_limit: float,
+    ):
+        # scipy's private binding, imported on first use as this module is
+        from scipy.optimize._highspy import _core
+
+        self._core = _core
+        self.time_limit = time_limit
+        cols = a.matrix().tocsc()
+        lp = _core.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
+        lp.num_row_ = lp.a_matrix_.num_row_ = len(a.row_lo)
+        lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = cols.indptr
+        lp.a_matrix_.index_ = cols.indices
+        lp.a_matrix_.value_ = cols.data
+        lp.col_cost_ = c
+        lp.col_lower_ = lower
+        lp.col_upper_ = upper
+        lp.row_lower_ = a.row_lo
+        lp.row_upper_ = a.row_hi
+        self.highs = _core._Highs()
+        self.highs.setOptionValue("log_to_console", False)
+        # a model HiGHS will not load is reported as scipy reports it:
+        # kModelError, which is "infeasible"
+        self._loaded = self.highs.passModel(lp) != _core.HighsStatus.kError
+
+    def run(self) -> str:
+        """Solve from the last basis and return the LP's status: HiGHS's
+        kOptimal is "optimal", kInfeasible and kModelError "infeasible",
+        kUnbounded "unbounded", and every other status, a time limit
+        included, "error"."""
+        if not self._loaded:
+            return "infeasible"
+        highs = self.highs
+        # HiGHS's run clock keeps counting across runs on one object, and its
+        # time limit is read against that clock
+        highs.setOptionValue("time_limit", highs.getRunTime() + self.time_limit)
+        highs.run()
+        status = self._core.HighsModelStatus
+        return {
+            status.kOptimal: "optimal",
+            status.kInfeasible: "infeasible",
+            status.kModelError: "infeasible",
+            status.kUnbounded: "unbounded",
+        }.get(highs.getModelStatus(), "error")
+
+    def x(self) -> np.ndarray:
+        return np.array(self.highs.getSolution().col_value)
+
+    def objective(self) -> float:
+        """The optimum of ``c @ x`` found by the last run."""
+        return self.highs.getInfo().objective_function_value
+
+    def add_row(self, coefs: np.ndarray, upper: float) -> None:
+        """Add the row ``coefs @ x <= upper``, its zero terms left out."""
+        cols = np.flatnonzero(coefs).astype(np.int32)
+        self.highs.addRow(-np.inf, upper, len(cols), cols, coefs[cols])
+
+    def set_costs(self, c: np.ndarray) -> None:
+        self.highs.changeColsCost(len(c), np.arange(len(c), dtype=np.int32), c)
 
 
 def _costs(model: milp.MilpModel) -> np.ndarray:

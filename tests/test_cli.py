@@ -141,6 +141,23 @@ class TestExportLp:
         assert "case name '../escaped' must be" in capsys.readouterr().err
         assert not (tmp_path / "sub").exists()
 
+    def test_negative_bus_id_rejected_by_both_commands(self, tmp_path, cases_dir, capsys):
+        # solve used to run a case that export-lp could not write ("V_-2")
+        doc = json.loads((cases_dir / "twobus.json").read_text())
+        doc["buses"][1]["id"] = doc["branches"][0]["to"] = -2
+        doc["loads"][0]["bus"] = doc["generators"][0]["bus"] = -2
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(doc))
+        errors = []
+        for command in ("solve", "export-lp"):
+            out = tmp_path / command
+            assert main([command, "--case", str(path), "--segments", "2", "--out", str(out)]) == 2
+            errors.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: id = -2 in ")
+        assert "must be a nonnegative bus id" in errors[0]
+
 
 class TestSolve:
     def test_output_path_is_a_file(self, tmp_path, cases_dir, capsys):
@@ -391,15 +408,34 @@ class TestSopwlFallback:
         assert metas["pwl"]["objective_value"] > 1.05 * metas["sopwl"]["objective_value"]
 
 
-    def test_relaxation_not_optimal_falls_to_milp(self, tmp_path, cases_dir):
-        # tinyq3: the only DG's reactive limit is 7.98e-8 pu. Stage 1 of the
-        # relaxation is optimal but stage 2, held near its bound, is
-        # infeasible, so the screen gives up on the relaxation's status
+    def test_tiny_reactive_limit_is_screened(self, tmp_path, cases_dir):
+        # tinyq3: the only DG's reactive limit is 7.98e-8 pu. Stage 2, held
+        # within 1e-7 pu of the bound and started from stage 1's basis, is
+        # optimal, and the screen certifies its point
         case = load_case(cases_dir / "tinyq3.json")
         pwl_model, pwl = _build(case, RunConfig(case="tinyq3", num_segments=2), "pwl")
         relaxed = solvers.ScipyMilpAdapter().run_relaxed_two_stage(pwl_model, pwl.isqr)
-        assert relaxed.status == "infeasible"
+        assert relaxed.status == "optimal"
         assert relaxed.mip_dual_bound == pytest.approx(8.46e-6, rel=1e-2)
+        # STAGE2_SLACK is absolute below |U| = 1
+        assert relaxed.mip_dual_bound - relaxed.objective_value <= 1e-7 + 1e-12
+        out = tmp_path / "run"
+        args = ["--case", str(cases_dir / "tinyq3.json"), "--segments", "2", "--mode", "sopwl"]
+        assert main(["solve", *args, "--out", str(out)]) == 0
+        meta = json.loads((out / "sopwl" / "run.json").read_text())
+        assert meta["sopwl_path"] == "lp_screen"
+        assert meta["status"] == "optimal"
+        assert meta["violations"] == 0
+        assert meta["objective_value"] == pytest.approx(8.36e-6, rel=1e-2)
+        assert meta["mip_dual_bound"] == pytest.approx(8.46e-6, rel=1e-2)
+
+    def test_relaxation_not_optimal_falls_to_milp(self, tmp_path, cases_dir, monkeypatch):
+        # a relaxation that is not optimal sends the case to the MILP
+        monkeypatch.setattr(
+            solvers.ScipyMilpAdapter,
+            "run_relaxed_two_stage",
+            lambda self, model, stage2: milp.Solution("infeasible", 0.0),
+        )
         out = tmp_path / "run"
         args = ["--case", str(cases_dir / "tinyq3.json"), "--segments", "2", "--mode", "sopwl"]
         assert main(["solve", *args, "--out", str(out)]) == 0

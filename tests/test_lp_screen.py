@@ -5,10 +5,11 @@ random small radial cases."""
 import math
 
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sopwl import milp
+from sopwl import milp, solvers
 from sopwl.cli import RunConfig, _build, _solve_sopwl
 from sopwl.milp import BINARY, MilpModel
 from sopwl.network import load_case
@@ -68,6 +69,81 @@ class TestRelaxedTwoStage:
         sol = ScipyMilpAdapter().run_relaxed_two_stage(m, [0])
         assert sol.status == "infeasible"
         assert len(sol.x) == 0
+
+
+class TestLpSession:
+    """Both stages run on one HiGHS object, outside ``scipy.optimize.milp``."""
+
+    @staticmethod
+    def _branching6(cases_dir):
+        case = load_case(cases_dir / "branching6.json")
+        return case, RunConfig(case="branching6", mode="sopwl", num_segments=3)
+
+    def test_screen_calls_no_milp(self, cases_dir, monkeypatch):
+        case, config = self._branching6(cases_dir)
+        artifacts = _build(case, config, "sopwl")[1]
+
+        def no_milp(**kwargs):
+            raise AssertionError("the LP screen called scipy.optimize.milp")
+
+        monkeypatch.setattr(solvers.sopt, "milp", no_milp)
+        solution, path = _solve_sopwl(case, config, artifacts, None)
+        assert path == "lp_screen"
+        assert solution.status == "optimal"
+
+    def test_bound_is_a_cold_scipy_lp(self, cases_dir):
+        # stage 1 is passed to HiGHS as scipy.optimize.milp passes it, so U
+        # is that call's optimum bit for bit
+        model, pwl = _build(*self._branching6(cases_dir), "pwl")
+        a = model.arrays
+        cold = scipy.optimize.milp(
+            c=solvers._costs(model),
+            constraints=[scipy.optimize.LinearConstraint(a.matrix(), a.row_lo, a.row_hi)],
+            bounds=scipy.optimize.Bounds(a.lower, a.upper),
+        )
+        relaxed = ScipyMilpAdapter().run_relaxed_two_stage(model, pwl.isqr)
+        assert cold.status == 0 and relaxed.status == "optimal"
+        assert model.objective_sense == "max"
+        assert relaxed.mip_dual_bound == -cold.fun
+
+    def test_statuses(self, cases_dir):
+        # as scipy.optimize.milp gives them for an LP: a time limit is an
+        # error, and a model HiGHS will not load (a coefficient of 1e16) is
+        # infeasible
+        model, pwl = _build(*self._branching6(cases_dir), "pwl")
+        timed_out = ScipyMilpAdapter(time_limit=1e-9).run_relaxed_two_stage(model, pwl.isqr)
+        assert timed_out.status == "error"
+        huge = MilpModel(name="huge")
+        huge.add_variable("x", 0.0, 1.0)
+        huge.add_constraint({"x": 1e16}, "<=", 1.0, tag="row")
+        huge.set_objective("max", {"x": 1.0})
+        huge.freeze()
+        assert ScipyMilpAdapter().run_relaxed_two_stage(huge, [0]).status == "infeasible"
+        unbounded = MilpModel(name="unbounded")
+        unbounded.add_variable("x", 0.0, math.inf)
+        unbounded.set_objective("max", {"x": 1.0})
+        unbounded.freeze()
+        assert ScipyMilpAdapter().run_relaxed_two_stage(unbounded, [0]).status == "unbounded"
+
+    def test_each_stage_gets_the_time_limit(self, cases_dir, monkeypatch):
+        # HiGHS's run clock keeps counting across runs on one object, so
+        # stage 2's limit is the time already run plus the adapter's limit
+        from scipy.optimize._highspy import _core
+
+        runs = []
+
+        class Spy(_core._Highs):
+            def run(self):
+                runs.append((self.getRunTime(), self.getOptionValue("time_limit")[1]))
+                return super().run()
+
+        monkeypatch.setattr(_core, "_Highs", Spy)
+        model, pwl = _build(*self._branching6(cases_dir), "pwl")
+        sol = ScipyMilpAdapter(time_limit=7.5).run_relaxed_two_stage(model, pwl.isqr)
+        assert sol.status == "optimal"
+        assert len(runs) == 2
+        assert runs[1][0] > 0.0
+        assert [limit for _, limit in runs] == [elapsed + 7.5 for elapsed, _ in runs]
 
 
 @st.composite

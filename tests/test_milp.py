@@ -660,7 +660,8 @@ class TestScipyAdapter:
     def test_clip_that_breaks_a_row_is_polished(self, monkeypatch):
         # HiGHS's MILP point meets the row exactly but leaves y 5e-7 below
         # its bound; clipping y to 0 alone would miss the row by 2e-6, so the
-        # point is re-solved as an LP with b fixed at its value
+        # point is re-solved as an LP with b fixed at its value, outside
+        # scipy.optimize.milp
         m = MilpModel(name="dust")
         m.add_variable("b", 0, 1, kind=BINARY)
         m.add_variable("y", lower=0.0, upper=1.0)
@@ -671,15 +672,15 @@ class TestScipyAdapter:
         m.freeze()
         dusty = scipy.optimize.OptimizeResult(status=0, x=np.array([1.0, -5e-7, -2e-6]))
         assert check_solution(m, Solution("optimal", 0.0, np.array([1.0, 0.0, -2e-6])))
-        real, calls = solvers.sopt.milp, []
+        calls = []
 
-        def milp_once_dusty(**kwargs):
+        def dusty_milp(**kwargs):
             calls.append(kwargs)
-            return dusty if len(calls) == 1 else real(**kwargs)
+            return dusty
 
-        monkeypatch.setattr(solvers.sopt, "milp", milp_once_dusty)
+        monkeypatch.setattr(solvers.sopt, "milp", dusty_milp)
         sol = ScipyMilpAdapter().run(m)
-        assert len(calls) == 2 and calls[1]["integrality"] is None
+        assert len(calls) == 1
         assert sol.status == "optimal"
         b, y, _ = sol.x
         assert b == 1.0
@@ -697,7 +698,7 @@ class TestScipyAdapter:
         return m.freeze()
 
     def test_zi_round_is_on_and_silent(self, monkeypatch):
-        # every HiGHS call asks for ZI rounding; scipy's "passed to HiGHS
+        # every MILP call asks for ZI rounding; scipy's "passed to HiGHS
         # verbatim" warning stays inside the adapter, and a HiGHS that did
         # not know the option would fail here with an OptimizeWarning
         real, options = solvers.sopt.milp, []

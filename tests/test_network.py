@@ -210,6 +210,18 @@ def test_malformed_value_rejected_by_field(where, field, value):
         load_case(doc)
 
 
+@pytest.mark.parametrize(
+    "where, field",
+    [("buses", "id"), ("branches", "to"), ("loads", "bus"), ("generators", "bus")],
+)
+def test_negative_bus_id_rejected_by_field(where, field):
+    # a bus id is written into LP names, where "-" is not allowed
+    doc = _doc([(1, 2), (2, 3)], loads=[dict(_LOAD)], generators=[dict(_GEN)])
+    doc[where][1 if where == "buses" else 0][field] = -2
+    with pytest.raises(CaseError, match=f"^{field} = -2 in .* must be a nonnegative bus id$"):
+        load_case(doc)
+
+
 def test_case_must_be_an_object():
     with pytest.raises(CaseError, match="JSON object, not a list"):
         load_case([1])
