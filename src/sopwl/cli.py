@@ -199,8 +199,8 @@ def _solve_sopwl(
     on that run's model, then the MILP. Returns the solution and the path's
     name; its ``solve_seconds`` covers the pwl solve, when one was given, and
     every path tried."""
-    start = time.perf_counter()
     adapter = config.make_adapter()
+    start = time.perf_counter()
     pwl_artifacts, pwl_solution = pwl if pwl is not None else (None, None)
     solution, path = None, "lifted"
     if pwl_solution is not None:

@@ -1,21 +1,21 @@
 """The solver: :class:`ScipyMilpAdapter` solves in process with HiGHS, reads
 and writes no file, and returns a :class:`sopwl.milp.Solution`.
 
-A MILP goes through ``scipy.optimize.milp``, the public API. An LP goes
-through :class:`_LpSession`, one HiGHS object of the binding scipy ships
-(``scipy.optimize._highspy._core``; verified on scipy 1.17.1 / HiGHS 1.12.0):
-the object keeps its model and its optimal basis between runs, so stage 2 of
+Every solve, MILP or LP, runs on :class:`_HighsSession`, one HiGHS object of
+the binding scipy ships (``scipy.optimize._highspy._core``, private; verified
+on scipy 1.17.1 / HiGHS 1.12.0). The session passes the model as
+``scipy.optimize.milp`` does, so a first run gives that call's point. The
+object keeps its model and its optimal basis between runs, so stage 2 of
 :meth:`ScipyMilpAdapter.run_relaxed_two_stage`, which adds one row and swaps
-the costs, starts from stage 1's basis instead of solving from scratch, as
-``scipy.optimize.milp`` has to.
+the costs, starts from stage 1's basis instead of solving from scratch.
 
-Every MILP call sets two options beyond the time limit. ``mip_rel_gap``
+Every MILP run sets two options beyond the time limit. ``mip_rel_gap``
 (:data:`MIP_REL_GAP`, 1e-4) bounds how far a returned MILP objective may lie
 from the optimum. ZI round (:data:`ZI_ROUND_OPTION`) turns on a rounding
 heuristic that HiGHS leaves off by default. It rounds the root LP point into
 an incumbent. On the plain-PWL models of the bundled cases that incumbent is
 already optimal, so the MILP stops at its root node instead of waiting for
-HiGHS's sub-MIP heuristic.
+HiGHS's sub-MIP heuristic. An option HiGHS refuses raises ``ValueError``.
 
 Another MILP solver is used through files, outside this module: ``export-lp``
 writes the LP and ``validate --solution`` re-checks that solver's answer in
@@ -24,24 +24,23 @@ the solution text format of :func:`sopwl.milp.format_solution`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
-import scipy.optimize as sopt
+from scipy.optimize._highspy import _core
 
 from . import milp
 
 __all__ = ["ScipyMilpAdapter"]
 
-# HiGHS's relative MIP gap, set on every MILP call by ScipyMilpAdapter._highs: a
+# HiGHS's relative MIP gap, set on every MILP run by _HighsSession: a
 # returned objective is within this share of the optimum. HiGHS's own
 # feasibility tolerances stay at their defaults, 1e-6 for a MILP's rows and
 # 1e-7 for an LP's.
 MIP_REL_GAP = 1e-4
 # HiGHS's zero-integrality rounding heuristic ("ZI round", Wallace 2010), off
-# in HiGHS by default and on in every MILP call (see the module docstring);
-# scipy.optimize.milp does not name the option and passes it on verbatim
+# in HiGHS by default and on in every MILP run (see the module docstring)
 ZI_ROUND_OPTION = "mip_heuristic_run_zi_round"
 # how far below the LP optimum U stage 2 of the relaxed solve may move the
 # objective, relative to max(1, |U|); read by run_relaxed_two_stage
@@ -50,29 +49,24 @@ STAGE2_SLACK = 1e-7
 
 @dataclass
 class ScipyMilpAdapter:
-    """Solves the model in process with scipy's HiGHS-backed MILP solver."""
+    """Solves the model in process with the HiGHS that scipy ships."""
 
     time_limit: float = milp.DEFAULT_TIMEOUT_SECONDS
 
     def run(self, model: milp.MilpModel) -> milp.Solution:
         a = model.arrays
         c = _costs(model)
-        res = self._highs(a, c)
-        status = _status(res)
-        bound = res.get("mip_dual_bound")
-        if bound is not None and model.objective_sense == "max":
+        highs = _HighsSession(a, c, a.lower, a.upper, self.time_limit, a.binary)
+        status = highs.run()
+        if status not in ("optimal", "feasible"):
+            return milp.Solution(status, 0.0)
+        stats = highs.mip_stats()
+        if stats["mip_dual_bound"] is not None and model.objective_sense == "max":
             # HiGHS bounds c @ x, the negated objective; "+ 0.0" turns a
             # negated 0.0 into 0.0
-            bound = -bound + 0.0
-        stats = {
-            "mip_node_count": res.get("mip_node_count"),
-            "mip_gap": res.get("mip_gap"),
-            "mip_dual_bound": bound,
-        }
-        if res.x is None or status in ("infeasible", "unbounded", "error"):
-            return milp.Solution(status, 0.0, **stats)
+            stats["mip_dual_bound"] = -stats["mip_dual_bound"] + 0.0
 
-        x = np.asarray(res.x, dtype=float)
+        x = highs.x()
         # snap binaries so downstream bound checks see clean values; "+ 0.0"
         # turns a rounded -0.0 into 0.0. _clip clips integrality dust
         x[a.binary] = np.round(x[a.binary]) + 0.0
@@ -91,7 +85,7 @@ class ScipyMilpAdapter:
         point into its bounds then breaks a row by that much times the row's
         coefficients. The LP is held to HiGHS's tighter LP tolerance (1e-7),
         and any point it returns is as good as ``x`` up to that tolerance."""
-        fixed = _LpSession(
+        fixed = _HighsSession(
             a, c, np.where(a.binary, x, a.lower), np.where(a.binary, x, a.upper), self.time_limit
         )
         return _clip(fixed.x(), a) if fixed.run() == "optimal" else x
@@ -115,7 +109,7 @@ class ScipyMilpAdapter:
         """
         a = model.arrays
         c = _costs(model)
-        lp = _LpSession(a, c, a.lower, a.upper, self.time_limit)
+        lp = _HighsSession(a, c, a.lower, a.upper, self.time_limit)
         status = lp.run()
         if status != "optimal":
             return milp.Solution(status, 0.0)
@@ -143,40 +137,15 @@ class ScipyMilpAdapter:
             mip_dual_bound=bound,
         )
 
-    def _highs(self, a: milp.ModelArrays, c: np.ndarray):
-        """One ``scipy.optimize.milp`` call minimising ``c @ x`` on the model
-        ``a``, its binaries integral."""
-        constraints = []
-        if len(a.row_lo):
-            constraints.append(sopt.LinearConstraint(a.matrix(), a.row_lo, a.row_hi))
-        with warnings.catch_warnings():
-            # scipy warns that it passes ZI_ROUND_OPTION on verbatim; a HiGHS
-            # that does not know the option still warns (OptimizeWarning)
-            warnings.filterwarnings(
-                "ignore",
-                message="Unrecognized options detected: .* passed to HiGHS verbatim",
-                category=RuntimeWarning,
-            )
-            return sopt.milp(
-                c=c,
-                constraints=constraints,
-                bounds=sopt.Bounds(a.lower, a.upper),
-                integrality=a.binary.astype(int),
-                options={
-                    "time_limit": self.time_limit,
-                    "mip_rel_gap": MIP_REL_GAP,
-                    ZI_ROUND_OPTION: True,
-                },
-            )
 
-
-class _LpSession:
-    """One LP, ``min c @ x`` on the rows of ``a`` within ``[lower, upper]``,
-    held by one HiGHS object that keeps the model and its basis between
-    runs: a run after :meth:`add_row` or :meth:`set_costs` starts from the
-    last optimal basis. The model is passed as ``scipy.optimize.milp`` passes
-    it (the rows column-wise, logging off), so a first run gives the same
-    point as that call."""
+class _HighsSession:
+    """One model, ``min c @ x`` on the rows of ``a`` within ``[lower, upper]``
+    with the columns ``binary`` integral (an LP when none is), held by one
+    HiGHS object that keeps the model and its basis between runs: a run after
+    :meth:`add_row` or :meth:`set_costs` starts from the last optimal basis.
+    The model is passed as ``scipy.optimize.milp`` passes it (the rows
+    column-wise, logging off), so a first run gives the same point as that
+    call with the same options."""
 
     def __init__(
         self,
@@ -185,12 +154,10 @@ class _LpSession:
         lower: np.ndarray,
         upper: np.ndarray,
         time_limit: float,
+        binary: Optional[np.ndarray] = None,
     ):
-        # scipy's private binding, imported on first use as this module is
-        from scipy.optimize._highspy import _core
-
-        self._core = _core
         self.time_limit = time_limit
+        self.mip = binary is not None and bool(binary.any())
         cols = a.matrix().tocsc()
         lp = _core.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
@@ -205,36 +172,62 @@ class _LpSession:
         lp.row_lower_ = a.row_lo
         lp.row_upper_ = a.row_hi
         self.highs = _core._Highs()
-        self.highs.setOptionValue("log_to_console", False)
+        self._set("log_to_console", False)
+        if self.mip:
+            kinds = (_core.HighsVarType.kContinuous, _core.HighsVarType.kInteger)
+            lp.integrality_ = [kinds[b] for b in binary.tolist()]
+            self._set("mip_rel_gap", MIP_REL_GAP)
+            self._set(ZI_ROUND_OPTION, True)
         # a model HiGHS will not load is reported as scipy reports it:
         # kModelError, which is "infeasible"
         self._loaded = self.highs.passModel(lp) != _core.HighsStatus.kError
 
+    def _set(self, option: str, value) -> None:
+        if self.highs.setOptionValue(option, value) == _core.HighsStatus.kError:
+            raise ValueError(f"HiGHS refuses the option {option} = {value!r}")
+
     def run(self) -> str:
-        """Solve from the last basis and return the LP's status: HiGHS's
+        """Solve from the last basis and return the model's status: HiGHS's
         kOptimal is "optimal", kInfeasible and kModelError "infeasible",
-        kUnbounded "unbounded", and every other status, a time limit
-        included, "error"."""
+        kUnbounded "unbounded". A MILP stopped by its time or iteration
+        limit is "feasible" when HiGHS holds an incumbent. Every other
+        status, an LP's time limit included, is "error"."""
         if not self._loaded:
             return "infeasible"
         highs = self.highs
         # HiGHS's run clock keeps counting across runs on one object, and its
         # time limit is read against that clock
-        highs.setOptionValue("time_limit", highs.getRunTime() + self.time_limit)
+        self._set("time_limit", highs.getRunTime() + self.time_limit)
         highs.run()
-        status = self._core.HighsModelStatus
+        status = _core.HighsModelStatus
+        model_status = highs.getModelStatus()
+        if self.mip and model_status in (status.kTimeLimit, status.kIterationLimit):
+            return "feasible" if self.objective() != _core.kHighsInf else "error"
         return {
             status.kOptimal: "optimal",
             status.kInfeasible: "infeasible",
             status.kModelError: "infeasible",
             status.kUnbounded: "unbounded",
-        }.get(highs.getModelStatus(), "error")
+        }.get(model_status, "error")
+
+    def mip_stats(self) -> dict[str, Optional[float]]:
+        """The last run's B&B nodes, MIP gap and dual bound (of ``c @ x``),
+        each None for an LP; read after a run that returned a point."""
+        if not self.mip:
+            return dict.fromkeys(("mip_node_count", "mip_gap", "mip_dual_bound"))
+        info = self.highs.getInfo()
+        return {
+            "mip_node_count": info.mip_node_count,
+            "mip_gap": info.mip_gap,
+            "mip_dual_bound": info.mip_dual_bound,
+        }
 
     def x(self) -> np.ndarray:
         return np.array(self.highs.getSolution().col_value)
 
     def objective(self) -> float:
-        """The optimum of ``c @ x`` found by the last run."""
+        """The optimum of ``c @ x`` found by the last run, or the MILP
+        incumbent's value (``kHighsInf`` when there is none)."""
         return self.highs.getInfo().objective_function_value
 
     def add_row(self, coefs: np.ndarray, upper: float) -> None:
@@ -254,15 +247,6 @@ def _costs(model: milp.MilpModel) -> np.ndarray:
     if model.objective_sense == "max":
         c *= -1.0
     return c
-
-
-def _status(res) -> str:
-    return {
-        0: "optimal",
-        1: "error" if res.x is None else "feasible",  # a limit hit, incumbent or not
-        2: "infeasible",
-        3: "unbounded",
-    }.get(res.status, "error")
 
 
 def _clip(x: np.ndarray, a: milp.ModelArrays) -> np.ndarray:

@@ -1,5 +1,6 @@
 """The benchmark's instrumentation (``perfbench/tracing.py``) still finds
-every function it wraps, and its spans still come out of a real run."""
+every function it wraps but HiGHS itself, and its spans still come out of a
+real run."""
 
 import importlib.util
 import sys
@@ -23,7 +24,10 @@ def test_probe_wraps_every_function_and_records_spans(tmp_path, cases_dir, monke
     probe = _tracing(monkeypatch).Probe()
     probe.install()
     try:
-        assert probe.missing == []
+        # HiGHS runs on the adapter's own HiGHS session, not through
+        # scipy.optimize.milp, so the tracer's HiGHS hook finds nothing to
+        # wrap until the program times its own stages (ROADMAP item 2)
+        assert probe.missing == ["solvers.highs"]
         probe.begin_run(0, recording=True)
         args = ["--case", str(cases_dir / "twobus.json"), "--segments", "5", "--mode", "both"]
         assert main(["solve", *args, "--out", str(tmp_path)]) == 0

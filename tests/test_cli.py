@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -312,13 +313,13 @@ class TestSolve:
         assert metas["sopwl"]["violations"] == metas["both"]["violations"] == 0
 
     def test_solver_output_goes_to_log(self, tmp_path, cases_dir, monkeypatch, capfd):
-        real_milp = solvers.sopt.milp
+        real_run = solvers._HighsSession.run
 
-        def noisy(*args, **kwargs):
+        def noisy(session):
             os.write(1, b"solver noise\n")
-            return real_milp(*args, **kwargs)
+            return real_run(session)
 
-        monkeypatch.setattr(solvers.sopt, "milp", noisy)
+        monkeypatch.setattr(solvers._HighsSession, "run", noisy)
         out = tmp_path / "run"
         status = main(
             [
@@ -428,6 +429,23 @@ class TestSopwlFallback:
         assert meta["violations"] == 0
         assert meta["objective_value"] == pytest.approx(8.36e-6, rel=1e-2)
         assert meta["mip_dual_bound"] == pytest.approx(8.46e-6, rel=1e-2)
+
+    def test_solve_seconds_leave_out_the_adapter(self, tmp_path, cases_dir, monkeypatch):
+        # the sopwl clock starts once the adapter exists, so making it (on a
+        # first solve, scipy's import) is not counted as solve time
+        real_make = RunConfig.make_adapter
+
+        def slow_make(config):
+            time.sleep(0.3)
+            return real_make(config)
+
+        monkeypatch.setattr(RunConfig, "make_adapter", slow_make)
+        out = tmp_path / "run"
+        args = ["--case", str(cases_dir / "tinyq3.json"), "--segments", "2", "--mode", "sopwl"]
+        assert main(["solve", *args, "--out", str(out)]) == 0
+        meta = json.loads((out / "sopwl" / "run.json").read_text())
+        assert meta["sopwl_path"] == "lp_screen"
+        assert meta["solve_seconds"] < 0.3
 
     def test_relaxation_not_optimal_falls_to_milp(self, tmp_path, cases_dir, monkeypatch):
         # a relaxation that is not optimal sends the case to the MILP

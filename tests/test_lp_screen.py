@@ -72,7 +72,7 @@ class TestRelaxedTwoStage:
 
 
 class TestLpSession:
-    """Both stages run on one HiGHS object, outside ``scipy.optimize.milp``."""
+    """Both stages run as LPs on one HiGHS object."""
 
     @staticmethod
     def _branching6(cases_dir):
@@ -83,10 +83,14 @@ class TestLpSession:
         case, config = self._branching6(cases_dir)
         artifacts = _build(case, config, "sopwl")[1]
 
-        def no_milp(**kwargs):
-            raise AssertionError("the LP screen called scipy.optimize.milp")
+        real_run = solvers._HighsSession.run
 
-        monkeypatch.setattr(solvers.sopt, "milp", no_milp)
+        def no_milp(session):
+            if session.mip:
+                raise AssertionError("the LP screen ran a MILP")
+            return real_run(session)
+
+        monkeypatch.setattr(solvers._HighsSession, "run", no_milp)
         solution, path = _solve_sopwl(case, config, artifacts, None)
         assert path == "lp_screen"
         assert solution.status == "optimal"

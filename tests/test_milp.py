@@ -29,6 +29,7 @@ from sopwl.milp import (
     write_lp,
 )
 from sopwl import milp, solvers
+from sopwl.cli import RunConfig, _build
 from sopwl.network import bundled_case_path, load_case
 from sopwl.solvers import ScipyMilpAdapter
 
@@ -636,6 +637,25 @@ class TestSolve:
 
 
 class TestScipyAdapter:
+    @staticmethod
+    def _fake_milp(monkeypatch, x):
+        """Make every MILP run of the HiGHS session return ``x`` as its
+        optimal point; LPs still run. Returns the list of MILP runs."""
+        real_run, real_x = solvers._HighsSession.run, solvers._HighsSession.x
+        runs = []
+
+        def run(session):
+            if not session.mip:
+                return real_run(session)
+            runs.append(session)
+            return "optimal"
+
+        monkeypatch.setattr(solvers._HighsSession, "run", run)
+        monkeypatch.setattr(
+            solvers._HighsSession, "x", lambda session: x.copy() if session.mip else real_x(session)
+        )
+        return runs
+
     def test_snap_and_clip_keep_python_semantics(self, monkeypatch):
         # min(max(x, lo), hi) keeps -0.0 at a zero bound, and round() of a
         # binary gives an int, so a binary never reads -0.0
@@ -646,8 +666,7 @@ class TestScipyAdapter:
         m.add_variable("z", lower=-1.0, upper=1.0)
         m.set_objective("max", {"y": 1.0, "z": 0.5})
         m.freeze()
-        fake = scipy.optimize.OptimizeResult(status=0, x=np.array([-0.0, 0.5000001, -0.0, 2.5]))
-        monkeypatch.setattr(solvers.sopt, "milp", lambda **kwargs: fake)
+        self._fake_milp(monkeypatch, np.array([-0.0, 0.5000001, -0.0, 2.5]))
         sol = ScipyMilpAdapter().run(m)
         assert sol.status == "optimal"
         assert sol.objective_value == 0.5
@@ -660,8 +679,8 @@ class TestScipyAdapter:
     def test_clip_that_breaks_a_row_is_polished(self, monkeypatch):
         # HiGHS's MILP point meets the row exactly but leaves y 5e-7 below
         # its bound; clipping y to 0 alone would miss the row by 2e-6, so the
-        # point is re-solved as an LP with b fixed at its value, outside
-        # scipy.optimize.milp
+        # point is re-solved as an LP with b fixed at its value, not as a
+        # second MILP
         m = MilpModel(name="dust")
         m.add_variable("b", 0, 1, kind=BINARY)
         m.add_variable("y", lower=0.0, upper=1.0)
@@ -670,17 +689,10 @@ class TestScipyAdapter:
         m.add_constraint({"y": 1.0, "b": -1.0}, "<=", 0.0, tag="gate")
         m.set_objective("min", {"z": 1.0, "b": 1.0})
         m.freeze()
-        dusty = scipy.optimize.OptimizeResult(status=0, x=np.array([1.0, -5e-7, -2e-6]))
         assert check_solution(m, Solution("optimal", 0.0, np.array([1.0, 0.0, -2e-6])))
-        calls = []
-
-        def dusty_milp(**kwargs):
-            calls.append(kwargs)
-            return dusty
-
-        monkeypatch.setattr(solvers.sopt, "milp", dusty_milp)
+        runs = self._fake_milp(monkeypatch, np.array([1.0, -5e-7, -2e-6]))
         sol = ScipyMilpAdapter().run(m)
-        assert len(calls) == 1
+        assert len(runs) == 1
         assert sol.status == "optimal"
         b, y, _ = sol.x
         assert b == 1.0
@@ -698,27 +710,94 @@ class TestScipyAdapter:
         return m.freeze()
 
     def test_zi_round_is_on_and_silent(self, monkeypatch):
-        # every MILP call asks for ZI rounding; scipy's "passed to HiGHS
-        # verbatim" warning stays inside the adapter, and a HiGHS that did
-        # not know the option would fail here with an OptimizeWarning
-        real, options = solvers.sopt.milp, []
+        # every MILP run has ZI rounding on and a relative gap of 1e-4, and
+        # the solve raises no warning
+        real_run, options = solvers._HighsSession.run, []
 
-        def spy(**kwargs):
-            options.append(dict(kwargs["options"]))
-            return real(**kwargs)
+        def spy(session):
+            if session.mip:
+                highs = session.highs
+                options.append(
+                    (
+                        highs.getOptionValue(solvers.ZI_ROUND_OPTION)[1],
+                        highs.getOptionValue("mip_rel_gap")[1],
+                    )
+                )
+            return real_run(session)
 
-        monkeypatch.setattr(solvers.sopt, "milp", spy)
+        monkeypatch.setattr(solvers._HighsSession, "run", spy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = ScipyMilpAdapter().run(self._packing())
         assert sol.status == "optimal"
-        assert options and all(o[solvers.ZI_ROUND_OPTION] is True for o in options)
+        assert options and all(o == (True, 1e-4) for o in options)
 
-    def test_option_unknown_to_highs_still_warns(self, monkeypatch):
-        # only scipy's pass-through RuntimeWarning is silenced
+    def test_option_unknown_to_highs_raises(self, monkeypatch):
+        # an option HiGHS refuses stops the solve instead of leaving HiGHS
+        # on its defaults
         monkeypatch.setattr(solvers, "ZI_ROUND_OPTION", "no_such_highs_option")
-        with pytest.warns(scipy.optimize.OptimizeWarning, match="no_such_highs_option"):
+        with pytest.raises(ValueError, match="no_such_highs_option"):
             ScipyMilpAdapter().run(self._packing())
+
+    def test_milp_point_is_scipy_milps(self, cases_dir):
+        # the MILP is passed to HiGHS as scipy.optimize.milp passes it, with
+        # the same options, so its point and statistics are that call's bit
+        # for bit
+        case = load_case(cases_dir / "branching6.json")
+        model = _build(case, RunConfig(case="branching6", num_segments=10), "pwl")[0]
+        a = model.arrays
+        c = solvers._costs(model)
+        with warnings.catch_warnings():
+            # scipy warns that it passes ZI_ROUND_OPTION to HiGHS verbatim
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cold = scipy.optimize.milp(
+                c=c,
+                constraints=[scipy.optimize.LinearConstraint(a.matrix(), a.row_lo, a.row_hi)],
+                bounds=scipy.optimize.Bounds(a.lower, a.upper),
+                integrality=a.binary.astype(int),
+                options={"time_limit": 60.0, "mip_rel_gap": 1e-4, solvers.ZI_ROUND_OPTION: True},
+            )
+        session = solvers._HighsSession(a, c, a.lower, a.upper, 60.0, a.binary)
+        assert cold.status == 0 and session.run() == "optimal"
+        assert session.x().tobytes() == cold.x.tobytes()
+        cold_stats = {k: cold[k] for k in ("mip_node_count", "mip_gap", "mip_dual_bound")}
+        assert session.mip_stats() == cold_stats
+        sol = ScipyMilpAdapter().run(model)
+        assert model.objective_sense == "max"
+        assert (sol.mip_node_count, sol.mip_gap) == (cold.mip_node_count, cold.mip_gap)
+        assert sol.mip_dual_bound == -cold.mip_dual_bound
+
+    def test_time_limit_keeps_an_incumbent(self, monkeypatch):
+        # a MILP stopped by its time limit is "feasible" when HiGHS holds an
+        # incumbent, and an "error" without statistics when it holds none
+        from scipy.optimize._highspy import _core
+
+        class TimedOut(_core._Highs):
+            def getModelStatus(self):
+                return _core.HighsModelStatus.kTimeLimit
+
+        monkeypatch.setattr(_core, "_Highs", TimedOut)
+        sol = ScipyMilpAdapter().run(self._packing())
+        assert sol.status == "feasible"
+        assert sol.objective_value == 1.0
+        assert sol.mip_dual_bound == pytest.approx(1.0)
+        none = MilpModel(name="no_incumbent")
+        none.add_variable("b", 0, 1, kind=BINARY)
+        none.add_variable("y", 0.0, 1.0)
+        none.add_constraint({"b": 1.0, "y": 1.0}, ">=", 3.0, tag="need")
+        none.set_objective("max", {"b": 1.0})
+        sol = ScipyMilpAdapter().run(none.freeze())
+        assert sol.status == "error"
+        assert len(sol.x) == 0
+        assert (sol.mip_node_count, sol.mip_gap, sol.mip_dual_bound) == (None, None, None)
+
+    def test_lp_has_no_mip_statistics(self):
+        m = MilpModel(name="lp")
+        m.add_variable("x", lower=0.0, upper=1.0)
+        m.set_objective("max", {"x": 1.0})
+        sol = ScipyMilpAdapter().run(m.freeze())
+        assert sol.status == "optimal"
+        assert (sol.mip_node_count, sol.mip_gap, sol.mip_dual_bound) == (None, None, None)
 
     def test_solver_statistics(self):
         # the dual bound is reported in the model's sense: HiGHS minimizes
