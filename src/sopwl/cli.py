@@ -93,8 +93,8 @@ class RunConfig:
         raise FileNotFoundError(f"case {self.case!r}: no such file or bundled case")
 
     def make_adapter(self) -> ScipyMilpAdapter:
-        # imported here: scipy.optimize is slow to import, and only a solve
-        # needs it
+        # imported here: only a solve needs HiGHS, and export-lp loads
+        # none of scipy
         from .solvers import ScipyMilpAdapter
 
         return ScipyMilpAdapter(time_limit=self.timeout)

@@ -21,13 +21,12 @@ import math
 import re
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 if TYPE_CHECKING:
-    import scipy.sparse as sp
-
     from .solvers import ScipyMilpAdapter
 
 __all__ = [
@@ -109,15 +108,11 @@ class ModelArrays:
     obj_cols: np.ndarray  # may repeat a column; repeats add up
     obj_coefs: np.ndarray
 
-    def matrix(self) -> sp.csr_matrix:
-        """The rows as a CSR matrix, terms in the order they were given."""
-        # imported here: building and exporting a model need no scipy
-        import scipy.sparse as sp
-
-        return sp.csr_matrix(
-            (self.coefs, self.cols, self.row_start),
-            shape=(len(self.row_lo), len(self.names)),
-        )
+    @cached_property
+    def term_rows(self) -> np.ndarray:
+        """The row of each term, in term order; built on first use, as only
+        a solve or a check needs it."""
+        return np.repeat(np.arange(len(self.row_lo)), np.diff(self.row_start))
 
     def outside_bounds(self, x: np.ndarray) -> np.ndarray:
         """The columns whose value in ``x`` lies beyond a bound by more than
@@ -130,7 +125,10 @@ class ModelArrays:
     ) -> tuple[np.ndarray, np.ndarray]:
         """The rows that ``x`` misses by more than ``tol``, in row order, and
         by how much; a row whose value is NaN is missed by NaN."""
-        lhs = self.matrix() @ x
+        # each row's terms are added in the order they were given, starting
+        # from 0.0, as a CSR product adds them, so every row value is that
+        # product's bit for bit
+        lhs = np.bincount(self.term_rows, self.coefs * x[self.cols], minlength=len(self.row_lo))
         # the infinite bound of an inequality gives -inf; for an equality the
         # two differences are exact negatives, so this is |lhs - rhs|
         gap = np.maximum(self.row_lo - lhs, lhs - self.row_hi)

@@ -3,7 +3,11 @@ and writes no file, and returns a :class:`sopwl.milp.Solution`.
 
 Every solve, MILP or LP, runs on :class:`_HighsSession`, one HiGHS object of
 the binding scipy ships (``scipy.optimize._highspy._core``, private; verified
-on scipy 1.17.1 / HiGHS 1.12.0). The session passes the model as
+on scipy 1.17.1 / HiGHS 1.12.0). The binding is loaded from its file by
+:func:`_load_core`, without running ``scipy/optimize/__init__.py``: that
+imports scipy's linalg, sparse, special and fft and takes most of a solve's
+start-up, while the binding alone loads in a few milliseconds. The session
+passes the model as
 ``scipy.optimize.milp`` does, so a first run gives that call's point. The
 object keeps its model and its optimal basis between runs, so stage 2 of
 :meth:`ScipyMilpAdapter.run_relaxed_two_stage`, which adds one row and swaps
@@ -24,11 +28,15 @@ the solution text format of :func:`sopwl.milp.format_solution`.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
+from types import ModuleType
 from typing import Optional
 
 import numpy as np
-from scipy.optimize._highspy import _core
 
 from . import milp
 
@@ -45,6 +53,37 @@ ZI_ROUND_OPTION = "mip_heuristic_run_zi_round"
 # how far below the LP optimum U stage 2 of the relaxed solve may move the
 # objective, relative to max(1, |U|); read by run_relaxed_two_stage
 STAGE2_SLACK = 1e-7
+# the binding's name in scipy; loaded under it, so that scipy.optimize finds
+# the same module when it is imported later
+CORE_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_core() -> ModuleType:
+    """scipy's HiGHS binding, loaded from its file in scipy's
+    ``optimize/_highspy`` directory and registered in ``sys.modules`` under
+    its own name, without importing ``scipy.optimize``. When the binding is
+    already loaded (``scipy.optimize`` was imported first), that module is
+    returned: pybind11 registers the binding's types once per process, so
+    there must be one instance of it."""
+    if CORE_MODULE in sys.modules:
+        return sys.modules[CORE_MODULE]
+    import scipy
+
+    where = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    found = importlib.machinery.PathFinder.find_spec("_core", [where])
+    if found is None:
+        raise ImportError(
+            f"scipy's HiGHS binding _core is not in {where} (scipy {scipy.__version__})",
+            name=CORE_MODULE,
+        )
+    spec = importlib.util.spec_from_file_location(CORE_MODULE, found.origin)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[CORE_MODULE] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_core = _load_core()
 
 
 @dataclass
@@ -158,14 +197,18 @@ class _HighsSession:
     ):
         self.time_limit = time_limit
         self.mip = binary is not None and bool(binary.any())
-        cols = a.matrix().tocsc()
+        # the rows column-wise, each column's terms in row order, as
+        # scipy's CSR-to-CSC conversion gives them
+        by_col = np.argsort(a.cols, kind="stable")
+        start = np.zeros(len(c) + 1, dtype=np.int32)
+        np.cumsum(np.bincount(a.cols, minlength=len(c)), out=start[1:])
         lp = _core.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
         lp.num_row_ = lp.a_matrix_.num_row_ = len(a.row_lo)
         lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = cols.indptr
-        lp.a_matrix_.index_ = cols.indices
-        lp.a_matrix_.value_ = cols.data
+        lp.a_matrix_.start_ = start
+        lp.a_matrix_.index_ = a.term_rows[by_col].astype(np.int32)
+        lp.a_matrix_.value_ = a.coefs[by_col]
         lp.col_cost_ = c
         lp.col_lower_ = lower
         lp.col_upper_ = upper

@@ -63,20 +63,29 @@ class TestExportLp:
 
     def test_needs_no_scipy(self, tmp_path, cases_dir):
         # building and writing a model uses neither scipy's solvers nor its
-        # sparse matrices, which take most of the package's import time
-        args = ["export-lp", "--case", str(cases_dir / "twobus.json"), "--out", str(tmp_path)]
-        script = (
-            "import sys\n"
-            "from sopwl.cli import main\n"
-            f"assert main({args!r}) == 0\n"
-            "print([m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules])\n"
+        # sparse matrices, which take most of the package's import time; a
+        # solve and a check load only scipy's HiGHS binding
+        common = ["--case", str(cases_dir / "tinyq3.json"), "--segments", "2"]
+        out = tmp_path / "run"
+        runs = [
+            ["export-lp", "--case", str(cases_dir / "twobus.json"), "--out", str(tmp_path / "lp")],
+            ["solve", *common, "--mode", "both", "--out", str(out)],
+            *(
+                ["validate", *common, "--mode", m, "--solution", str(out / m / f"tinyq3_{m}.sol")]
+                for m in ("pwl", "sopwl")
+            ),
+        ]
+        loaded = "[m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules]"
+        script = "import sys\nfrom sopwl.cli import main\n" + "".join(
+            f"assert main({args!r}) == 0\nprint('loaded', {loaded})\n" for args in runs
         )
         paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         run = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
         )
-        assert run.stdout.splitlines()[-1] == "[]"
+        lines = run.stdout.splitlines()
+        assert [line for line in lines if line.startswith("loaded")] == ["loaded []"] * 4
 
     def test_repeat_is_byte_identical(self, tmp_path, cases_dir):
         outs = []

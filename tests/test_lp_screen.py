@@ -6,6 +6,7 @@ import math
 
 import pytest
 import scipy.optimize
+import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -100,9 +101,10 @@ class TestLpSession:
         # is that call's optimum bit for bit
         model, pwl = _build(*self._branching6(cases_dir), "pwl")
         a = model.arrays
+        rows = scipy.sparse.csr_array((a.coefs, a.cols, a.row_start), (len(a.rhs), len(a.names)))
         cold = scipy.optimize.milp(
             c=solvers._costs(model),
-            constraints=[scipy.optimize.LinearConstraint(a.matrix(), a.row_lo, a.row_hi)],
+            constraints=[scipy.optimize.LinearConstraint(rows, a.row_lo, a.row_hi)],
             bounds=scipy.optimize.Bounds(a.lower, a.upper),
         )
         relaxed = ScipyMilpAdapter().run_relaxed_two_stage(model, pwl.isqr)

@@ -1,14 +1,19 @@
 import collections
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -540,6 +545,34 @@ class TestCheckSolution:
         assert all(math.isnan(gap) for _, gap in violations)
         assert m.arrays.outside_bounds(sol.x).tolist() == [0]
 
+    def test_row_sums_are_the_csr_products(self):
+        # missed_rows adds each row's terms in the order of scipy's CSR
+        # product, starting from 0.0, so the rows and gaps are that
+        # product's bit for bit. Added in another order, the first two rows
+        # come out 1 and 0.6; started from the first term, the third is -0.0
+        m = MilpModel()
+        m.add_variables(["a", "b", "c", "d", "e"], -math.inf, math.inf)
+        m.add_constraint({"a": 1e16, "b": 1.0, "c": -1e16}, "<=", 0.5, tag="cancel")
+        m.add_constraint({"b": 0.1, "c": 0.2, "a": 0.3}, "<=", 0.6, tag="tenths")
+        m.add_constraint({"d": 1.0}, "<=", 0.0, tag="signed_zero")
+        m.add_constraint([], "=", 0.0, tag="empty")
+        m.add_constraint({"c": 1.0, "e": 2.0}, ">=", -1.0, tag="nan")
+        m.add_constraint({"e": 3.0}, "<=", 1.0, tag="nan_only")
+        a = m.freeze().arrays
+        assert " empty: 0 __dummy__ = 0\n" in write_lp(m)
+        x = np.array([1.0, 1.0, 1.0, -0.0, math.nan])
+        csr = scipy.sparse.csr_array((a.coefs, a.cols, a.row_start), (len(a.rhs), len(a.names)))
+        lhs = csr @ x
+        gap = np.maximum(a.row_lo - lhs, lhs - a.row_hi)
+        for tol in (-math.inf, milp.FEASIBILITY_TOL):
+            rows, gaps = a.missed_rows(x, tol)
+            expected = np.flatnonzero(~(gap <= tol))
+            assert rows.tolist() == expected.tolist()
+            assert gaps.tobytes() == gap[expected].tobytes()
+        assert lhs[:4].tolist() == [0.0, 0.1 + 0.2 + 0.3, 0.0, 0.0]
+        assert gap[2].tobytes() == np.float64(0.0).tobytes()
+        assert a.missed_rows(x)[0].tolist() == [4, 5]
+
 
 # dyadic values keep every sum exact, so the reference and the sparse product
 # agree to the bit and no gap sits on the tolerance by rounding
@@ -747,12 +780,13 @@ class TestScipyAdapter:
         model = _build(case, RunConfig(case="branching6", num_segments=10), "pwl")[0]
         a = model.arrays
         c = solvers._costs(model)
+        rows = scipy.sparse.csr_array((a.coefs, a.cols, a.row_start), (len(a.rhs), len(a.names)))
         with warnings.catch_warnings():
             # scipy warns that it passes ZI_ROUND_OPTION to HiGHS verbatim
             warnings.simplefilter("ignore", RuntimeWarning)
             cold = scipy.optimize.milp(
                 c=c,
-                constraints=[scipy.optimize.LinearConstraint(a.matrix(), a.row_lo, a.row_hi)],
+                constraints=[scipy.optimize.LinearConstraint(rows, a.row_lo, a.row_hi)],
                 bounds=scipy.optimize.Bounds(a.lower, a.upper),
                 integrality=a.binary.astype(int),
                 options={"time_limit": 60.0, "mip_rel_gap": 1e-4, solvers.ZI_ROUND_OPTION: True},
@@ -766,6 +800,65 @@ class TestScipyAdapter:
         assert model.objective_sense == "max"
         assert (sol.mip_node_count, sol.mip_gap) == (cold.mip_node_count, cold.mip_gap)
         assert sol.mip_dual_bound == -cold.mip_dual_bound
+
+    def test_missing_binding_named(self, tmp_path, monkeypatch):
+        # no fallback: a scipy without the binding's file stops with the
+        # directory searched and scipy's version
+        import scipy
+
+        monkeypatch.delitem(sys.modules, solvers.CORE_MODULE)
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        where = re.escape(os.path.join(str(tmp_path), "optimize", "_highspy"))
+        with pytest.raises(ImportError, match=f"{where} \\(scipy {scipy.__version__}\\)"):
+            solvers._load_core()
+
+    def test_one_binding_in_either_import_order(self, cases_dir):
+        # pybind11 registers the binding's types once per process, so
+        # whether sopwl.solvers loads it before or after scipy.optimize
+        # imports it, there is one module, and both scipy.optimize.milp and
+        # the adapter solve on it
+        script = """
+import sys
+{first}
+{second}
+import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy import _core, _highs_wrapper
+from sopwl.cli import RunConfig, _build
+from sopwl.network import load_case
+
+cores = [m for m in list(sys.modules.values()) if hasattr(m, "_Highs")]
+assert cores == [solvers._core] and _core is _highs_wrapper._h is solvers._core
+small = milp(
+    [-1.0, -1.0],
+    integrality=[1, 1],
+    bounds=Bounds(0, 3),
+    constraints=LinearConstraint([[1.0, 2.0]], -np.inf, 3.5),
+)
+assert small.status == 0 and small.fun == -3.0
+case = load_case({case!r})
+model = _build(case, RunConfig(case="branching6", num_segments=3), "sopwl")[0]
+solution = solvers.ScipyMilpAdapter().run(model)
+assert solution.status == "optimal"
+print(repr(solution.objective_value))
+"""
+        solvers_first = ("from sopwl import solvers", "import scipy.optimize")
+        paths = [str(Path(solvers.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        case = str(cases_dir / "branching6.json")
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script.format(first=first, second=second, case=case)],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for first, second in (solvers_first, solvers_first[::-1])
+        ]
+        outputs = []
+        for run in runs:
+            out, err = run.communicate(timeout=120)
+            assert run.returncode == 0, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
     def test_time_limit_keeps_an_incumbent(self, monkeypatch):
         # a MILP stopped by its time limit is "feasible" when HiGHS holds an
