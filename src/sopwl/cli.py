@@ -33,6 +33,8 @@ from .distflow import (
 )
 from .network import NetworkCase, bundled_case_path, load_case
 from .validation import (
+    ErrorReport,
+    SweepDivergence,
     branch_errors,
     filling_dump,
     lift_ordered,
@@ -221,12 +223,12 @@ def _run_one_mode(
     config: RunConfig,
     mode: str,
     pwl: Optional[tuple[DistflowArtifacts, Optional[milp.Solution]]] = None,
-) -> tuple[int, dict, Optional[milp.Solution], DistflowArtifacts]:
+) -> tuple[int, Optional[ErrorReport], Optional[milp.Solution], DistflowArtifacts]:
     """Solve and report one mode; sopwl reuses the pwl run ``pwl`` (its
     artifacts and solution) when given. What the solver prints goes to
-    ``<out>/<mode>/solver.log``. Returns the exit status, the report and run
-    metadata (empty on failure), the solution (None when the solver raised)
-    and the artifacts."""
+    ``<out>/<mode>/solver.log``. Returns the exit status, the error report
+    (None on failure), the solution (None when the solver raised) and the
+    artifacts."""
     out = config.out_dir / mode
     out.mkdir(parents=True, exist_ok=True)
     model, artifacts = _build(case, config, mode)
@@ -239,11 +241,11 @@ def _run_one_mode(
                 solution = milp.solve(model, config.make_adapter())
     except Exception as exc:
         print(f"[{mode}] solver failure: {exc}", file=sys.stderr)
-        return 1, {}, None, artifacts
+        return 1, None, None, artifacts
     (out / f"{model.name}.sol").write_text(milp.format_solution(solution, model))
     if solution.status not in ("optimal", "feasible"):
         print(f"[{mode}] solve ended with status {solution.status}", file=sys.stderr)
-        return 1, {}, solution, artifacts
+        return 1, None, solution, artifacts
 
     violations = milp.check_solution(model, solution)
     for tag, gap in violations:
@@ -278,26 +280,26 @@ def _run_one_mode(
     print(f"[{mode}] status={solution.status} objective={solution.objective_value:.6f}")
     print(text, end="")
     status = 0 if not violations else 1
-    return status, {"report": report, "meta": meta}, solution, artifacts
+    return status, report, solution, artifacts
 
 
 def cmd_solve(config: RunConfig) -> int:
     case = load_case(config.resolve_case_path())
     modes = [MODE_PWL, MODE_SOPWL] if config.mode == "both" else [config.mode]
-    results = {}
+    reports = {}
     exit_status = 0
     pwl = None  # the pwl run's artifacts and solution; sopwl reuses them
     for mode in modes:
-        status, res, solution, artifacts = _run_one_mode(case, config, mode, pwl)
+        status, report, solution, artifacts = _run_one_mode(case, config, mode, pwl)
         exit_status = max(exit_status, status)
-        results[mode] = res
+        reports[mode] = report
         if mode == MODE_PWL:
             pwl = artifacts, solution
-    if config.mode == "both" and all(results.values()):
+    if config.mode == "both" and None not in reports.values():
         sep = "," if config.report_format == "delimited" else "\t"
         lines = [sep.join(["feeder", "E_p_pwl", "E_p_sopwl", "E_q_pwl", "E_q_sopwl"])]
-        pwl_rec = {r.branch_key: r for r in results[MODE_PWL]["report"].records}
-        for r in results[MODE_SOPWL]["report"].records:
+        pwl_rec = {r.branch_key: r for r in reports[MODE_PWL].records}
+        for r in reports[MODE_SOPWL].records:
             p = pwl_rec[r.branch_key]
 
             def fmt(e):
@@ -347,7 +349,14 @@ def cmd_validate(config: RunConfig, solution_path: Path) -> int:
     report = branch_errors(solution, artifacts, zero_flow_floor=config.zero_flow_floor)
     print(report.to_table(), end="")
 
-    sweep = radial_sweep(case, _solution_injections(artifacts, solution))
+    try:
+        sweep = radial_sweep(case, _solution_injections(artifacts, solution))
+    except SweepDivergence as exc:
+        print(
+            f"exact sweep did not converge in {len(exc.trace)} iterations "
+            f"(last voltage change {exc.trace[-1]:.6e} pu)"
+        )
+        return 1
     print(f"exact sweep converged in {sweep.iterations} iterations")
     print(
         f"root slack injection: P={sweep.root_injection[0]:.6e} pu, "

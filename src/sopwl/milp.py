@@ -110,8 +110,8 @@ class ModelArrays:
 
     @cached_property
     def term_rows(self) -> np.ndarray:
-        """The row of each term, in term order; built on first use, as only
-        a solve or a check needs it."""
+        """The row of each term, in term order, for :meth:`missed_rows`;
+        built on first use, as only a solve or a check needs it."""
         return np.repeat(np.arange(len(self.row_lo)), np.diff(self.row_start))
 
     def outside_bounds(self, x: np.ndarray) -> np.ndarray:

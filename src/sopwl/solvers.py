@@ -7,11 +7,12 @@ on scipy 1.17.1 / HiGHS 1.12.0). The binding is loaded from its file by
 :func:`_load_core`, without running ``scipy/optimize/__init__.py``: that
 imports scipy's linalg, sparse, special and fft and takes most of a solve's
 start-up, while the binding alone loads in a few milliseconds. The session
-passes the model as
-``scipy.optimize.milp`` does, so a first run gives that call's point. The
-object keeps its model and its optimal basis between runs, so stage 2 of
-:meth:`ScipyMilpAdapter.run_relaxed_two_stage`, which adds one row and swaps
-the costs, starts from stage 1's basis instead of solving from scratch.
+hands HiGHS the model's own row-wise arrays in one ``passModel`` call; HiGHS's
+column copy of them is the one ``scipy.optimize.milp`` passes, so a first run
+gives that call's point. The object keeps its model and its optimal basis
+between runs, so stage 2 of :meth:`ScipyMilpAdapter.run_relaxed_two_stage`,
+which adds one row and swaps the costs, starts from stage 1's basis instead
+of solving from scratch.
 
 Every MILP run sets two options beyond the time limit. ``mip_rel_gap``
 (:data:`MIP_REL_GAP`, 1e-4) bounds how far a returned MILP objective may lie
@@ -182,9 +183,10 @@ class _HighsSession:
     with the columns ``binary`` integral (an LP when none is), held by one
     HiGHS object that keeps the model and its basis between runs: a run after
     :meth:`add_row` or :meth:`set_costs` starts from the last optimal basis.
-    The model is passed as ``scipy.optimize.milp`` passes it (the rows
-    column-wise, logging off), so a first run gives the same point as that
-    call with the same options."""
+    The rows are passed as ``a`` stores them, row-wise, with logging off;
+    HiGHS's own column copy puts each column's terms in row order, as
+    ``scipy.optimize.milp`` passes them, so a first run gives the same point
+    as that call with the same options."""
 
     def __init__(
         self,
@@ -197,33 +199,21 @@ class _HighsSession:
     ):
         self.time_limit = time_limit
         self.mip = binary is not None and bool(binary.any())
-        # the rows column-wise, each column's terms in row order, as
-        # scipy's CSR-to-CSC conversion gives them
-        by_col = np.argsort(a.cols, kind="stable")
-        start = np.zeros(len(c) + 1, dtype=np.int32)
-        np.cumsum(np.bincount(a.cols, minlength=len(c)), out=start[1:])
-        lp = _core.HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
-        lp.num_row_ = lp.a_matrix_.num_row_ = len(a.row_lo)
-        lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = start
-        lp.a_matrix_.index_ = a.term_rows[by_col].astype(np.int32)
-        lp.a_matrix_.value_ = a.coefs[by_col]
-        lp.col_cost_ = c
-        lp.col_lower_ = lower
-        lp.col_upper_ = upper
-        lp.row_lower_ = a.row_lo
-        lp.row_upper_ = a.row_hi
         self.highs = _core._Highs()
         self._set("log_to_console", False)
         if self.mip:
-            kinds = (_core.HighsVarType.kContinuous, _core.HighsVarType.kInteger)
-            lp.integrality_ = [kinds[b] for b in binary.tolist()]
             self._set("mip_rel_gap", MIP_REL_GAP)
             self._set(ZI_ROUND_OPTION, True)
+        # HiGHS refuses an empty integrality array: an LP passes kContinuous (0)s
+        integrality = np.zeros(len(c), np.int32) if binary is None else binary.astype(np.int32)
+        status = self.highs.passModel(
+            len(c), len(a.row_lo), len(a.coefs), _core.MatrixFormat.kRowwise,
+            _core.ObjSense.kMinimize, 0.0, c, lower, upper, a.row_lo, a.row_hi,
+            a.row_start[:-1], a.cols, a.coefs, integrality,
+        )
         # a model HiGHS will not load is reported as scipy reports it:
         # kModelError, which is "infeasible"
-        self._loaded = self.highs.passModel(lp) != _core.HighsStatus.kError
+        self._loaded = status != _core.HighsStatus.kError
 
     def _set(self, option: str, value) -> None:
         if self.highs.setOptionValue(option, value) == _core.HighsStatus.kError:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -594,6 +595,39 @@ class TestValidate:
         out = capsys.readouterr().out
         assert status == 1
         assert "VIOLATED" in out
+
+    def test_diverging_sweep_is_one_line(self, tmp_path, capsys):
+        # a full 1 + 1j pu load behind a 1 + 1j pu branch has no power-flow
+        # solution, so the exact sweep of a solution that restores it diverges
+        case = {
+            "name": "diverge",
+            "bases": {"s_base_mva": 10.0, "v_base_kv": 12.66},
+            "buses": [{"id": 1}, {"id": 2}],
+            "branches": [{"from": 1, "to": 2, "r_pu": 1.0, "x_pu": 1.0, "i_max_amps": 50.0}],
+            "loads": [{"bus": 2, "p_pu": 1.0, "q_pu": 1.0}],
+            "generators": [],
+        }
+        case_path = tmp_path / "diverge.json"
+        case_path.write_text(json.dumps(case))
+        common = ["--case", str(case_path), "--segments", "2"]
+        assert main(["solve", *common, "--out", str(tmp_path / "run")]) == 0
+        sol_path = tmp_path / "run" / "pwl" / "diverge_pwl.sol"
+        lines = sol_path.read_text().splitlines()
+        assert "beta_2 0.0" in lines
+        sol_path.write_text("\n".join("beta_2 1.0" if ln == "beta_2 0.0" else ln for ln in lines))
+        capsys.readouterr()
+        status = main(["validate", *common, "--solution", str(sol_path)])
+        captured = capsys.readouterr()
+        assert status == 1
+        out = captured.out.splitlines()
+        assert out[:2] == ["VIOLATED balanceP_2 by 1.000e+00", "VIOLATED balanceQ_2 by 1.000e+00"]
+        assert re.fullmatch(
+            r"exact sweep did not converge in 50 iterations \(last voltage change \S+ pu\)",
+            out[-1],
+        )
+        assert "converge" not in "\n".join(out[:-1])
+        assert "Traceback" not in captured.out + captured.err
+        assert captured.err == ""
 
     def test_solution_path_is_a_directory(self, tmp_path, cases_dir, capsys):
         args = ["--case", str(cases_dir / "twobus.json"), "--segments", "2"]

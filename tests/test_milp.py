@@ -772,12 +772,14 @@ class TestScipyAdapter:
         with pytest.raises(ValueError, match="no_such_highs_option"):
             ScipyMilpAdapter().run(self._packing())
 
-    def test_milp_point_is_scipy_milps(self, cases_dir):
-        # the MILP is passed to HiGHS as scipy.optimize.milp passes it, with
-        # the same options, so its point and statistics are that call's bit
-        # for bit
+    @pytest.mark.parametrize("mode", ["pwl", "sopwl"])
+    def test_milp_point_is_scipy_milps(self, cases_dir, mode):
+        # the session hands HiGHS the rows as the model stores them, and
+        # HiGHS's own column copy is the one scipy.optimize.milp passes; with
+        # the same options, the point and statistics are that call's bit for
+        # bit, the sopwl model's eq20/eq21 rows and ordering binaries included
         case = load_case(cases_dir / "branching6.json")
-        model = _build(case, RunConfig(case="branching6", num_segments=10), "pwl")[0]
+        model = _build(case, RunConfig(case="branching6", num_segments=10), mode)[0]
         a = model.arrays
         c = solvers._costs(model)
         rows = scipy.sparse.csr_array((a.coefs, a.cols, a.row_start), (len(a.rhs), len(a.names)))
