@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -24,8 +24,8 @@ from . import milp
 from .distflow import (
     MODE_PWL,
     MODE_SOPWL,
-    OBJECTIVE_RESTORATION,
-    OBJECTIVE_RESTORATION_LOSS,
+    MODES,
+    OBJECTIVES,
     BuildOptions,
     DistflowArtifacts,
     build_distflow,
@@ -45,17 +45,27 @@ if TYPE_CHECKING:
     from .solvers import ScipyMilpAdapter
 
 
+# --mode both runs each of MODES in turn
+RUN_MODES = (*MODES, "both")
+REPORT_FORMATS = ("table", "delimited")
+
+
 @dataclass
 class RunConfig:
+    """The settings of one run and their defaults; the mode, segment count
+    and objective default to :class:`BuildOptions`'. Each command's flags
+    store into these fields, and the keys of a ``--config`` file are their
+    names."""
+
     case: str
-    mode: str = MODE_PWL  # pwl | sopwl | both
-    num_segments: int = 50
-    objective: str = OBJECTIVE_RESTORATION
+    mode: str = BuildOptions.mode  # one of RUN_MODES
+    num_segments: int = BuildOptions.num_segments
+    objective: str = BuildOptions.objective
     timeout: float = milp.DEFAULT_TIMEOUT_SECONDS
     out_dir: Path = Path("sopwl_out")
     # None: each branch's own floor (validation.branch_errors)
     zero_flow_floor: Optional[float] = None
-    report_format: str = "table"  # table | delimited
+    report_format: str = REPORT_FORMATS[0]
 
     def __post_init__(self) -> None:
         # a config file can put any JSON value in any field, so check types too
@@ -65,9 +75,9 @@ class RunConfig:
             raise ValueError(f"segments must be an integer, got {self.num_segments!r}")
         if self.num_segments < 1:
             raise ValueError("segments must be >= 1")
-        if self.mode not in (MODE_PWL, MODE_SOPWL, "both"):
+        if self.mode not in RUN_MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.objective not in (OBJECTIVE_RESTORATION, OBJECTIVE_RESTORATION_LOSS):
+        if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
         checked = [("timeout", self.timeout)]
         if self.zero_flow_floor is not None:
@@ -79,7 +89,7 @@ class RunConfig:
         if not isinstance(self.out_dir, (str, Path)):
             raise ValueError(f"output directory must be a string, got {self.out_dir!r}")
         self.out_dir = Path(self.out_dir)
-        if self.report_format not in ("table", "delimited"):
+        if self.report_format not in REPORT_FORMATS:
             raise ValueError(f"unknown report format {self.report_format!r}")
 
     def resolve_case_path(self) -> Path:
@@ -102,7 +112,8 @@ class RunConfig:
         return ScipyMilpAdapter(time_limit=self.timeout)
 
 
-def _build(case: NetworkCase, config: RunConfig, mode: str):
+def _build(case: NetworkCase, config: RunConfig, mode: str) -> DistflowArtifacts:
+    """The frozen ``mode`` model of ``case``, as its artifacts."""
     options = BuildOptions(
         num_segments=config.num_segments, mode=mode, objective=config.objective
     )
@@ -110,7 +121,7 @@ def _build(case: NetworkCase, config: RunConfig, mode: str):
     artifacts = build_distflow(model, case, options)
     build_restoration_objective(model, artifacts)
     model.freeze()
-    return model, artifacts
+    return artifacts
 
 
 def _solution_injections(
@@ -174,7 +185,7 @@ def _lp_screen(
     ``lift_ordered`` finds every block ordered and the sopwl model's
     ``check_solution`` finds no violated row."""
     if pwl is None:
-        pwl = _build(case, config, MODE_PWL)[1]
+        pwl = _build(case, config, MODE_PWL)
     relaxed = adapter.run_relaxed_two_stage(pwl.model, pwl.isqr)
     if relaxed.status != "optimal":
         return None
@@ -231,7 +242,8 @@ def _run_one_mode(
     artifacts."""
     out = config.out_dir / mode
     out.mkdir(parents=True, exist_ok=True)
-    model, artifacts = _build(case, config, mode)
+    artifacts = _build(case, config, mode)
+    model = artifacts.model
     path = None
     try:
         with _output_to(out / "solver.log"):
@@ -285,7 +297,7 @@ def _run_one_mode(
 
 def cmd_solve(config: RunConfig) -> int:
     case = load_case(config.resolve_case_path())
-    modes = [MODE_PWL, MODE_SOPWL] if config.mode == "both" else [config.mode]
+    modes = MODES if config.mode == "both" else (config.mode,)
     reports = {}
     exit_status = 0
     pwl = None  # the pwl run's artifacts and solution; sopwl reuses them
@@ -315,12 +327,12 @@ def cmd_solve(config: RunConfig) -> int:
 
 def cmd_export_lp(config: RunConfig) -> int:
     case = load_case(config.resolve_case_path())
-    modes = [MODE_PWL, MODE_SOPWL] if config.mode == "both" else [config.mode]
+    modes = MODES if config.mode == "both" else (config.mode,)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     for mode in modes:
         # the model alone, so that this mode's model and artifacts are freed
         # before the next mode's are built
-        model = _build(case, config, mode)[0]
+        model = _build(case, config, mode).model
         path = config.out_dir / f"{case.name}_{mode}.lp"
         chunks = milp.lp_chunks(model)  # checks the model: no file when it fails
         with open(path, "w") as f:
@@ -334,7 +346,8 @@ def cmd_validate(config: RunConfig, solution_path: Path) -> int:
     case = load_case(config.resolve_case_path())
     if config.mode == "both":
         raise ValueError("validate requires a single mode")
-    model, artifacts = _build(case, config, config.mode)
+    artifacts = _build(case, config, config.mode)
+    model = artifacts.model
     solution = milp.parse_solution(solution_path.read_text(), model)
     if solution.status not in ("optimal", "feasible"):
         print(f"solution status is {solution.status}; nothing to validate")
@@ -370,50 +383,43 @@ def cmd_validate(config: RunConfig, solution_path: Path) -> int:
     return 0 if not violations else 1
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_command(sub, name: str, summary: str) -> argparse.ArgumentParser:
+    """The subcommand ``name`` with the run-setting flags. A flag stores its
+    value under its ``RunConfig`` field and only when it is given, so a
+    setting left out takes ``RunConfig``'s default."""
+    parser = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
     parser.add_argument("--case", required=True, help="case file path or bundled case name")
-    parser.add_argument("--mode", default="pwl", choices=["pwl", "sopwl", "both"])
-    parser.add_argument("--segments", type=int, default=50)
-    parser.add_argument(
-        "--objective",
-        default="restoration",
-        choices=["restoration", "restoration_with_loss_penalty"],
-    )
-    parser.add_argument("--timeout", type=float, default=milp.DEFAULT_TIMEOUT_SECONDS)
-    parser.add_argument("--out", default="sopwl_out")
+    parser.add_argument("--mode", choices=RUN_MODES)
+    parser.add_argument("--segments", type=int, dest="num_segments", metavar="SEGMENTS")
+    parser.add_argument("--objective", choices=OBJECTIVES)
+    parser.add_argument("--timeout", type=float)
+    parser.add_argument("--out", dest="out_dir", metavar="OUT")
     parser.add_argument(
         "--zero-flow-floor",
         type=float,
-        default=None,
         help="flow magnitude (pu) below which a branch's error is not reported "
         "(default: each branch's seg_width * sqrt(12.5))",
     )
-    parser.add_argument("--format", default="table", choices=["table", "delimited"])
-    parser.add_argument("--config", default=None, help="JSON config file overriding flags")
+    parser.add_argument("--format", dest="report_format", choices=REPORT_FORMATS)
+    parser.add_argument("--config", help="JSON config file overriding flags")
+    return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {
-        "case": args.case,
-        "mode": args.mode,
-        "num_segments": args.segments,
-        "objective": args.objective,
-        "timeout": args.timeout,
-        "out_dir": args.out,
-        "zero_flow_floor": args.zero_flow_floor,
-        "report_format": args.format,
-    }
-    if args.config:
-        overrides = json.loads(Path(args.config).read_text())
+    keys = {f.name for f in fields(RunConfig)}
+    given = vars(args)
+    settings = {key: value for key, value in given.items() if key in keys}
+    if given.get("config"):
+        overrides = json.loads(Path(given["config"]).read_text())
         if not isinstance(overrides, dict):
             raise ValueError(
                 f"config file must hold a JSON object, not a {type(overrides).__name__}"
             )
-        unknown = set(overrides) - set(fields)
+        unknown = set(overrides) - keys
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        fields.update(overrides)
-    return RunConfig(**fields)
+        settings.update(overrides)
+    return RunConfig(**settings)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -424,14 +430,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="build and solve, then report errors")
-    _add_common(p_solve)
-
-    p_export = sub.add_parser("export-lp", help="write the LP file without solving")
-    _add_common(p_export)
-
-    p_val = sub.add_parser("validate", help="re-check a solution file against the model")
-    _add_common(p_val)
+    _add_command(sub, "solve", "build and solve, then report errors")
+    _add_command(sub, "export-lp", "write the LP file without solving")
+    p_val = _add_command(sub, "validate", "re-check a solution file against the model")
     p_val.add_argument("--solution", required=True, help="solution file to validate")
 
     args = parser.parse_args(argv)

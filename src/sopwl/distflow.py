@@ -41,9 +41,11 @@ __all__ = [
 
 MODE_PWL = "pwl"
 MODE_SOPWL = "sopwl"
+MODES = (MODE_PWL, MODE_SOPWL)
 
 OBJECTIVE_RESTORATION = "restoration"
 OBJECTIVE_RESTORATION_LOSS = "restoration_with_loss_penalty"
+OBJECTIVES = (OBJECTIVE_RESTORATION, OBJECTIVE_RESTORATION_LOSS)
 
 
 @dataclass(frozen=True)
@@ -55,9 +57,9 @@ class BuildOptions:
     def __post_init__(self) -> None:
         if self.num_segments < 1:
             raise ValueError("num_segments must be >= 1")
-        if self.mode not in (MODE_PWL, MODE_SOPWL):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.objective not in (OBJECTIVE_RESTORATION, OBJECTIVE_RESTORATION_LOSS):
+        if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
 
 def epsilon_plus(grid: PwlGrid) -> float:
@@ -291,7 +293,7 @@ def emit_pwl_block(
     """Declare segment/sign/binary variables and constraint rows for one
     linearized square of column ``y``, returning their columns (one row).
     Names start ``y_y_``; tags are ``eq6_y_y``, ``eq20_y_y_l1`` and so on."""
-    if mode not in (MODE_PWL, MODE_SOPWL):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     batch = _Batch(1, model.num_variables, _block_width(grid.num_segments, mode))
     cols = _emit_blocks(batch, np.array([[y]]), [grid], grid.num_segments, mode, ["y_y"], ["y_y"])

@@ -120,11 +120,9 @@ class ModelArrays:
         tol = FEASIBILITY_TOL
         return np.flatnonzero(~((x >= self.lower - tol) & (x <= self.upper + tol)))
 
-    def missed_rows(
-        self, x: np.ndarray, tol: float = FEASIBILITY_TOL
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The rows that ``x`` misses by more than ``tol``, in row order, and
-        by how much; a row whose value is NaN is missed by NaN."""
+    def missed_rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows that ``x`` misses by more than ``FEASIBILITY_TOL``, in row
+        order, and by how much; a row whose value is NaN is missed by NaN."""
         # each row's terms are added in the order they were given, starting
         # from 0.0, as a CSR product adds them, so every row value is that
         # product's bit for bit
@@ -132,7 +130,7 @@ class ModelArrays:
         # the infinite bound of an inequality gives -inf; for an equality the
         # two differences are exact negatives, so this is |lhs - rhs|
         gap = np.maximum(self.row_lo - lhs, lhs - self.row_hi)
-        rows = np.flatnonzero(~(gap <= tol))
+        rows = np.flatnonzero(~(gap <= FEASIBILITY_TOL))
         return rows, gap[rows]
 
     def sizes(self) -> dict[str, int]:
@@ -718,16 +716,15 @@ def _read_body(body: list[str], model: MilpModel) -> tuple[np.ndarray, list[floa
     return np.fromiter(given, np.intp, len(given)), list(given.values())
 
 
-def check_solution(
-    model: MilpModel, solution: Solution, tol: float = FEASIBILITY_TOL
-) -> list[tuple[str, float]]:
+def check_solution(model: MilpModel, solution: Solution) -> list[tuple[str, float]]:
     """Re-check every constraint by direct substitution.
 
     Returns (tag, violation amount) for each violated constraint; an empty
-    list means the solution is feasible within ``tol``. The solution must
-    hold one value per column; a NaN violates each row it appears in.
+    list means the solution is feasible within ``FEASIBILITY_TOL``. The
+    solution must hold one value per column; a NaN violates each row it
+    appears in.
     """
-    rows, gaps = model.arrays.missed_rows(solution.column_values(model), tol)
+    rows, gaps = model.arrays.missed_rows(solution.column_values(model))
     tags = model._tags
     return [(tags[r], g) for r, g in zip(rows.tolist(), gaps.tolist())]
 

@@ -224,7 +224,10 @@ class _HighsSession:
         kOptimal is "optimal", kInfeasible and kModelError "infeasible",
         kUnbounded "unbounded". A MILP stopped by its time or iteration
         limit is "feasible" when HiGHS holds an incumbent. Every other
-        status, an LP's time limit included, is "error"."""
+        status, an LP's time limit included, is "error". So is a MILP that
+        HiGHS ends kUnboundedOrInfeasible, as it does when its relaxation is
+        unbounded: HiGHS has found no feasible point, and "unbounded" would
+        be a guess."""
         if not self._loaded:
             return "infeasible"
         highs = self.highs

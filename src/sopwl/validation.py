@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distflow import MODE_PWL, MODE_SOPWL, DistflowArtifacts, emit_pwl_block, epsilon_plus
+from .distflow import MODES, DistflowArtifacts, emit_pwl_block, epsilon_plus
 from .milp import FEASIBILITY_TOL, MilpModel, Solution
 from .network import NetworkCase
 from .pwl import FillingState, relative_error
@@ -31,6 +31,10 @@ __all__ = [
 # negligible below this many segment widths: from there on an ordered
 # filling's relative error, at most (h^2 / 4) / y^2, is at most 2 %.
 ZERO_FLOW_FLOOR_WIDTHS = math.sqrt(12.5)
+
+# radial_sweep's convergence test (pu) and iteration limit
+SWEEP_TOL = 1e-8
+SWEEP_MAX_ITER = 50
 
 
 def extract_filling(
@@ -124,15 +128,12 @@ class BranchErrorRecord:
     e_q: Optional[float]
     eso_ok_p: bool
     eso_ok_q: bool
-    negligible_p: bool
-    negligible_q: bool
 
 
 @dataclass(frozen=True)
 class ErrorReport:
     mode: str
     records: tuple[BranchErrorRecord, ...]
-    zero_flow_floor: Optional[float]  # None: each branch's own floor
 
     def _reported(self) -> list[float]:
         """E_p of every branch whose active flow is not negligible."""
@@ -209,18 +210,12 @@ def branch_errors(
             e_q=None if q < floor else relative_error(f_q, q),
             eso_ok_p=ok_p,
             eso_ok_q=ok_q,
-            negligible_p=p < floor,
-            negligible_q=q < floor,
         )
         for br, floor, (p, f_p, ok_p), (q, f_q, ok_q) in zip(
             artifacts.case.branches, floors, *per_kind
         )
     ]
-    return ErrorReport(
-        mode=artifacts.options.mode,
-        records=tuple(records),
-        zero_flow_floor=zero_flow_floor,
-    )
+    return ErrorReport(mode=artifacts.options.mode, records=tuple(records))
 
 
 def filling_dump(solution: Solution, artifacts: DistflowArtifacts) -> str:
@@ -246,7 +241,7 @@ def check_unordered_feasibility(state: FillingState) -> tuple[bool, bool]:
     grid = state.grid
     total = state.total
     results = []
-    for mode in (MODE_PWL, MODE_SOPWL):
+    for mode in MODES:
         model = MilpModel(name=f"witness_{mode}")
         (y,) = model.add_variables(["y"], -grid.y_max, grid.y_max)
         block = emit_pwl_block(model, y, grid, mode)
@@ -284,23 +279,22 @@ class SweepDivergence(RuntimeError):
 
 
 def radial_sweep(
-    case: NetworkCase,
-    injections: dict[int, tuple[float, float]],
-    tol: float = 1e-8,
-    max_iter: int = 50,
+    case: NetworkCase, injections: dict[int, tuple[float, float]]
 ) -> SweepResult:
     """Backward/forward sweep exact power flow on the radial case.
 
     ``injections`` maps bus id to net (P, Q) injection in pu (generation
     positive, load negative); the root is the slack bus at 1.0 pu, the root
     voltage of :func:`sopwl.distflow.build_distflow`. The sweep has converged
-    when no bus voltage moves by ``tol`` pu or more in an iteration.
+    when no bus voltage moves by ``SWEEP_TOL`` pu or more in an iteration,
+    and raises :class:`SweepDivergence` when it has not after
+    ``SWEEP_MAX_ITER`` iterations.
     """
     root = case.root
     voltage = {bus.id: complex(1.0, 0.0) for bus in case.buses}
     currents: dict[str, complex] = {br.key: 0.0j for br in case.branches}
     trace: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(SWEEP_MAX_ITER):
         # backward: accumulate drawn currents toward the root
         drawn = {}
         for bus in case.buses:
@@ -319,7 +313,7 @@ def radial_sweep(
             delta = max(delta, abs(v_new - voltage[br.to_bus]))
             voltage[br.to_bus] = v_new
         trace.append(delta)
-        if delta < tol:
+        if delta < SWEEP_TOL:
             break
     else:
         raise SweepDivergence(trace)

@@ -369,6 +369,18 @@ class TestSolve:
         ):
             assert "Unrecognized options" not in text
 
+    def test_unset_settings_take_run_config_defaults(self, tmp_path, cases_dir):
+        out = tmp_path / "run"
+        assert main(["solve", "--case", str(cases_dir / "twobus.json"), "--out", str(out)]) == 0
+        meta = json.loads((out / "pwl" / "run.json").read_text())
+        assert (meta["mode"], meta["segments"], meta["objective_variant"]) == (
+            "pwl",
+            50,
+            "restoration",
+        )
+        assert sorted(p.name for p in out.iterdir()) == ["pwl"]
+        assert (out / "pwl" / "report.txt").is_file()
+
     def test_config_file_overrides_flags(self, tmp_path, cases_dir):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"num_segments": 4}))
@@ -424,8 +436,8 @@ class TestSopwlFallback:
         # within 1e-7 pu of the bound and started from stage 1's basis, is
         # optimal, and the screen certifies its point
         case = load_case(cases_dir / "tinyq3.json")
-        pwl_model, pwl = _build(case, RunConfig(case="tinyq3", num_segments=2), "pwl")
-        relaxed = solvers.ScipyMilpAdapter().run_relaxed_two_stage(pwl_model, pwl.isqr)
+        pwl = _build(case, RunConfig(case="tinyq3", num_segments=2), "pwl")
+        relaxed = solvers.ScipyMilpAdapter().run_relaxed_two_stage(pwl.model, pwl.isqr)
         assert relaxed.status == "optimal"
         assert relaxed.mip_dual_bound == pytest.approx(8.46e-6, rel=1e-2)
         # STAGE2_SLACK is absolute below |U| = 1
@@ -510,6 +522,7 @@ class TestBadSettings:
             ('{"timeout": "60"}', "timeout must be a positive finite number"),
             ("[1]", "config file must hold a JSON object, not a list"),
             ('{"objective": "bogus"}', "unknown objective 'bogus'"),
+            ('{"segment": 4}', "unknown config keys: ['segment']"),
         ],
     )
     def test_config_rejected(self, tmp_path, cases_dir, capsys, text, message):

@@ -82,7 +82,7 @@ class TestLpSession:
 
     def test_screen_calls_no_milp(self, cases_dir, monkeypatch):
         case, config = self._branching6(cases_dir)
-        artifacts = _build(case, config, "sopwl")[1]
+        artifacts = _build(case, config, "sopwl")
 
         real_run = solvers._HighsSession.run
 
@@ -99,7 +99,8 @@ class TestLpSession:
     def test_bound_is_a_cold_scipy_lp(self, cases_dir):
         # stage 1 is passed to HiGHS as scipy.optimize.milp passes it, so U
         # is that call's optimum bit for bit
-        model, pwl = _build(*self._branching6(cases_dir), "pwl")
+        pwl = _build(*self._branching6(cases_dir), "pwl")
+        model = pwl.model
         a = model.arrays
         rows = scipy.sparse.csr_array((a.coefs, a.cols, a.row_start), (len(a.rhs), len(a.names)))
         cold = scipy.optimize.milp(
@@ -116,7 +117,8 @@ class TestLpSession:
         # as scipy.optimize.milp gives them for an LP: a time limit is an
         # error, and a model HiGHS will not load (a coefficient of 1e16) is
         # infeasible
-        model, pwl = _build(*self._branching6(cases_dir), "pwl")
+        pwl = _build(*self._branching6(cases_dir), "pwl")
+        model = pwl.model
         timed_out = ScipyMilpAdapter(time_limit=1e-9).run_relaxed_two_stage(model, pwl.isqr)
         assert timed_out.status == "error"
         huge = MilpModel(name="huge")
@@ -131,6 +133,17 @@ class TestLpSession:
         unbounded.freeze()
         assert ScipyMilpAdapter().run_relaxed_two_stage(unbounded, [0]).status == "unbounded"
 
+    def test_unbounded_milp_is_an_error(self):
+        # HiGHS ends this MILP kUnboundedOrInfeasible, with no feasible point
+        # found, while its relaxation is kUnbounded
+        m = MilpModel(name="unbounded_mip")
+        m.add_variable("b", 0, 1, kind=BINARY)
+        m.add_variable("y", 0.0, math.inf)
+        m.set_objective("max", {"y": 1.0})
+        m.freeze()
+        assert ScipyMilpAdapter().run(m).status == "error"
+        assert ScipyMilpAdapter().run_relaxed_two_stage(m, [1]).status == "unbounded"
+
     def test_each_stage_gets_the_time_limit(self, cases_dir, monkeypatch):
         # HiGHS's run clock keeps counting across runs on one object, so
         # stage 2's limit is the time already run plus the adapter's limit
@@ -144,7 +157,8 @@ class TestLpSession:
                 return super().run()
 
         monkeypatch.setattr(_core, "_Highs", Spy)
-        model, pwl = _build(*self._branching6(cases_dir), "pwl")
+        pwl = _build(*self._branching6(cases_dir), "pwl")
+        model = pwl.model
         sol = ScipyMilpAdapter(time_limit=7.5).run_relaxed_two_stage(model, pwl.isqr)
         assert sol.status == "optimal"
         assert len(runs) == 2
@@ -236,9 +250,10 @@ def test_sopwl_path_is_certified(drawn):
     case, segments = drawn
     config = RunConfig(case=case.name, mode="sopwl", num_segments=segments)
     adapter = ScipyMilpAdapter()
-    pwl_model, pwl = _build(case, config, "pwl")
-    bound = adapter.run_relaxed_two_stage(pwl_model, pwl.isqr)
-    model, artifacts = _build(case, config, "sopwl")
+    pwl = _build(case, config, "pwl")
+    bound = adapter.run_relaxed_two_stage(pwl.model, pwl.isqr)
+    artifacts = _build(case, config, "sopwl")
+    model = artifacts.model
     reference = milp.solve(model, adapter)
     assert bound.status == reference.status == "optimal"
     # HiGHS's row tolerance lets the MILP exceed the LP bound by a hair

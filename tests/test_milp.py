@@ -547,31 +547,27 @@ class TestCheckSolution:
 
     def test_row_sums_are_the_csr_products(self):
         # missed_rows adds each row's terms in the order of scipy's CSR
-        # product, starting from 0.0, so the rows and gaps are that
-        # product's bit for bit. Added in another order, the first two rows
-        # come out 1 and 0.6; started from the first term, the third is -0.0
+        # product, so the rows and gaps are that product's bit for bit.
+        # Added in another order, the first two rows come out 1 and 0.6, and
+        # miss their bounds by 1.5 and 0.09999999999999998
         m = MilpModel()
-        m.add_variables(["a", "b", "c", "d", "e"], -math.inf, math.inf)
-        m.add_constraint({"a": 1e16, "b": 1.0, "c": -1e16}, "<=", 0.5, tag="cancel")
-        m.add_constraint({"b": 0.1, "c": 0.2, "a": 0.3}, "<=", 0.6, tag="tenths")
-        m.add_constraint({"d": 1.0}, "<=", 0.0, tag="signed_zero")
+        m.add_variables(["a", "b", "c", "e"], -math.inf, math.inf)
+        m.add_constraint({"a": 1e16, "b": 1.0, "c": -1e16}, "<=", -0.5, tag="cancel")
+        m.add_constraint({"b": 0.1, "c": 0.2, "a": 0.3}, "<=", 0.5, tag="tenths")
         m.add_constraint([], "=", 0.0, tag="empty")
         m.add_constraint({"c": 1.0, "e": 2.0}, ">=", -1.0, tag="nan")
         m.add_constraint({"e": 3.0}, "<=", 1.0, tag="nan_only")
         a = m.freeze().arrays
         assert " empty: 0 __dummy__ = 0\n" in write_lp(m)
-        x = np.array([1.0, 1.0, 1.0, -0.0, math.nan])
+        x = np.array([1.0, 1.0, 1.0, math.nan])
         csr = scipy.sparse.csr_array((a.coefs, a.cols, a.row_start), (len(a.rhs), len(a.names)))
         lhs = csr @ x
         gap = np.maximum(a.row_lo - lhs, lhs - a.row_hi)
-        for tol in (-math.inf, milp.FEASIBILITY_TOL):
-            rows, gaps = a.missed_rows(x, tol)
-            expected = np.flatnonzero(~(gap <= tol))
-            assert rows.tolist() == expected.tolist()
-            assert gaps.tobytes() == gap[expected].tobytes()
-        assert lhs[:4].tolist() == [0.0, 0.1 + 0.2 + 0.3, 0.0, 0.0]
-        assert gap[2].tobytes() == np.float64(0.0).tobytes()
-        assert a.missed_rows(x)[0].tolist() == [4, 5]
+        rows, gaps = a.missed_rows(x)
+        assert rows.tolist() == [0, 1, 3, 4]
+        assert gaps.tobytes() == gap[rows].tobytes()
+        assert lhs[:3].tolist() == [0.0, 0.1 + 0.2 + 0.3, 0.0]
+        assert gaps[:2].tolist() == [0.5, 0.1 + 0.2 + 0.3 - 0.5]
 
 
 # dyadic values keep every sum exact, so the reference and the sparse product
@@ -609,11 +605,11 @@ class TestCheckSolutionProperty:
         for terms, sense, rhs, tag in rows:
             lhs = sum(c * values.get(name, 0.0) for name, c in terms)
             gap = {"<=": lhs - rhs, ">=": rhs - lhs, "=": abs(lhs - rhs)}[sense]
-            if gap > 0.1:
+            if gap > milp.FEASIBILITY_TOL:
                 expected.append((tag, gap))
         x = np.array([values[name] for name in names])
         sol = Solution(status="feasible", objective_value=0.0, x=x)
-        assert check_solution(m, sol, tol=0.1) == expected
+        assert check_solution(m, sol) == expected
 
         assert m.constraints == tuple(
             LinearConstraint(tuple(terms), sense, rhs, tag) for terms, sense, rhs, tag in rows
@@ -779,7 +775,7 @@ class TestScipyAdapter:
         # the same options, the point and statistics are that call's bit for
         # bit, the sopwl model's eq20/eq21 rows and ordering binaries included
         case = load_case(cases_dir / "branching6.json")
-        model = _build(case, RunConfig(case="branching6", num_segments=10), mode)[0]
+        model = _build(case, RunConfig(case="branching6", num_segments=10), mode).model
         a = model.arrays
         c = solvers._costs(model)
         rows = scipy.sparse.csr_array((a.coefs, a.cols, a.row_start), (len(a.rhs), len(a.names)))
@@ -839,7 +835,7 @@ small = milp(
 )
 assert small.status == 0 and small.fun == -3.0
 case = load_case({case!r})
-model = _build(case, RunConfig(case="branching6", num_segments=3), "sopwl")[0]
+model = _build(case, RunConfig(case="branching6", num_segments=3), "sopwl").model
 solution = solvers.ScipyMilpAdapter().run(model)
 assert solution.status == "optimal"
 print(repr(solution.objective_value))

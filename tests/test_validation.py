@@ -22,6 +22,7 @@ from sopwl.network import load_case
 from sopwl.pwl import FillingState, PwlGrid, eso_fill, is_eso, pwl_value
 from sopwl.solvers import ScipyMilpAdapter
 from sopwl.validation import (
+    SWEEP_MAX_ITER,
     SweepDivergence,
     branch_errors,
     check_unordered_feasibility,
@@ -168,8 +169,7 @@ class TestBranchErrors:
             x[p_block.delta[0]] = eso_fill(grid, y).deltas
             report = branch_errors(Solution("optimal", 0.0, x), art)
             (record,) = report.records
-            assert report.zero_flow_floor is None
-            assert record.negligible_p is not reported and record.negligible_q
+            assert (record.e_p is None) is not reported and record.e_q is None
             if reported:
                 assert 0.0 < record.e_p <= 2.0
 
@@ -354,5 +354,5 @@ class TestRadialSweep:
 
     def test_divergence_reported(self, twobus):
         with pytest.raises(SweepDivergence) as err:
-            radial_sweep(twobus, {2: (-45.0, -45.0)}, max_iter=10)
-        assert len(err.value.trace) == 10
+            radial_sweep(twobus, {2: (-45.0, -45.0)})
+        assert len(err.value.trace) == SWEEP_MAX_ITER
