@@ -141,9 +141,13 @@ class _Batch:
         self._tags: list[np.ndarray] = []
 
     def _per_item(self, templates: Sequence[str], args: Sequence[str]) -> np.ndarray:
-        """``template % arg`` for every item's ``arg``, one row per item."""
-        texts = [t % a for a in args for t in templates]
-        return np.array(texts, dtype=object).reshape(self.count, len(templates))
+        """``template % arg`` for every item's ``arg``, one row per item: the
+        text around the one ``%s`` of each template, concatenated as arrays."""
+        split = [t.split("%s") for t in templates]
+        heads = np.array([head for head, _ in split], dtype=object)
+        tails = np.array([tail for _, tail in split], dtype=object)
+        texts = np.array(args, dtype=object)[:, None] + tails
+        return heads + texts if any(heads) else texts
 
     def variables(
         self,

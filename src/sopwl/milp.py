@@ -50,6 +50,11 @@ SENSES = ("<=", "=", ">=")
 STATUS_TOKENS = ("optimal", "feasible", "infeasible", "unbounded", "error")
 
 _LP_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
+# The same rule over names each led by a line break: the characters a name
+# may hold, and a line break before a character a name may not start with or
+# before an empty line.
+_LP_NAME_BYTES = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.\n"
+_LP_BAD_START_RE = re.compile(r"\n[0-9.\n]")
 
 # How far a value may lie outside a bound or row and still count as feasible:
 # read by the two checks of a vector, ModelArrays.outside_bounds and
@@ -158,8 +163,11 @@ class MilpModel:
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self._index: dict[str, int] = {}
         self._names: list[str] = []
+        # the names declared, for the duplicate check; dropped by freeze()
+        self._declared: Optional[set[str]] = set()
+        # name -> column, built on the first lookup by name (_name_index)
+        self._index: Optional[dict[str, int]] = None
         self._tags: list[str] = []
         # what each bulk call appended, starting from an empty part so that
         # concatenation always has an input: (lower, upper, binary) and
@@ -209,9 +217,9 @@ class MilpModel:
         upper = np.broadcast_to(np.array(upper, dtype=float), (k,))
         binary = np.broadcast_to(np.array(binary, dtype=bool), (k,))
         first = len(self._names)
-        index = dict(zip(names, range(first, first + k)))
-        if len(index) != k or not self._index.keys().isdisjoint(index.keys()):
-            seen = set(self._index)
+        new = set(names)
+        if len(new) != k or not self._declared.isdisjoint(new):
+            seen = set(self._declared)
             for name in names:
                 if name in seen:
                     raise ValueError(f"duplicate variable name {name!r}")
@@ -225,7 +233,12 @@ class MilpModel:
         outside = binary & ((lower < 0) | (upper > 1))
         if outside.any():
             raise ValueError(f"{names[_first(outside)]}: binary bounds must lie within [0, 1]")
-        self._index.update(index)
+        # merge the smaller set into the larger
+        if len(new) > len(self._declared):
+            new, self._declared = self._declared, new
+        self._declared |= new
+        if self._index is not None:
+            self._index.update(zip(names, range(first, first + k)))
         self._names.extend(names)
         self._var_parts.append((lower, upper, binary))
         self._gathered = None
@@ -324,9 +337,17 @@ class MilpModel:
         self._gathered = None
         return range(first, first + n)
 
+    def _name_index(self) -> dict[str, int]:
+        """Each variable's column by name; built on the first lookup, as
+        only a model addressed by name (tests, small models, a solution
+        text) needs it."""
+        if self._index is None:
+            self._index = dict(zip(self._names, range(len(self._names))))
+        return self._index
+
     def _columns(self, names: tuple[str, ...], where: str) -> list[int]:
         try:
-            return list(map(self._index.__getitem__, names))
+            return list(map(self._name_index().__getitem__, names))
         except KeyError as exc:
             raise ValueError(
                 f"{where}: reference to undeclared variable {exc.args[0]!r}"
@@ -387,6 +408,7 @@ class MilpModel:
 
     def freeze(self) -> "MilpModel":
         self._frozen = True
+        self._declared = None
         self._gather()
         return self
 
@@ -434,7 +456,7 @@ class MilpModel:
         return tuple(self._rows(range(len(self._tags))))
 
     def variable(self, name: str) -> Variable:
-        i = self._index[name]
+        i = self._name_index()[name]
         a = self._gather()
         kind = BINARY if a.binary[i] else CONTINUOUS
         return Variable(name, float(a.lower[i]), float(a.upper[i]), kind, i)
@@ -481,8 +503,9 @@ def _format_coef(c: float) -> str:
 
 
 def _term_prefix(c: float) -> str:
-    """The signed coefficient that precedes a name in an expression."""
-    return ("- " if c < 0 else "+ ") + _format_coef(abs(c)) + " "
+    """The signed coefficient that precedes a name after the first in an
+    expression, with the space that parts it from the name before."""
+    return (" - " if c < 0 else " + ") + _format_coef(abs(c)) + " "
 
 
 def _lead_prefix(c: float) -> str:
@@ -507,7 +530,7 @@ def _expression(cols: np.ndarray, coefs: np.ndarray, name_of: np.ndarray) -> str
     """``coef name`` terms joined by their signs."""
     terms = _texts(coefs, _term_prefix) + name_of[cols]
     terms[0] = _lead_prefix(coefs[0].item()) + name_of[cols[0]]
-    return " ".join(terms.tolist())
+    return "".join(terms.tolist())
 
 
 def _rows_text(a: ModelArrays, rows: slice, tags: list[str], name_of: np.ndarray) -> str:
@@ -515,45 +538,76 @@ def _rows_text(a: ModelArrays, rows: slice, tags: list[str], name_of: np.ndarray
     ``tags``, each line led by ``"\\n"``: `` tag: <expression> <sense>
     <rhs>``, an expression without terms written ``0 __dummy__``.
 
-    The text is one join of four pieces per nonzero: the row's head before
-    its first term (else ``""``), the signed coefficient (``"+ "`` dropped
-    on a first term), the name, and ``" "`` or, after a row's last term, its
-    sense and right-hand side."""
+    The text is one join of two pieces per nonzero: the signed coefficient
+    with the space before it (on a row's first term, the row's head and the
+    coefficient without ``"+ "``), and the name (on a row's last term,
+    followed by the row's sense and right-hand side)."""
     start = a.row_start[rows.start : rows.stop + 1]
     terms = slice(start[0], start[-1])
     cols, coefs = a.cols[terms], a.coefs[terms]
     start = start - start[0]
     used = start[1:] > start[:-1]
-    first = start[:-1][used]
+    first, last = start[:-1][used], start[1:][used] - 1
     head = "\n " + np.array(tags, dtype=object) + ": "
     sense = np.array([" <= ", " = ", " >= "], dtype=object)[a.senses[rows]]
     tail = sense + _texts(a.rhs[rows], _format_coef)
-    pieces = np.full((len(cols), 4), "", dtype=object)
-    pieces[first, 0] = head[used]
-    pieces[:, 1] = _texts(coefs, _term_prefix)
-    pieces[first, 1] = _texts(coefs[first], _lead_prefix)
-    pieces[:, 2] = name_of[cols]
-    pieces[:, 3] = " "
-    pieces[start[1:][used] - 1, 3] = tail[used]
+    pieces = np.empty((len(cols), 2), dtype=object)
+    pieces[:, 0] = _texts(coefs, _term_prefix)
+    pieces[first, 0] = head[used] + _texts(coefs[first], _lead_prefix)
+    pieces[:, 1] = name_of[cols]
+    pieces[last, 1] += tail[used]
     empty = np.flatnonzero(~used)
     if empty.size:
-        dummy = np.full((empty.size, 4), "", dtype=object)
-        dummy[:, 0], dummy[:, 1], dummy[:, 3] = head[empty], "0 __dummy__", tail[empty]
+        dummy = np.stack([head[empty] + "0 __dummy__", tail[empty]], axis=1)
         pieces = np.insert(pieces, start[empty], dummy, axis=0)
     return "".join(pieces.ravel().tolist())
 
 
+def _lower_text(c: float) -> str:
+    """A bound line's text before the name."""
+    return " " + _bound_text(c) + " <= "
+
+
+def _upper_text(c: float) -> str:
+    """A bound line's text after the name."""
+    return " <= " + _bound_text(c) + "\n"
+
+
 def _bounds_text(a: ModelArrays, chunk: slice, name_of: np.ndarray) -> str:
-    """The ``Bounds`` lines of the continuous variables among ``chunk``."""
+    """The ``Bounds`` lines of the continuous variables among ``chunk``:
+    one join of three pieces per line, the text before the name, the name
+    and the text after it."""
     continuous = ~a.binary[chunk]
     lower, upper = a.lower[chunk][continuous], a.upper[chunk][continuous]
-    names = name_of[chunk][continuous]
-    lines = (
-        " " + _texts(lower, _bound_text) + " <= " + names + " <= " + _texts(upper, _bound_text)
-    ) + "\n"
+    pieces = np.empty((len(lower), 3), dtype=object)
+    pieces[:, 0] = _texts(lower, _lower_text)
+    pieces[:, 1] = name_of[chunk][continuous]
+    pieces[:, 2] = _texts(upper, _upper_text)
     free = (lower == -math.inf) & (upper == math.inf)
-    lines[free] = " " + names[free] + " free\n"
-    return "".join(lines.tolist())
+    pieces[free, 0], pieces[free, 2] = " ", " free\n"
+    return "".join(pieces.ravel().tolist())
+
+
+def _unsafe_name(names: Sequence[str], tags: Sequence[str]) -> Optional[str]:
+    """The first of ``names`` then ``tags`` that ``_LP_NAME_RE`` does not
+    match in full, or None.
+
+    All of them are checked at once, as one text with each item between two
+    line breaks: it holds one line break more than there are items (so no
+    item holds one), only ASCII, only the characters of a name, and no line
+    starts with a digit or ``.`` or is empty. Only when that fails are the
+    items matched one by one, so that the first bad one is named. (A
+    ``fullmatch`` of a repeated group over the text would need far more
+    memory.)"""
+    text = "\n".join(itertools.chain(("",), names, tags, ("",)))
+    if (
+        text.count("\n") == len(names) + len(tags) + 1
+        and text.isascii()
+        and not text.encode("ascii").translate(None, _LP_NAME_BYTES)
+        and _LP_BAD_START_RE.search(text) is None
+    ):
+        return None
+    return next(itertools.filterfalse(_LP_NAME_RE.fullmatch, itertools.chain(names, tags)), None)
 
 
 def lp_chunks(model: MilpModel) -> Iterator[str]:
@@ -571,8 +625,7 @@ def lp_chunks(model: MilpModel) -> Iterator[str]:
     if "\n" in model.name or "\r" in model.name:
         raise ValueError(f"model name {model.name!r} holds a line break")
     tags = model._tags
-    names = itertools.chain(model.arrays.names, tags)
-    bad = next(itertools.filterfalse(_LP_NAME_RE.fullmatch, names), None)
+    bad = _unsafe_name(model.arrays.names, tags)
     if bad is not None:
         raise ValueError(f"name {bad!r} is not LP-format-safe")
     # hashes first, so that only the tags whose hash another tag shares are
@@ -695,7 +748,7 @@ def _read_body(body: list[str], model: MilpModel) -> tuple[np.ndarray, list[floa
     """The columns that the ``name value`` lines of ``body`` name, each once,
     and their values, read line by line; a repeated line overrides. The first
     bad line is named."""
-    index = model._index
+    index = model._name_index()
     isfinite = math.isfinite
     given = {}
     for ln in body:

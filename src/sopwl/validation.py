@@ -289,29 +289,37 @@ def radial_sweep(
     when no bus voltage moves by ``SWEEP_TOL`` pu or more in an iteration,
     and raises :class:`SweepDivergence` when it has not after
     ``SWEEP_MAX_ITER`` iterations.
+
+    Buses and branches are addressed by their positions in ``case.buses``
+    and ``case.order``. The tests pin the results bit for bit, so the order
+    of the arithmetic is fixed: drawn currents per bus in file order, branch
+    currents summed children first, voltage drops applied parents first.
     """
-    root = case.root
-    voltage = {bus.id: complex(1.0, 0.0) for bus in case.buses}
-    currents: dict[str, complex] = {br.key: 0.0j for br in case.branches}
+    # bus i is case.buses[i] and branch k is case.order[k], which runs from
+    # bus parent[k] to bus child[k]
+    position = {bus.id: i for i, bus in enumerate(case.buses)}
+    parent = [position[br.from_bus] for br in case.order]
+    child = [position[br.to_bus] for br in case.order]
+    forward = list(zip(parent, child, [complex(br.r_pu, br.x_pu) for br in case.order]))
+    backward = list(zip(range(len(parent) - 1, -1, -1), parent[::-1], child[::-1]))
+    s_drawn = [
+        complex(-p, -q) for p, q in (injections.get(bus.id, (0.0, 0.0)) for bus in case.buses)
+    ]
+    voltage = [complex(1.0, 0.0)] * len(s_drawn)
+    currents = [0.0j] * len(parent)
     trace: list[float] = []
     for _ in range(SWEEP_MAX_ITER):
         # backward: accumulate drawn currents toward the root
-        drawn = {}
-        for bus in case.buses:
-            p, q = injections.get(bus.id, (0.0, 0.0))
-            s_drawn = complex(-p, -q)
-            drawn[bus.id] = (s_drawn / voltage[bus.id]).conjugate()
-        subtree = dict(drawn)
-        for br in reversed(case.order):
-            currents[br.key] = subtree[br.to_bus]
-            subtree[br.from_bus] += subtree[br.to_bus]
+        subtree = [(s / v).conjugate() for s, v in zip(s_drawn, voltage)]
+        for k, f, t in backward:
+            currents[k] = subtree[t]
+            subtree[f] += subtree[t]
         # forward: propagate voltage drops from the root, parents first
         delta = 0.0
-        for br in case.order:
-            z = complex(br.r_pu, br.x_pu)
-            v_new = voltage[br.from_bus] - z * currents[br.key]
-            delta = max(delta, abs(v_new - voltage[br.to_bus]))
-            voltage[br.to_bus] = v_new
+        for (f, t, z), current in zip(forward, currents):
+            v_new = voltage[f] - z * current
+            delta = max(delta, abs(v_new - voltage[t]))
+            voltage[t] = v_new
         trace.append(delta)
         if delta < SWEEP_TOL:
             break
@@ -319,13 +327,14 @@ def radial_sweep(
         raise SweepDivergence(trace)
 
     flows = {}
-    for br in case.order:
-        s = voltage[br.from_bus] * currents[br.key].conjugate()
+    for br, f, current in zip(case.order, parent, currents):
+        s = voltage[f] * current.conjugate()
         flows[br.key] = (s.real, s.imag)
-    root_current = sum(currents[br.key] for br in case.branches if br.from_bus == root)
-    s_root = voltage[root] * root_current.conjugate()
+    # the root is bus 0; its branches come first in case.order, in file order
+    root_current = sum(current for f, current in zip(parent, currents) if f == 0)
+    s_root = voltage[0] * root_current.conjugate()
     return SweepResult(
-        voltages={b: abs(v) for b, v in voltage.items()},
+        voltages={bus.id: abs(v) for bus, v in zip(case.buses, voltage)},
         branch_flows=flows,
         iterations=len(trace),
         root_injection=(s_root.real, s_root.imag),

@@ -20,12 +20,14 @@ from hypothesis import strategies as st
 from sopwl.distflow import BuildOptions, build_distflow, build_restoration_objective
 from sopwl.milp import (
     BINARY,
+    CONTINUOUS,
     LP_CHUNK_ROWS,
     LinearConstraint,
     MilpModel,
     ModelFrozenError,
     STATUS_TOKENS,
     Solution,
+    Variable,
     check_solution,
     format_solution,
     lp_chunks,
@@ -132,6 +134,32 @@ class TestBuild:
         m.freeze()
         assert m.constraints == (LinearConstraint((("x", 2.0),), ">=", 0.0, "ok"),)
         assert m.arrays.sizes() == {"vars": 1, "rows": 1, "nnz": 1, "binaries": 0}
+
+    def test_lookup_by_name_after_a_later_declaration(self):
+        m = MilpModel()
+        m.add_variables(["a", "b"], 0.0, 1.0)
+        assert m.variable("b").index == 1  # the first lookup by name
+        m.add_variables(["c"], 0.0, 2.0)
+        assert m.variable("c") == Variable("c", 0.0, 2.0, CONTINUOUS, 2)
+        m.add_constraint({"c": 1.0, "a": 1.0}, "<=", 1.0, tag="r")
+        assert m.constraints[0].terms == (("c", 1.0), ("a", 1.0))
+        m.add_variables(["d"], 0.0, 5.0)
+        m.freeze()
+        solution = parse_solution("optimal\nobj 0\nd 3\nc 0.5\n", m)
+        assert solution.x.tolist() == [0.0, 0.0, 0.5, 3.0]
+
+    def test_duplicate_after_lookup_by_name(self):
+        m = MilpModel()
+        m.add_variables(["a", "b"])
+        m.variable("a")  # the first lookup by name
+        with pytest.raises(ValueError, match="duplicate variable name 'a'"):
+            m.add_variables(["e", "a"])
+        with pytest.raises(ValueError, match="duplicate variable name 'e'"):
+            m.add_variables(["e", "e"])
+        with pytest.raises(KeyError):
+            m.variable("e")  # the rejected calls declared nothing
+        m.add_variables(["e"])
+        assert m.variable("e").index == 2
 
     def test_frozen_is_immutable(self):
         m = simple_model()
@@ -337,6 +365,35 @@ class TestWriteLp:
             m.freeze()
             with pytest.raises(ValueError, match="holds a line break"):
                 write_lp(m)
+
+    @pytest.mark.parametrize(
+        "names, bad",
+        [
+            ([""], ""),
+            (["a\nb"], "a\nb"),
+            (["x\r"], "x\r"),
+            (["\u00e9"], "\u00e9"),
+            (["ok", "1a"], "1a"),
+            (["a\x00"], "a\x00"),
+        ],
+        ids=["empty", "newline", "carriage-return", "non-ascii", "digit-first", "nul"],
+    )
+    def test_unsafe_variable_name_named(self, names, bad):
+        m = MilpModel()
+        m.add_variables(names)
+        m.add_constraint({names[0]: 1.0}, "<=", 1.0, tag="ok")
+        m.freeze()
+        with pytest.raises(ValueError, match=f"^name {re.escape(repr(bad))} is not LP"):
+            lp_chunks(m)
+
+    def test_bad_variable_named_before_a_bad_tag(self):
+        # the first bad name is looked for among variable names, then tags
+        m = MilpModel()
+        m.add_variables(["x", "y z"])
+        m.add_constraint({"x": 1.0}, "<=", 1.0, tag="1bad")
+        m.freeze()
+        with pytest.raises(ValueError, match="^name 'y z' is not LP"):
+            lp_chunks(m)
 
     def test_pieces_checked_before_the_first(self):
         m = MilpModel()

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -18,7 +19,7 @@ from sopwl.milp import (
     parse_solution,
     solve,
 )
-from sopwl.network import load_case
+from sopwl.network import bundled_case_path, load_case
 from sopwl.pwl import FillingState, PwlGrid, eso_fill, is_eso, pwl_value
 from sopwl.solvers import ScipyMilpAdapter
 from sopwl.validation import (
@@ -356,3 +357,66 @@ class TestRadialSweep:
         with pytest.raises(SweepDivergence) as err:
             radial_sweep(twobus, {2: (-45.0, -45.0)})
         assert len(err.value.trace) == SWEEP_MAX_ITER
+
+    @staticmethod
+    def _digest(values: dict) -> str:
+        """sha256 of the sorted ``repr`` of every item."""
+        return hashlib.sha256("\n".join(sorted(map(repr, values.items()))).encode()).hexdigest()
+
+    # the sweep at full pickup and nameplate DG output, pinned bit for bit
+    # before it moved from dicts keyed by bus and branch to positions:
+    # iterations, root injection, and the digests of voltages and flows
+    PINNED = {
+        "feeder400": (
+            4,
+            (0.03957922463190183, 0.008765593324518399),
+            "479a64f5321d7df588f50852a1df89db7bcc5de5cd1fb3109b9ba6adcb1d11c8",
+            "721ee5a933241f60a9175cc7c0317a16c201ec172bebd2b7ceb04bb7a47fa7ef",
+        ),
+        "ieee33_4dg": (
+            6,
+            (0.17968846116349946, 0.11581100374736458),
+            "67bf229275013add51ce69037043d4c800acbcd5e2eee030a48671eea0136c90",
+            "13111b4478fd2c58a3e58813f27c3b29642c38e95ce226f5ae67a44cbde645d1",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned(self, name, cases_dir):
+        path = cases_dir / f"{name}.json"
+        case = load_case(path if path.exists() else bundled_case_path(name))
+        injections = {}
+        for load in case.loads:
+            p, q = injections.get(load.bus, (0.0, 0.0))
+            injections[load.bus] = (p - load.p_pu, q - load.q_pu)
+        for gen in case.generators:
+            p, q = injections.get(gen.bus, (0.0, 0.0))
+            injections[gen.bus] = (p + gen.p_max_pu, q + gen.q_max_pu)
+        res = radial_sweep(case, injections)
+        assert (
+            res.iterations,
+            res.root_injection,
+            self._digest(res.voltages),
+            self._digest(res.branch_flows),
+        ) == self.PINNED[name]
+
+    def test_divergence_trace_pinned(self, tmp_path):
+        # the case of test_cli's test_diverging_sweep_is_one_line: a full
+        # 1 + 1j pu load behind a 1 + 1j pu branch
+        case = {
+            "name": "diverge",
+            "bases": {"s_base_mva": 10.0, "v_base_kv": 12.66},
+            "buses": [{"id": 1}, {"id": 2}],
+            "branches": [{"from": 1, "to": 2, "r_pu": 1.0, "x_pu": 1.0, "i_max_amps": 50.0}],
+            "loads": [{"bus": 2, "p_pu": 1.0, "q_pu": 1.0}],
+            "generators": [],
+        }
+        (tmp_path / "diverge.json").write_text(json.dumps(case))
+        with pytest.raises(SweepDivergence) as err:
+            radial_sweep(load_case(tmp_path / "diverge.json"), {2: (-1.0, -1.0)})
+        trace = err.value.trace
+        assert len(trace) == SWEEP_MAX_ITER
+        assert trace[:3] == [2.0, 4.0, 2.6666666666666665]
+        assert hashlib.sha256(repr(trace).encode()).hexdigest() == (
+            "751777eb503d2610e91ad1fa6773948f07904c4778313d8c020b0afb2244c48e"
+        )
