@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
@@ -329,15 +329,31 @@ def cmd_export_lp(config: RunConfig) -> int:
     case = load_case(config.resolve_case_path())
     modes = MODES if config.mode == "both" else (config.mode,)
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    for mode in modes:
-        # the model alone, so that this mode's model and artifacts are freed
-        # before the next mode's are built
-        model = _build(case, config, mode).model
-        path = config.out_dir / f"{case.name}_{mode}.lp"
-        chunks = milp.lp_chunks(model)  # checks the model: no file when it fails
-        with open(path, "w") as f:
-            f.writelines(chunks)
-        del model
+    # One build: the pwl model is the sopwl model without its ordering
+    # binaries and the rows that hold them, with the same names, tags,
+    # coefficients and order, so its file is that view of the sopwl model.
+    built = MODE_SOPWL if MODE_SOPWL in modes else MODE_PWL
+    artifacts = _build(case, config, built)
+    ordering = np.concatenate([block.x.ravel() for block in artifacts.blocks.values()])
+    views = [(f"{case.name}_{mode}", ordering if mode != built else ()) for mode in modes]
+    chunks = milp.lp_view_chunks(artifacts.model, views)  # checks: no file when it fails
+    paths = [config.out_dir / f"{name}.lp" for name, _ in views]
+    # each file is written under a temporary name and renamed when whole,
+    # so that a failed export leaves no cut-short file
+    parts = [path.with_name(path.name + ".part") for path in paths]
+    try:
+        with ExitStack() as stack:
+            files = [stack.enter_context(open(part, "w")) for part in parts]
+            for pieces in chunks:
+                for f, piece in zip(files, pieces):
+                    f.write(piece)
+        for part, path in zip(parts, paths):
+            os.replace(part, path)
+    except BaseException:
+        for part in parts:
+            part.unlink(missing_ok=True)
+        raise
+    for path in paths:
         print(path)
     return 0
 

@@ -20,19 +20,19 @@ row's name in the LP file and in every message about the row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .milp import MilpModel
-from .network import Branch, NetworkCase
+from .network import NetworkCase
 from .pwl import PwlGrid
 
 __all__ = [
     "BuildOptions",
     "BlockColumns",
     "DistflowArtifacts",
-    "flow_bound",
     "epsilon_plus",
     "emit_pwl_block",
     "build_distflow",
@@ -62,11 +62,16 @@ class BuildOptions:
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
 
+
+# epsilon_plus in segment widths
+_EPSILON_PLUS_WIDTHS = 1e-6
+
+
 def epsilon_plus(grid: PwlGrid) -> float:
     """The margin by which an active ``eq20`` row asks a segment to be full;
     :func:`sopwl.validation.branch_errors` adds it to ``FEASIBILITY_TOL`` in
     its ordered test."""
-    return 1e-6 * grid.seg_width
+    return _EPSILON_PLUS_WIDTHS * grid.seg_width
 
 
 @dataclass(frozen=True)
@@ -97,17 +102,22 @@ class DistflowArtifacts:
     voltage: np.ndarray
     pickup: np.ndarray
     gen: np.ndarray  # (generators, 2): gp and gq
-    grids: tuple[PwlGrid, ...]  # per branch
+
+    @cached_property
+    def grids(self) -> tuple[PwlGrid, ...]:
+        """Each branch's segment grid, on its flow bound; built on first use,
+        as only the reports and the tests read it."""
+        n = self.options.num_segments
+        return tuple(PwlGrid(y_max, n) for y_max in _flow_bounds(self.case))
 
 
-def flow_bound(branch: Branch, case: NetworkCase, options: BuildOptions) -> PwlGrid:
-    """Per-branch flow bound: ampacity converted to per-unit at nominal
-    voltage."""
+def _flow_bounds(case: NetworkCase) -> list[float]:
+    """Each branch's flow bound ``y_max``: its ampacity in per unit at
+    nominal voltage."""
     i_base = case.i_base_amps
     if i_base <= 0:
         raise ValueError("zero or negative current base")
-    i_max_pu = branch.i_max_amps / i_base
-    return PwlGrid(y_max=i_max_pu, num_segments=options.num_segments)
+    return [br.i_max_amps / i_base for br in case.branches]
 
 
 def _column(values: Sequence[float]) -> np.ndarray:
@@ -239,16 +249,16 @@ def _block_width(num_segments: int, mode: str) -> int:
 def _emit_blocks(
     batch: _Batch,
     y: np.ndarray,
-    grids: Sequence[PwlGrid],
+    y_max: np.ndarray,
+    h: np.ndarray,
     n: int,
     mode: str,
     prefixes: Sequence[str],
     tag_suffixes: Sequence[str],
 ) -> BlockColumns:
     """Declare into ``batch`` the segment/sign/binary variables and the rows
-    of one linearized square of column ``y`` per item, on ``n`` segments."""
-    y_max = _column([g.y_max for g in grids])
-    h = _column([g.seg_width for g in grids])
+    of one linearized square of column ``y`` per item, on ``n`` segments of
+    width ``h`` of ``[0, y_max]`` (columns, one row per item)."""
     lams = range(1, n + 1)
 
     delta = batch.variables([f"%s_d{lam}" for lam in lams], prefixes, 0.0, h)
@@ -267,7 +277,7 @@ def _emit_blocks(
     if mode == MODE_SOPWL:
         # tightest valid M: with it the deactivated row is exactly vacuous
         m_const = h
-        eps = _column([epsilon_plus(g) for g in grids])
+        eps = _EPSILON_PLUS_WIDTHS * h  # epsilon_plus of each item's grid
         x = batch.variables([f"%s_x{lam}" for lam in lams], prefixes, 0.0, 1.0, binary=True)
         # delta_lam - h + (1 - x_lam) * M + eps >= 0
         batch.rows(
@@ -300,7 +310,8 @@ def emit_pwl_block(
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     batch = _Batch(1, model.num_variables, _block_width(grid.num_segments, mode))
-    cols = _emit_blocks(batch, np.array([[y]]), [grid], grid.num_segments, mode, ["y_y"], ["y_y"])
+    y_max, h = _column([grid.y_max]), _column([grid.seg_width])
+    cols = _emit_blocks(batch, np.array([[y]]), y_max, h, grid.num_segments, mode, ["y_y"], ["y_y"])
     batch.emit(model)
     return cols
 
@@ -330,11 +341,13 @@ def build_distflow(
 
     # the branch key in variable names and row tags: "1-2" -> "1_2"
     names = [br.key.replace("-", "_") for br in branches]
-    grid_list = [flow_bound(br, case, options) for br in branches]
-    y_max = _column([g.y_max for g in grid_list])
+    bounds = _flow_bounds(case)
+    y_max = _column(bounds)
+    # each branch's segment width, PwlGrid.seg_width of its grid
+    h = y_max / options.num_segments
     # squares taken on Python floats: numpy's r**2 differs from Python's in
     # the last digit for some r, which would change the LP text
-    i_max_sqr = _column([(br.i_max_amps / case.i_base_amps) ** 2 for br in branches])
+    i_max_sqr = _column([b**2 for b in bounds])
     z_sqr = _column([-(br.r_pu**2 + br.x_pu**2) for br in branches])
     r = _column([br.r_pu for br in branches])
     x = _column([br.x_pu for br in branches])
@@ -350,7 +363,8 @@ def build_distflow(
         kind: _emit_blocks(
             batch,
             y,
-            grid_list,
+            y_max,
+            h,
             n,
             mode,
             [f"{kind}_{a}" for a in names],
@@ -359,7 +373,7 @@ def build_distflow(
         for kind, y in (("P", p), ("Q", q))
     }
     # squared-current coupling: Isqr = f(P) + f(Q), v_norm = 1
-    slopes = np.arange(1, 2 * n, 2) * _column([g.seg_width for g in grid_list])
+    slopes = np.arange(1, 2 * n, 2) * h
     coupling = [(isqr, 1.0)] + [(block_cols[kind].delta, -slopes) for kind in ("P", "Q")]
     batch.rows(["eq4_%s"], names, coupling, "=", 0.0)
     # voltage drop along the branch
@@ -432,7 +446,6 @@ def build_distflow(
         voltage=np.asarray(voltage),
         pickup=beta,
         gen=np.stack([gp, gp + 1], axis=1),
-        grids=tuple(grid_list),
     )
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "Solution",
     "write_lp",
     "lp_chunks",
+    "lp_view_chunks",
     "format_solution",
     "parse_solution",
     "check_solution",
@@ -533,15 +534,39 @@ def _expression(cols: np.ndarray, coefs: np.ndarray, name_of: np.ndarray) -> str
     return "".join(terms.tolist())
 
 
-def _rows_text(a: ModelArrays, rows: slice, tags: list[str], name_of: np.ndarray) -> str:
+# Which columns a view of the LP keeps: one flag per column, or None for all.
+Keep = Optional[np.ndarray]
+
+
+def _view_texts(pieces: np.ndarray, kept: list[Keep]) -> tuple[str, ...]:
+    """The join of ``pieces`` for each view, in which ``kept`` flags the
+    pieces the view keeps (None: all of them); the whole join is made once
+    and serves every view that keeps all."""
+    whole = None
+    texts = []
+    for mask in kept:
+        if mask is None or mask.all():
+            if whole is None:
+                whole = "".join(pieces.tolist())
+            texts.append(whole)
+        else:
+            texts.append("".join(pieces[mask].tolist()))
+    return tuple(texts)
+
+
+def _rows_text(
+    a: ModelArrays, rows: slice, tags: list[str], name_of: np.ndarray, keeps: list[Keep]
+) -> tuple[str, ...]:
     """The rows ``rows`` of the ``Subject To`` section, named by their
     ``tags``, each line led by ``"\\n"``: `` tag: <expression> <sense>
-    <rhs>``, an expression without terms written ``0 __dummy__``.
+    <rhs>``, an expression without terms written ``0 __dummy__``; for each
+    view, only the rows that hold no column it leaves out.
 
     The text is one join of two pieces per nonzero: the signed coefficient
     with the space before it (on a row's first term, the row's head and the
     coefficient without ``"+ "``), and the name (on a row's last term,
-    followed by the row's sense and right-hand side)."""
+    followed by the row's sense and right-hand side). The pieces are built
+    once; a view joins those of the rows it keeps."""
     start = a.row_start[rows.start : rows.stop + 1]
     terms = slice(start[0], start[-1])
     cols, coefs = a.cols[terms], a.coefs[terms]
@@ -560,7 +585,16 @@ def _rows_text(a: ModelArrays, rows: slice, tags: list[str], name_of: np.ndarray
     if empty.size:
         dummy = np.stack([head[empty] + "0 __dummy__", tail[empty]], axis=1)
         pieces = np.insert(pieces, start[empty], dummy, axis=0)
-    return "".join(pieces.ravel().tolist())
+    # a row's pieces: two per term, two for a row without terms
+    width = 2 * np.maximum(np.diff(start), 1)
+    kept = []
+    for keep in keeps:
+        if keep is not None:
+            # the dropped columns among the terms up to each row's end
+            dropped = np.concatenate(([0], np.cumsum(~keep[cols])))
+            keep = np.repeat(dropped[start[1:]] == dropped[start[:-1]], width)
+        kept.append(keep)
+    return _view_texts(pieces.ravel(), kept)
 
 
 def _lower_text(c: float) -> str:
@@ -573,10 +607,12 @@ def _upper_text(c: float) -> str:
     return " <= " + _bound_text(c) + "\n"
 
 
-def _bounds_text(a: ModelArrays, chunk: slice, name_of: np.ndarray) -> str:
-    """The ``Bounds`` lines of the continuous variables among ``chunk``:
-    one join of three pieces per line, the text before the name, the name
-    and the text after it."""
+def _bounds_text(
+    a: ModelArrays, chunk: slice, name_of: np.ndarray, keeps: list[Keep]
+) -> tuple[str, ...]:
+    """The ``Bounds`` lines of the continuous variables among ``chunk`` that
+    each view keeps: one join of three pieces per line, the text before the
+    name, the name and the text after it."""
     continuous = ~a.binary[chunk]
     lower, upper = a.lower[chunk][continuous], a.upper[chunk][continuous]
     pieces = np.empty((len(lower), 3), dtype=object)
@@ -585,7 +621,8 @@ def _bounds_text(a: ModelArrays, chunk: slice, name_of: np.ndarray) -> str:
     pieces[:, 2] = _texts(upper, _upper_text)
     free = (lower == -math.inf) & (upper == math.inf)
     pieces[free, 0], pieces[free, 2] = " ", " free\n"
-    return "".join(pieces.ravel().tolist())
+    kept = [None if keep is None else np.repeat(keep[chunk][continuous], 3) for keep in keeps]
+    return _view_texts(pieces.ravel(), kept)
 
 
 def _unsafe_name(names: Sequence[str], tags: Sequence[str]) -> Optional[str]:
@@ -610,22 +647,49 @@ def _unsafe_name(names: Sequence[str], tags: Sequence[str]) -> Optional[str]:
     return next(itertools.filterfalse(_LP_NAME_RE.fullmatch, itertools.chain(names, tags)), None)
 
 
-def lp_chunks(model: MilpModel) -> Iterator[str]:
-    """The text of :func:`write_lp` in pieces, for writing to a file without
-    holding the whole LP: the header up to ``Subject To``, the rows
-    ``LP_CHUNK_ROWS`` at a time, then ``Bounds`` and ``Binary`` in slices of
-    as many variables, then ``End``.
+def lp_view_chunks(
+    model: MilpModel, views: Sequence[tuple[str, Sequence[int] | np.ndarray]]
+) -> Iterator[tuple[str, ...]]:
+    """The LP text of several views of ``model`` in pieces, one piece per
+    view at each step, for writing each view to its own file in one pass.
 
-    The model is checked when this is called, before the first piece is
-    asked for: it must be frozen, its name must hold no line break, every
+    A view ``(name, dropped)`` is the model without the columns ``dropped``
+    and without every row that holds one of them, under the model name
+    ``name``; its text is that of :func:`write_lp` of a model built so. The
+    pieces are those of :func:`lp_chunks`: the header up to ``Subject To``,
+    the rows ``LP_CHUNK_ROWS`` at a time, then ``Bounds`` and ``Binary`` in
+    slices of as many variables, then ``End``; each is built once and each
+    view joins the part it keeps.
+
+    The model and the views are checked when this is called, before the
+    first piece is asked for: the model must be frozen, no view's name may
+    hold a line break, no view may drop a column of the objective, every
     variable name and row tag must be LP-format-safe, and no two rows may
-    share a tag. A row's tag is its name in the LP text."""
+    share a tag. A row's tag is its name in the LP text. The names and tags
+    are checked on the whole model, which holds those of every view."""
     if not model.frozen:
         raise ModelFrozenError("freeze the model before exporting")
-    if "\n" in model.name or "\r" in model.name:
-        raise ValueError(f"model name {model.name!r} holds a line break")
+    a = model.arrays
+    keeps: list[Keep] = []
+    for name, dropped in views:
+        if "\n" in name or "\r" in name:
+            raise ValueError(f"model name {name!r} holds a line break")
+        dropped = np.asarray(dropped, dtype=np.intp)
+        if not ((dropped >= 0) & (dropped < len(a.names))).all():
+            raise ValueError(f"view {name!r} drops a column the model does not have")
+        keep = None
+        if dropped.size:
+            keep = np.ones(len(a.names), dtype=bool)
+            keep[dropped] = False
+            held = np.flatnonzero(~keep[a.obj_cols])
+            if held.size:
+                objective_name = a.names[a.obj_cols[held[0]]]
+                raise ValueError(
+                    f"view {name!r} drops {objective_name!r}, which the objective holds"
+                )
+        keeps.append(keep)
     tags = model._tags
-    bad = _unsafe_name(model.arrays.names, tags)
+    bad = _unsafe_name(a.names, tags)
     if bad is not None:
         raise ValueError(f"name {bad!r} is not LP-format-safe")
     # hashes first, so that only the tags whose hash another tag shares are
@@ -639,31 +703,50 @@ def lp_chunks(model: MilpModel) -> Iterator[str]:
                 if tag in seen:
                     raise ValueError(f"row tag {tag!r} is held by more than one row")
                 seen.add(tag)
-    return _lp_pieces(model)
+    return _lp_pieces(model, [name for name, _ in views], keeps)
 
 
-def _lp_pieces(model: MilpModel) -> Iterator[str]:
+def _lp_pieces(model: MilpModel, names: list[str], keeps: list[Keep]) -> Iterator[tuple[str, ...]]:
     a = model.arrays
     name_of = np.array(a.names, dtype=object)
+    sense = "Maximize" if model.objective_sense == "max" else "Minimize"
     if len(a.obj_cols):
-        objective = _expression(a.obj_cols, a.obj_coefs, name_of)
+        objectives = [_expression(a.obj_cols, a.obj_coefs, name_of)] * len(keeps)
     else:
         # LP format requires a non-empty objective row
-        objective = f"0 {a.names[0]}" if a.names else "0 __zero__"
-    sense = "Maximize" if model.objective_sense == "max" else "Minimize"
-    yield f"\\ {model.name}\n{sense}\n obj: {objective}\nSubject To"
+        kept = [name_of if keep is None else name_of[keep] for keep in keeps]
+        objectives = [f"0 {view[0]}" if len(view) else "0 __zero__" for view in kept]
+    yield tuple(
+        f"\\ {name}\n{sense}\n obj: {objective}\nSubject To"
+        for name, objective in zip(names, objectives)
+    )
     tags = model._tags
     for lo in range(0, len(tags), LP_CHUNK_ROWS):
-        yield _rows_text(a, slice(lo, lo + LP_CHUNK_ROWS), tags[lo : lo + LP_CHUNK_ROWS], name_of)
-    yield "\nBounds\n"
+        rows = slice(lo, lo + LP_CHUNK_ROWS)
+        yield _rows_text(a, rows, tags[rows], name_of, keeps)
+    yield ("\nBounds\n",) * len(keeps)
     chunks = [slice(lo, lo + LP_CHUNK_ROWS) for lo in range(0, len(name_of), LP_CHUNK_ROWS)]
     for chunk in chunks:
-        yield _bounds_text(a, chunk, name_of)
-    if a.binary.any():
-        yield "Binary\n"
+        yield _bounds_text(a, chunk, name_of, keeps)
+    binaries = [a.binary if keep is None else a.binary & keep for keep in keeps]
+    held = [binary.any() for binary in binaries]
+    if any(held):
+        yield tuple("Binary\n" if h else "" for h in held)
         for chunk in chunks:
-            yield "".join((" " + name_of[chunk][a.binary[chunk]] + "\n").tolist())
-    yield "End\n"
+            yield tuple(
+                "".join((" " + name_of[chunk][binary[chunk]] + "\n").tolist())
+                for binary in binaries
+            )
+    yield ("End\n",) * len(keeps)
+
+
+def lp_chunks(model: MilpModel) -> Iterator[str]:
+    """The text of :func:`write_lp` in pieces, for writing to a file without
+    holding the whole LP: :func:`lp_view_chunks` of the one view that is the
+    whole model under its own name, checked the same way when this is
+    called."""
+    pieces = lp_view_chunks(model, [(model.name, ())])
+    return (piece for (piece,) in pieces)
 
 
 def write_lp(model: MilpModel) -> str:

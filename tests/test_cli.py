@@ -12,8 +12,8 @@ import pytest
 
 from sopwl import cli, milp, solvers
 from sopwl.cli import RunConfig, _build, main
-from sopwl.distflow import BuildOptions, build_distflow, build_restoration_objective
-from sopwl.network import load_case
+from sopwl.distflow import MODES, BuildOptions, build_distflow, build_restoration_objective
+from sopwl.network import bundled_case_path, load_case
 
 
 class TestExportLp:
@@ -115,19 +115,61 @@ class TestExportLp:
         assert status == 2
         assert "is a directory, not a case file" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case, segments", [("branching6", 3), ("feeder400", 10)])
-    def test_file_is_write_lp_text(self, tmp_path, cases_dir, case, segments):
-        # the file is written in pieces; its bytes are write_lp's text
+    @pytest.mark.parametrize(
+        "case, segments, mode, objective",
+        [
+            pytest.param("branching6", 3, "both", "restoration", id="branching6-3"),
+            pytest.param("feeder400", 10, "both", "restoration", id="feeder400-10"),
+            # one segment: no eq21 rows
+            pytest.param("branching6", 1, "both", "restoration", id="branching6-1"),
+            pytest.param("ieee33_4dg", 50, "both", "restoration", id="ieee33_4dg-50"),
+            pytest.param(
+                "branching6", 3, "both", "restoration_with_loss_penalty", id="branching6-3-loss"
+            ),
+            pytest.param("branching6", 3, "pwl", "restoration", id="branching6-3-pwl"),
+            pytest.param("branching6", 3, "sopwl", "restoration", id="branching6-3-sopwl"),
+        ],
+    )
+    def test_file_is_write_lp_text(self, tmp_path, cases_dir, case, segments, mode, objective):
+        # the files are written in pieces from one build; each file's bytes
+        # are write_lp's text of its own mode's build
         path = cases_dir / f"{case}.json"
-        args = ["--case", str(path), "--mode", "both", "--segments", str(segments)]
-        assert main(["export-lp", *args, "--out", str(tmp_path)]) == 0
+        if not path.exists():
+            path = bundled_case_path(case)
+        args = ["--case", str(path), "--mode", mode, "--segments", str(segments)]
+        args += ["--objective", objective]
+        assert main(["export-lp", *args, "--out", str(tmp_path / "o")]) == 0
         network = load_case(path)
-        for mode in ("pwl", "sopwl"):
-            model = milp.MilpModel(name=f"{network.name}_{mode}")
-            artifacts = build_distflow(model, network, BuildOptions(num_segments=segments, mode=mode))
+        modes = MODES if mode == "both" else (mode,)
+        files = sorted(p.name for p in (tmp_path / "o").iterdir())
+        assert files == sorted(f"{network.name}_{m}.lp" for m in modes)
+        for m in modes:
+            model = milp.MilpModel(name=f"{network.name}_{m}")
+            options = BuildOptions(num_segments=segments, mode=m, objective=objective)
+            artifacts = build_distflow(model, network, options)
             build_restoration_objective(model, artifacts)
             text = milp.write_lp(model.freeze())
-            assert (tmp_path / f"{network.name}_{mode}.lp").read_bytes() == text.encode()
+            assert (tmp_path / "o" / f"{network.name}_{m}.lp").read_bytes() == text.encode()
+
+    def test_failed_write_leaves_no_file(self, tmp_path, cases_dir, capsys, monkeypatch):
+        # the writer fails after its first piece, with both files open
+        view_chunks = milp.lp_view_chunks
+
+        def failing(model, views):
+            pieces = view_chunks(model, views)
+
+            def first_then_fail():
+                yield next(pieces)
+                raise OSError("no space left on device")
+
+            return first_then_fail()
+
+        monkeypatch.setattr(milp, "lp_view_chunks", failing)
+        out = tmp_path / "lp"
+        args = ["--case", str(cases_dir / "branching6.json"), "--mode", "both", "--segments", "3"]
+        assert main(["export-lp", *args, "--out", str(out)]) == 2
+        assert "no space left on device" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_rejected_model_leaves_no_file(self, tmp_path, cases_dir, capsys):
         # without a "name" the case is named after its file, whose name here

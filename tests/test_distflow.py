@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from sopwl.distflow import (
     build_distflow,
     build_restoration_objective,
     emit_pwl_block,
-    flow_bound,
 )
 from sopwl.milp import _LP_NAME_RE, MilpModel, check_solution, solve, write_lp
 from sopwl.network import bundled_case_path, load_case
@@ -26,25 +26,33 @@ def twobus(cases_dir):
     return load_case(cases_dir / "twobus.json")
 
 
+def _first_branch(case, segments):
+    """The first branch's ``P_`` and ``Q_`` variables and its ``P`` block's
+    first segment in the built model, and the build's grid of the branch."""
+    m = MilpModel()
+    art = build_distflow(m, case, BuildOptions(num_segments=segments))
+    key = case.branches[0].key.replace("-", "_")
+    p, q, d1 = (m.variable(name) for name in (f"P_{key}", f"Q_{key}", f"P_{key}_d1"))
+    return p, q, d1, art.grids[0]
+
+
 class TestFlowBound:
     def test_unit_conversion(self, ieee33):
-        opts = BuildOptions(num_segments=50)
-        grid = flow_bound(ieee33.branches[0], ieee33, opts)
+        p, q, d1, grid = _first_branch(ieee33, 50)
         # 50 A on a 456.1 A base at nominal voltage
-        assert grid.y_max == pytest.approx(0.1096, abs=2e-4)
-        assert grid.seg_width == pytest.approx(grid.y_max / 50)
+        assert p.upper == pytest.approx(0.1096, abs=2e-4)
+        assert (p.lower, q.lower, q.upper) == (-p.upper, -p.upper, p.upper)
+        assert d1.upper == p.upper / 50
+        assert (grid.y_max, grid.seg_width) == (p.upper, d1.upper)
 
     def test_unity(self, ieee33):
         br = ieee33.branches[0]
-        scaled = type(br)(
-            from_bus=br.from_bus,
-            to_bus=br.to_bus,
-            r_pu=br.r_pu,
-            x_pu=br.x_pu,
-            i_max_amps=ieee33.i_base_amps,
-        )
-        grid = flow_bound(scaled, ieee33, BuildOptions(num_segments=10))
-        assert grid.y_max == pytest.approx(1.0)
+        scaled = dataclasses.replace(br, i_max_amps=ieee33.i_base_amps)
+        case = dataclasses.replace(ieee33, branches=(scaled, *ieee33.branches[1:]))
+        p, q, _, grid = _first_branch(case, 10)
+        assert p.upper == pytest.approx(1.0)
+        assert (p.lower, q.lower, q.upper) == (-p.upper, -p.upper, p.upper)
+        assert grid.y_max == p.upper
 
 
 class TestEmitBlock:

@@ -414,6 +414,114 @@ class TestWriteLp:
                 lp_chunks(m)
 
 
+def _spec_model(name, variables, rows, objective, dropped=()):
+    """A frozen model of ``variables`` (name, lower, upper, binary), ``rows``
+    (tag, [(variable index, coefficient), ...], sense, rhs) and the
+    ``objective`` terms of the same form, maximised; without the variables
+    ``dropped`` and the rows that hold one of them."""
+    dropped = set(dropped)
+    kept = [i for i in range(len(variables)) if i not in dropped]
+    column = {i: k for k, i in enumerate(kept)}
+    m = MilpModel(name=name)
+    names, lower, upper, binary = zip(*[variables[i] for i in kept]) if kept else ([],) * 4
+    m.add_variables(names, np.array(lower), np.array(upper), np.array(binary, dtype=bool))
+    rows = [row for row in rows if all(i in column for i, _ in row[1])]
+    m.add_rows(
+        [column[i] for _, terms, _, _ in rows for i, _ in terms],
+        [c for _, terms, _, _ in rows for _, c in terms],
+        np.cumsum([0] + [len(terms) for _, terms, _, _ in rows]),
+        [sense for _, _, sense, _ in rows],
+        [rhs for _, _, _, rhs in rows],
+        [tag for tag, _, _, _ in rows],
+    )
+    m.set_objective_columns("max", [column[i] for i, _ in objective], [c for _, c in objective])
+    return m.freeze()
+
+
+def _view_texts(model, views):
+    """Each view's LP text: the join of its pieces."""
+    pieces = list(milp.lp_view_chunks(model, views))
+    assert all(len(step) == len(views) for step in pieces)
+    return ["".join(step[k] for step in pieces) for k in range(len(views))]
+
+
+class TestLpViews:
+    VARIABLES = [
+        ("x", 0.0, 2.0, False),
+        ("y", 0.0, 1.0, True),
+        ("z", -math.inf, math.inf, False),
+        ("w", -1.0, 1.0, False),
+    ]
+    ROWS = [
+        ("r0", [(0, 1.0), (2, -1.5)], "<=", 1.0),
+        ("r1", [(0, 1.0), (1, 2.0)], "=", 0.0),
+        ("empty", [], ">=", -1.0),
+        ("r3", [(1, 1.0)], "<=", 1.0),
+        ("r4", [(3, 1.0), (0, -1.0)], ">=", -2.0),
+        ("r5", [(2, 1.0), (3, 1.0), (1, -1.0)], "<=", 4.0),
+        ("r6", [(3, 0.5)], "=", 0.25),
+    ]
+
+    def test_drops_the_rows_that_hold_a_dropped_column(self):
+        m = _spec_model("full", self.VARIABLES, self.ROWS, [(0, 1.0)])
+        (text,) = _view_texts(m, [("without_y", [1])])
+        reference = _spec_model("without_y", self.VARIABLES, self.ROWS, [(0, 1.0)], dropped=[1])
+        assert text == write_lp(reference)
+        rows = text.split("Subject To\n")[1].split("\nBounds")[0].splitlines()
+        assert [row.split(":")[0].strip() for row in rows] == ["r0", "empty", "r4", "r6"]
+        assert "Binary" not in text and " y" not in text
+        # dropping w as well takes r4, r5 and r6 with it
+        (text,) = _view_texts(m, [("xz", np.array([3, 1]))])
+        assert text == write_lp(
+            _spec_model("xz", self.VARIABLES, self.ROWS, [(0, 1.0)], dropped=[1, 3])
+        )
+
+    def test_objective_column_refused(self):
+        m = _spec_model("full", self.VARIABLES, self.ROWS, [(0, 1.0), (1, 3.0)])
+        with pytest.raises(ValueError, match="^view 'v' drops 'y', which the objective holds"):
+            milp.lp_view_chunks(m, [("full", ()), ("v", [1])])  # before a piece is asked for
+        for bad in ([4], [-1]):
+            with pytest.raises(ValueError, match="drops a column the model does not have"):
+                milp.lp_view_chunks(m, [("v", bad)])
+        with pytest.raises(ValueError, match="holds a line break"):
+            milp.lp_view_chunks(m, [("full", ()), ("v\n", [2])])
+        with pytest.raises(ModelFrozenError):
+            milp.lp_view_chunks(simple_model(), [("simple", ())])
+
+    @pytest.mark.parametrize("mode", ["pwl", "sopwl"])
+    def test_one_view_is_write_lp(self, mode):
+        case = load_case(bundled_case_path("ieee33_4dg"))
+        model = _build(case, RunConfig("ieee33_4dg", num_segments=3), mode).model
+        assert _view_texts(model, [(model.name, ())]) == [write_lp(model)]
+        assert _view_texts(model, [(model.name, [])] * 2) == [write_lp(model)] * 2
+
+    def test_empty_objective_names_a_kept_column(self):
+        m = _spec_model("full", self.VARIABLES, self.ROWS, [])
+        texts = _view_texts(m, [("a", [0]), ("b", [0, 1, 2, 3])])
+        assert texts == [
+            write_lp(_spec_model("a", self.VARIABLES, self.ROWS, [], dropped=[0])),
+            write_lp(_spec_model("b", self.VARIABLES, self.ROWS, [], dropped=[0, 1, 2, 3])),
+        ]
+        assert " obj: 0 y\n" in texts[0] and " obj: 0 __zero__\n" in texts[1]
+
+    def test_drops_across_piece_boundaries(self):
+        # a row and a variable per index; row i holds v_i and v_{i+1}, so
+        # dropping the variables around LP_CHUNK_ROWS drops rows on both
+        # sides of the boundary between the first two row pieces and the
+        # first two Bounds and Binary pieces
+        n = LP_CHUNK_ROWS + 6
+        variables = [
+            (f"v{i}", 0.0, 1.0, True) if i % 5 == 0 else (f"v{i}", 0.0, float(i % 3), False)
+            for i in range(n)
+        ]
+        rows = [(f"r{i}", [(i, 1.0), ((i + 1) % n, -0.5)], "<=", 1.0) for i in range(n)]
+        dropped = [LP_CHUNK_ROWS - 3, LP_CHUNK_ROWS - 1, LP_CHUNK_ROWS, LP_CHUNK_ROWS + 3, 5]
+        m = _spec_model("full", variables, rows, [(1, 1.0)])
+        texts = _view_texts(m, [("full", ()), ("part", dropped)])
+        assert texts[0] == write_lp(m)
+        assert texts[1] == write_lp(_spec_model("part", variables, rows, [(1, 1.0)], dropped))
+
+
 class TestParseSolution:
     def test_optimal(self):
         m = simple_model().freeze()
