@@ -9,7 +9,12 @@ Runs, each from its own copy of the case file and with relative paths:
   ``ieee33_4dg_surplus``;
 - ``solve`` and ``export-lp`` with ``--mode both`` on the test cases
   ``branching6``, ``twobus``, ``tinyq3`` and ``vlimited3`` at 1, 2 and 3
-  segments.
+  segments;
+- ``solve --mode sopwl`` alone (the LP screen on its own pwl build) and
+  ``validate`` of its solution on ``branching6``, ``tinyq3`` and
+  ``vlimited3`` at 3 segments;
+- ``solve --mode both --zero-flow-floor 1e-9 --format delimited`` on
+  ``branching6`` at 3 segments.
 
 Prints ``<sha256>  <relative path>`` for every file the runs write and for
 each run's stdout, stderr and exit status, with ``solve_seconds`` dropped
@@ -63,6 +68,15 @@ def _runs():
             for command in ("solve", "export-lp"):
                 run = f"{command}_{case}_{segments}"
                 _run(run, [command, *args, "--out", run])
+    for case in ("branching6", "tinyq3", "vlimited3"):
+        args = ["--case", f"cases/{case}.json", "--mode", "sopwl", "--segments", "3"]
+        run = f"solve_sopwl_{case}_3"
+        _run(run, ["solve", *args, "--out", run])
+        solution = f"{run}/sopwl/{case}_sopwl.sol"
+        _run(f"validate_sopwl_{case}_3", ["validate", *args, "--solution", solution])
+    run = "solve_branching6_3_floor1e-9_delimited"
+    args = ["--case", "cases/branching6.json", "--mode", "both", "--segments", "3"]
+    _run(run, ["solve", *args, "--zero-flow-floor", "1e-9", "--format", "delimited", "--out", run])
 
 
 def _manifest(top):

@@ -331,11 +331,11 @@ def cmd_export_lp(config: RunConfig) -> int:
     config.out_dir.mkdir(parents=True, exist_ok=True)
     # One build: the pwl model is the sopwl model without its ordering
     # binaries and the rows that hold them, with the same names, tags,
-    # coefficients and order, so its file is that view of the sopwl model.
-    built = MODE_SOPWL if MODE_SOPWL in modes else MODE_PWL
-    artifacts = _build(case, config, built)
-    ordering = np.concatenate([block.x.ravel() for block in artifacts.blocks.values()])
-    views = [(f"{case.name}_{mode}", ordering if mode != built else ()) for mode in modes]
+    # coefficients and order, so its file is that view of the sopwl model
+    # (a pwl build has no ordering binaries to leave out).
+    artifacts = _build(case, config, MODE_SOPWL if MODE_SOPWL in modes else MODE_PWL)
+    dropped = {MODE_PWL: artifacts.ordering, MODE_SOPWL: ()}
+    views = [(f"{case.name}_{mode}", dropped[mode]) for mode in modes]
     chunks = milp.lp_view_chunks(artifacts.model, views)  # checks: no file when it fails
     paths = [config.out_dir / f"{name}.lp" for name, _ in views]
     # each file is written under a temporary name and renamed when whole,

@@ -20,7 +20,6 @@ row's name in the LP file and in every message about the row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +32,7 @@ __all__ = [
     "BuildOptions",
     "BlockColumns",
     "DistflowArtifacts",
-    "epsilon_plus",
+    "EPSILON_PLUS_WIDTHS",
     "emit_pwl_block",
     "build_distflow",
     "build_restoration_objective",
@@ -63,15 +62,10 @@ class BuildOptions:
             raise ValueError(f"unknown objective {self.objective!r}")
 
 
-# epsilon_plus in segment widths
-_EPSILON_PLUS_WIDTHS = 1e-6
-
-
-def epsilon_plus(grid: PwlGrid) -> float:
-    """The margin by which an active ``eq20`` row asks a segment to be full;
-    :func:`sopwl.validation.branch_errors` adds it to ``FEASIBILITY_TOL`` in
-    its ordered test."""
-    return _EPSILON_PLUS_WIDTHS * grid.seg_width
+# The margin by which an active eq20 row asks a segment to be full, in
+# segment widths; validation.branch_errors adds it to FEASIBILITY_TOL in its
+# ordered test.
+EPSILON_PLUS_WIDTHS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -102,13 +96,8 @@ class DistflowArtifacts:
     voltage: np.ndarray
     pickup: np.ndarray
     gen: np.ndarray  # (generators, 2): gp and gq
-
-    @cached_property
-    def grids(self) -> tuple[PwlGrid, ...]:
-        """Each branch's segment grid, on its flow bound; built on first use,
-        as only the reports and the tests read it."""
-        n = self.options.num_segments
-        return tuple(PwlGrid(y_max, n) for y_max in _flow_bounds(self.case))
+    seg_width: np.ndarray  # (branches, 1): the segment width h of both blocks
+    ordering: np.ndarray  # every ordering binary, flat, ascending; none in pwl mode
 
 
 def _flow_bounds(case: NetworkCase) -> list[float]:
@@ -277,7 +266,7 @@ def _emit_blocks(
     if mode == MODE_SOPWL:
         # tightest valid M: with it the deactivated row is exactly vacuous
         m_const = h
-        eps = _EPSILON_PLUS_WIDTHS * h  # epsilon_plus of each item's grid
+        eps = EPSILON_PLUS_WIDTHS * h
         x = batch.variables([f"%s_x{lam}" for lam in lams], prefixes, 0.0, 1.0, binary=True)
         # delta_lam - h + (1 - x_lam) * M + eps >= 0
         batch.rows(
@@ -446,6 +435,9 @@ def build_distflow(
         voltage=np.asarray(voltage),
         pickup=beta,
         gen=np.stack([gp, gp + 1], axis=1),
+        seg_width=h,
+        # per branch its P block's then its Q block's, as declared
+        ordering=np.hstack([block_cols["P"].x, block_cols["Q"].x]).ravel(),
     )
 
 

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distflow import MODES, DistflowArtifacts, emit_pwl_block, epsilon_plus
+from .distflow import EPSILON_PLUS_WIDTHS, MODES, DistflowArtifacts, emit_pwl_block
 from .milp import FEASIBILITY_TOL, MilpModel, Solution
 from .network import NetworkCase
 from .pwl import FillingState, relative_error
@@ -45,18 +45,13 @@ def extract_filling(
     array. The clip leaves a ``-0.0`` as it is, which ``np.clip`` against an
     array of widths does not, so ``filling_dump`` keeps writing it."""
     x = solution.column_values(artifacts.model)
-    h = _widths(artifacts)
+    h = artifacts.seg_width
     fillings = {}
     for kind, block in artifacts.blocks.items():
         d = x[block.delta]
         d = np.where(d < 0.0, 0.0, d)
         fillings[kind] = np.where(d > h, h, d)
     return fillings
-
-
-def _widths(artifacts: DistflowArtifacts) -> np.ndarray:
-    """Each branch's segment width, as a column."""
-    return np.array([g.seg_width for g in artifacts.grids]).reshape(-1, 1)
 
 
 def _ordered(d: np.ndarray, h: np.ndarray, tol: float | np.ndarray) -> np.ndarray:
@@ -101,12 +96,9 @@ def lift_ordered(
     if solution.status != "optimal":
         return None
     tol = FEASIBILITY_TOL
-    ordering = np.zeros(artifacts.model.num_variables, dtype=bool)
-    for block in artifacts.blocks.values():
-        ordering[block.x] = True
-    x = np.zeros(len(ordering))
-    x[~ordering] = solution.x
-    h = _widths(artifacts)
+    x = np.zeros(artifacts.model.num_variables)
+    x[np.delete(np.arange(len(x)), artifacts.ordering)] = solution.x
+    h = artifacts.seg_width
     for kind, d in extract_filling(replace(solution, x=x), artifacts).items():
         if not _ordered(d, h, tol).all():
             return None
@@ -183,11 +175,11 @@ def branch_errors(
     flagged negligible and excluded from summaries. Without
     ``zero_flow_floor`` each branch's floor is its segment width times
     ``ZERO_FLOW_FLOOR_WIDTHS``. A filling is flagged ordered when
-    :func:`sopwl.pwl.is_eso` passes it at ``epsilon_plus`` of its grid plus
-    ``FEASIBILITY_TOL``."""
+    :func:`sopwl.pwl.is_eso` passes it at the ``eq20`` margin,
+    ``EPSILON_PLUS_WIDTHS`` segment widths, plus ``FEASIBILITY_TOL``."""
     fillings = extract_filling(solution, artifacts)
-    h = _widths(artifacts)
-    eso_tol = np.array([epsilon_plus(g) for g in artifacts.grids]).reshape(-1, 1) + FEASIBILITY_TOL
+    h = artifacts.seg_width
+    eso_tol = EPSILON_PLUS_WIDTHS * h + FEASIBILITY_TOL
     if zero_flow_floor is None:
         floors = (h[:, 0] * ZERO_FLOW_FLOOR_WIDTHS).tolist()
     else:

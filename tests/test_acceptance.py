@@ -154,16 +154,16 @@ def test_criterion_6_sopwl_experiment(ieee33_runs):
     # error above 100 %. Feeders carrying at least seg_width*sqrt(12.5)
     # (~0.008 pu here) are the ones for which the 2 % bound is meaningful;
     # below that the branch is reported but flagged out of the summary.
-    grid = artifacts.grids[0]
-    floor = grid.seg_width * math.sqrt(12.5)
-    reported = [r for r in report.records if r.p >= floor]
+    # Each branch's floor is taken on its own segment width.
+    floors = (artifacts.seg_width[:, 0] * math.sqrt(12.5)).tolist()
+    reported = [r for r, floor in zip(report.records, floors) if r.p >= floor]
     assert reported, "no feeder carries measurable flow"
     worst = max(r.e_p for r in reported)
     assert all(r.e_p is not None and r.e_p <= 2.0 for r in reported)
     print(
         f"\nACCEPTANCE 6: PASS — 33-bus ordered-mode run: {len(reported)} feeders "
-        f"above {floor:.4f} pu, max E_p = {worst:.3f} % <= 2 %, all fillings "
-        f"ordered, solved in {elapsed:.1f}s"
+        f"above their floors (>= {min(floors):.4f} pu), max E_p = {worst:.3f} % "
+        f"<= 2 %, all fillings ordered, solved in {elapsed:.1f}s"
     )
 
 

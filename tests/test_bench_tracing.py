@@ -26,7 +26,7 @@ def test_probe_wraps_every_function_and_records_spans(tmp_path, cases_dir, monke
     try:
         # HiGHS runs on the adapter's own HiGHS session, not through
         # scipy.optimize.milp, so the tracer's HiGHS hook finds nothing to
-        # wrap until the program times its own stages (ROADMAP item 2)
+        # wrap until the program times its own stages (ROADMAP item 4)
         assert probe.missing == ["solvers.highs"]
         probe.begin_run(0, recording=True)
         args = ["--case", str(cases_dir / "twobus.json"), "--segments", "5", "--mode", "both"]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sopwl.distflow import (
+    EPSILON_PLUS_WIDTHS,
     BuildOptions,
     build_distflow,
     build_restoration_objective,
@@ -28,31 +29,31 @@ def twobus(cases_dir):
 
 def _first_branch(case, segments):
     """The first branch's ``P_`` and ``Q_`` variables and its ``P`` block's
-    first segment in the built model, and the build's grid of the branch."""
+    first segment in the built model, and the build's segment width of the
+    branch."""
     m = MilpModel()
     art = build_distflow(m, case, BuildOptions(num_segments=segments))
     key = case.branches[0].key.replace("-", "_")
     p, q, d1 = (m.variable(name) for name in (f"P_{key}", f"Q_{key}", f"P_{key}_d1"))
-    return p, q, d1, art.grids[0]
+    return p, q, d1, art.seg_width[0, 0]
 
 
 class TestFlowBound:
     def test_unit_conversion(self, ieee33):
-        p, q, d1, grid = _first_branch(ieee33, 50)
+        p, q, d1, h = _first_branch(ieee33, 50)
         # 50 A on a 456.1 A base at nominal voltage
         assert p.upper == pytest.approx(0.1096, abs=2e-4)
         assert (p.lower, q.lower, q.upper) == (-p.upper, -p.upper, p.upper)
-        assert d1.upper == p.upper / 50
-        assert (grid.y_max, grid.seg_width) == (p.upper, d1.upper)
+        assert d1.upper == p.upper / 50 == h
 
     def test_unity(self, ieee33):
         br = ieee33.branches[0]
         scaled = dataclasses.replace(br, i_max_amps=ieee33.i_base_amps)
         case = dataclasses.replace(ieee33, branches=(scaled, *ieee33.branches[1:]))
-        p, q, _, grid = _first_branch(case, 10)
+        p, q, d1, h = _first_branch(case, 10)
         assert p.upper == pytest.approx(1.0)
         assert (p.lower, q.lower, q.upper) == (-p.upper, -p.upper, p.upper)
-        assert grid.y_max == p.upper
+        assert d1.upper == p.upper / 10 == h
 
 
 class TestEmitBlock:
@@ -215,15 +216,33 @@ def test_sopwl_columns_are_pwl_columns_plus_ordering_binaries(cases_dir, name, s
     # validation.lift_ordered copies a pwl vector into the sopwl columns that
     # are not ordering binaries: those must be the pwl model's, in order
     case = load_case(cases_dir / f"{name}.json")
-    arrays, ordering = {}, None
+    keys = [br.key.replace("-", "_") for br in case.branches]
+    arrays, ordering = {}, {}
     for mode in ("pwl", "sopwl"):
         m = MilpModel()
         art = build_distflow(m, case, BuildOptions(num_segments=segments, mode=mode))
         build_restoration_objective(m, art)
         arrays[mode] = m.freeze().arrays
-        ordering = np.concatenate([block.x.ravel() for block in art.blocks.values()])
+        ordering[mode] = art.ordering
+        # the post-solve code reads each branch's width from the build: it is
+        # the bound of both first segments and sets every eq20 row's margin,
+        # bit for bit (branching6's branches have three different widths)
+        h = art.seg_width[:, 0].tolist()
+        for kind in ("P", "Q"):
+            assert [m.variable(f"{kind}_{key}_d1").upper for key in keys] == h
+        margins = {
+            f"eq20_{key}_{kind}_l{lam}": -EPSILON_PLUS_WIDTHS * width
+            for key, width in zip(keys, h)
+            for kind in ("P", "Q")
+            for lam in range(1, segments + 1)
+        }
+        eq20 = {row.tag: row.rhs for row in m.constraints_by_tag("eq20")}
+        assert eq20 == (margins if mode == "sopwl" else {})
     pwl, sopwl = arrays["pwl"], arrays["sopwl"]
+    assert len(ordering["pwl"]) == 0
+    ordering = ordering["sopwl"]
     assert len(ordering) == 2 * len(case.branches) * segments
+    assert ordering.tolist() == sorted(ordering.tolist())
     assert sopwl.binary[ordering].all()
     kept = np.delete(np.arange(len(sopwl.names)), ordering)
     assert [sopwl.names[j] for j in kept] == list(pwl.names)

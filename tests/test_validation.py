@@ -9,7 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sopwl.distflow import BuildOptions, build_distflow, build_restoration_objective, epsilon_plus
+from sopwl.distflow import (
+    EPSILON_PLUS_WIDTHS,
+    BuildOptions,
+    build_distflow,
+    build_restoration_objective,
+)
 from sopwl.milp import (
     FEASIBILITY_TOL,
     MilpModel,
@@ -58,7 +63,7 @@ class TestExtractFilling:
         art, sol = solved_twobus
         x = sol.x.copy()
         hand = [0.0] * 10
-        hand[0] = art.grids[0].seg_width
+        hand[0] = art.seg_width[0, 0]
         x[art.blocks["P"].delta[0]] = hand
         filling = extract_filling(Solution("optimal", 0.0, x), art)["P"]
         assert filling.shape == (1, 10)
@@ -107,15 +112,14 @@ class TestLiftOrdered:
     )
     def test_ordered_filling_lifts(self, twobus_pwl, head):
         art, pwl_art, sol = twobus_pwl
-        h = art.grids[0].seg_width
+        h = art.seg_width[0, 0]
         hand = self._with_p_filling(sol, pwl_art, head(h) + [0.0] * 6)
         lifted = lift_ordered(hand, art)
         assert len(lifted.x) == art.model.num_variables
         assert lifted.objective_value == hand.objective_value
-        ordering = np.concatenate([b.x.ravel() for b in art.blocks.values()])
         assert lifted.x[art.blocks["P"].x[0]].tolist() == [1.0, 1.0] + [0.0] * 8
         # every other column holds the pwl value of the same variable
-        kept = np.delete(np.arange(len(lifted.x)), ordering)
+        kept = np.delete(np.arange(len(lifted.x)), art.ordering)
         assert lifted.x[kept].tolist() == hand.x.tolist()
         assert not [tag for tag, _ in check_solution(art.model, lifted)
                     if tag.startswith(("eq20", "eq21"))]
@@ -127,7 +131,7 @@ class TestLiftOrdered:
 
     def test_unordered_filling_is_not_lifted(self, twobus_pwl):
         art, pwl_art, sol = twobus_pwl
-        h = art.grids[0].seg_width
+        h = art.seg_width[0, 0]
         hand = self._with_p_filling(sol, pwl_art, [h / 2, h] + [0.0] * 8)
         assert lift_ordered(hand, art) is None
 
@@ -161,7 +165,8 @@ class TestBranchErrors:
         # is at most 2 %; below that the flow is not reported
         m = MilpModel()
         art = build_distflow(m, twobus, BuildOptions(num_segments=10))
-        (grid,) = art.grids
+        grid = PwlGrid(twobus.branches[0].i_max_amps / twobus.i_base_amps, 10)
+        assert art.seg_width.tolist() == [[grid.seg_width]]
         p_block = art.blocks["P"]
         for widths, reported in ((3.5, False), (3.6, True)):
             y = widths * grid.seg_width
@@ -225,6 +230,18 @@ def _branching6(segments: int):
     return tuple(built)
 
 
+def _grids(artifacts):
+    """Each branch's grid, on its ``P_`` variable's bound in the built model:
+    a reference that does not read the build's own width column."""
+    upper = artifacts.model.arrays.upper[artifacts.blocks["P"].y[:, 0]]
+    return [PwlGrid(y_max, artifacts.options.num_segments) for y_max in upper.tolist()]
+
+
+def _eso_tol(grid):
+    """The tolerance of ``branch_errors``' ordered test on ``grid``."""
+    return EPSILON_PLUS_WIDTHS * grid.seg_width + FEASIBILITY_TOL
+
+
 def _cells(h: float, tol: float):
     """Strategies of a full, an empty and any segment value: values at and
     next to the thresholds of both ordered-filling tests (``tol`` and
@@ -248,8 +265,8 @@ def _fillings(draw):
     fillings = {}
     for kind in ("P", "Q"):
         rows = []
-        for grid in pwl.grids:
-            full, empty, cell = _cells(grid.seg_width, epsilon_plus(grid) + FEASIBILITY_TOL)
+        for grid in _grids(pwl):
+            full, empty, cell = _cells(grid.seg_width, _eso_tol(grid))
             if draw(st.booleans()):
                 k = draw(st.integers(0, n))
                 row = [draw(full) for _ in range(k)] + [draw(cell) for _ in range(min(1, n - k))]
@@ -281,11 +298,11 @@ class TestArrayPostSolve:
         lifted = lift_ordered(solution, sopwl)
         all_ordered = True
         for kind in ("P", "Q"):
-            for i, grid in enumerate(pwl.grids):
+            for i, grid in enumerate(_grids(pwl)):
                 state = FillingState(grid, clipped[kind][i].tolist())
                 record = report.records[i]
                 ok = record.eso_ok_p if kind == "P" else record.eso_ok_q
-                assert ok == is_eso(state, epsilon_plus(grid) + FEASIBILITY_TOL)
+                assert ok == is_eso(state, _eso_tol(grid))
                 f = record.f_p if kind == "P" else record.f_q
                 assert repr(f) == repr(pwl_value(state))
                 ordered = is_eso(state, FEASIBILITY_TOL)
