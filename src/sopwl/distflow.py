@@ -79,7 +79,7 @@ class BlockColumns:
     neg: np.ndarray
     z_pos: np.ndarray  # one column each: the sign binaries
     z_neg: np.ndarray
-    x: np.ndarray  # ordering binaries, one per segment; no columns in plain mode
+    x: np.ndarray  # ordering binaries, one per segment boundary; none in plain mode
 
 
 @dataclass
@@ -97,7 +97,8 @@ class DistflowArtifacts:
     pickup: np.ndarray
     gen: np.ndarray  # (generators, 2): gp and gq
     seg_width: np.ndarray  # (branches, 1): the segment width h of both blocks
-    ordering: np.ndarray  # every ordering binary, flat, ascending; none in pwl mode
+    # every ordering binary, flat, ascending; none in pwl mode or at one segment
+    ordering: np.ndarray
 
 
 def _flow_bounds(case: NetworkCase) -> list[float]:
@@ -231,8 +232,8 @@ class _Batch:
 
 def _block_width(num_segments: int, mode: str) -> int:
     """Variables of one block: segments, sign split, sign binaries and, in
-    ``sopwl`` mode, one ordering binary per segment."""
-    return num_segments + 4 + (num_segments if mode == MODE_SOPWL else 0)
+    ``sopwl`` mode, one ordering binary per segment boundary."""
+    return num_segments + 4 + (num_segments - 1 if mode == MODE_SOPWL else 0)
 
 
 def _emit_blocks(
@@ -264,23 +265,24 @@ def _emit_blocks(
 
     x = delta[:, :0]
     if mode == MODE_SOPWL:
-        # tightest valid M: with it the deactivated row is exactly vacuous
-        m_const = h
-        eps = EPSILON_PLUS_WIDTHS * h
-        x = batch.variables([f"%s_x{lam}" for lam in lams], prefixes, 0.0, 1.0, binary=True)
-        # delta_lam - h + (1 - x_lam) * M + eps >= 0
+        # one binary per segment boundary: segment lam + 1 may fill (eq21)
+        # only if segment lam is full (eq20)
+        bounds = range(1, n)
+        x = batch.variables([f"%s_x{lam}" for lam in bounds], prefixes, 0.0, 1.0, binary=True)
+        # delta_lam - h + (1 - x_lam) * h + eps >= 0, big M = h: with x_lam = 0
+        # the row reads delta_lam >= -eps, which the variable's bound implies
         batch.rows(
-            [f"eq20_%s_l{lam}" for lam in lams],
+            [f"eq20_%s_l{lam}" for lam in bounds],
             tag_suffixes,
-            [(delta, 1.0), (x, -m_const)],
+            [(delta[:, :-1], 1.0), (x, -h)],
             ">=",
-            h - m_const - eps,
+            -EPSILON_PLUS_WIDTHS * h,
         )
         # 0 <= delta_{lam+1} <= x_lam * h (lower bound held by the variable)
         batch.rows(
-            [f"eq21_%s_l{lam}" for lam in range(1, n)],
+            [f"eq21_%s_l{lam}" for lam in bounds],
             tag_suffixes,
-            [(delta[:, 1:], 1.0), (x[:, :-1], -h)],
+            [(delta[:, 1:], 1.0), (x, -h)],
             "<=",
             0.0,
         )

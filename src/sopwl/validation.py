@@ -83,11 +83,12 @@ def lift_ordered(
     ``eq20``/``eq21`` rows, under the same objective, and its columns are the
     pwl model's with the binaries' columns inserted. So a pwl optimum whose
     fillings are all ordered is a sopwl optimum within the same gap. Every
-    value is copied into its column; in each block ``x_lam`` is 1 before the
-    last segment holding more than ``FEASIBILITY_TOL`` and 0 from there on. A
-    filling that passes :func:`sopwl.pwl.is_eso` at that tolerance meets ``eq20``
-    and ``eq21`` within the tolerance of :func:`check_solution`. Clipping into
-    ``[0, h]`` changes no such verdict, so the check reads the clipped filling.
+    value is copied into its column; in each block ``x_lam`` is 1 when
+    segment ``lam + 1`` holds more than ``FEASIBILITY_TOL`` and 0 otherwise,
+    as ``eq21`` reads it. A filling that passes :func:`sopwl.pwl.is_eso` at
+    that tolerance meets ``eq20`` and ``eq21`` within the tolerance of
+    :func:`check_solution`. Clipping into ``[0, h]`` changes no such verdict,
+    so the check reads the clipped filling.
 
     ``solution`` may also be a point of the pwl model's LP relaxation with
     its sign binaries set; nothing here checks its other rows, so the caller
@@ -102,10 +103,7 @@ def lift_ordered(
     for kind, d in extract_filling(replace(solution, x=x), artifacts).items():
         if not _ordered(d, h, tol).all():
             return None
-        # 1-based index of the last segment holding more than tol, 1 if none
-        held = d > tol
-        last = np.where(held.any(axis=1), d.shape[1] - held[:, ::-1].argmax(axis=1), 1)
-        x[artifacts.blocks[kind].x] = np.arange(1, d.shape[1] + 1) < last[:, None]
+        x[artifacts.blocks[kind].x] = d[:, 1:] > tol
     return replace(solution, x=x)
 
 
@@ -242,12 +240,9 @@ def check_unordered_feasibility(state: FillingState) -> tuple[bool, bool]:
         x = np.zeros(model.num_variables)
         x[[y, block.pos[0, 0], block.z_pos[0, 0]]] = total, total, 1.0
         x[block.delta[0]] = state.deltas
-        # indicator binaries: forced to 1 wherever the next segment is used,
-        # free (set 0) elsewhere
-        x[block.x[0]] = [
-            1.0 if lam < grid.num_segments and state.deltas[lam] > FEASIBILITY_TOL else 0.0
-            for lam in range(1, len(block.x[0]) + 1)
-        ]
+        # the ordering binaries as lift_ordered sets them; plain mode has none
+        used = np.asarray(state.deltas[1:]) > FEASIBILITY_TOL
+        x[block.x[0]] = used[: block.x.shape[1]]
         a = model.arrays
         results.append(not a.outside_bounds(x).size and not a.missed_rows(x)[0].size)
     return results[0], results[1]

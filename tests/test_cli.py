@@ -37,8 +37,8 @@ class TestExportLp:
         [
             ("pwl", 3, "branching6_pwl.lp.golden"),
             ("sopwl", 3, "branching6_sopwl.lp.golden"),
-            # one segment: no eq21 row, and one-column segment blocks in the
-            # eq7 and eq4 rows
+            # one segment: no ordering binary or row, and one-column segment
+            # blocks in the eq7 and eq4 rows
             ("sopwl", 1, "branching6_sopwl_seg1.lp.golden"),
         ],
         ids=["pwl", "sopwl", "sopwl-seg1"],
@@ -120,7 +120,7 @@ class TestExportLp:
         [
             pytest.param("branching6", 3, "both", "restoration", id="branching6-3"),
             pytest.param("feeder400", 10, "both", "restoration", id="feeder400-10"),
-            # one segment: no eq21 rows
+            # one segment: no ordering binaries, so both files hold one model
             pytest.param("branching6", 1, "both", "restoration", id="branching6-1"),
             pytest.param("ieee33_4dg", 50, "both", "restoration", id="ieee33_4dg-50"),
             pytest.param(
@@ -150,6 +150,11 @@ class TestExportLp:
             build_restoration_objective(model, artifacts)
             text = milp.write_lp(model.freeze())
             assert (tmp_path / "o" / f"{network.name}_{m}.lp").read_bytes() == text.encode()
+        if mode == "both" and segments == 1:
+            # the files differ in their first line alone, the model name
+            pwl, sopwl = ((tmp_path / "o" / f"{network.name}_{m}.lp").read_text().split("\n", 1)
+                          for m in MODES)
+            assert pwl[0] != sopwl[0] and pwl[1] == sopwl[1]
 
     def test_failed_write_leaves_no_file(self, tmp_path, cases_dir, capsys, monkeypatch):
         # the writer fails after its first piece, with both files open
@@ -268,8 +273,8 @@ class TestSolve:
         assert header == "feeder,E_p_pwl,E_p_sopwl,E_q_pwl,E_q_sopwl"
         sizes = {
             "pwl": {"vars": 26, "rows": 17, "nnz": 59, "binaries": 4},
-            # ten ordering binaries and 2 * (5 + 4) eq20/eq21 rows on top
-            "sopwl": {"vars": 36, "rows": 35, "nnz": 95, "binaries": 14},
+            # eight ordering binaries and 2 * (4 + 4) eq20/eq21 rows on top
+            "sopwl": {"vars": 34, "rows": 33, "nnz": 91, "binaries": 12},
         }
         for mode, expected in sizes.items():
             meta = json.loads((out / mode / "run.json").read_text())

@@ -78,10 +78,12 @@ class TestEmitBlock:
         grid = PwlGrid(1.0, 50)
         m, y = self._base_model(grid)
         block = emit_pwl_block(m, y, grid, "sopwl")
-        assert sum(1 for v in m.variables if v.kind == "binary") == 2 + 50
-        assert len(m.constraints_by_tag("eq20")) == 50
+        # one ordering binary per segment boundary, each in one eq20 and one
+        # eq21 row
+        assert sum(1 for v in m.variables if v.kind == "binary") == 2 + 49
+        assert len(m.constraints_by_tag("eq20")) == 49
         assert len(m.constraints_by_tag("eq21")) == 49
-        assert [m.variables[j].kind for j in block.x[0]] == ["binary"] * 50
+        assert [m.variables[j].kind for j in block.x[0]] == ["binary"] * 49
 
     def test_single_segment(self):
         grid = PwlGrid(1.0, 1)
@@ -90,7 +92,9 @@ class TestEmitBlock:
         # the one segment spans the whole range
         (delta,) = block.delta[0]
         assert m.variables[delta].upper == pytest.approx(1.0)
-        assert len(m.constraints_by_tag("eq20")) == 1
+        # no segment boundary: no ordering binary and no ordering row
+        assert block.x.shape == (1, 0)
+        assert len(m.constraints_by_tag("eq20")) == 0
         assert len(m.constraints_by_tag("eq21")) == 0
 
     def test_frozen_model_rejected(self):
@@ -234,14 +238,14 @@ def test_sopwl_columns_are_pwl_columns_plus_ordering_binaries(cases_dir, name, s
             f"eq20_{key}_{kind}_l{lam}": -EPSILON_PLUS_WIDTHS * width
             for key, width in zip(keys, h)
             for kind in ("P", "Q")
-            for lam in range(1, segments + 1)
+            for lam in range(1, segments)
         }
         eq20 = {row.tag: row.rhs for row in m.constraints_by_tag("eq20")}
         assert eq20 == (margins if mode == "sopwl" else {})
     pwl, sopwl = arrays["pwl"], arrays["sopwl"]
     assert len(ordering["pwl"]) == 0
     ordering = ordering["sopwl"]
-    assert len(ordering) == 2 * len(case.branches) * segments
+    assert len(ordering) == 2 * len(case.branches) * (segments - 1)
     assert ordering.tolist() == sorted(ordering.tolist())
     assert sopwl.binary[ordering].all()
     kept = np.delete(np.arange(len(sopwl.names)), ordering)
@@ -252,6 +256,10 @@ def test_sopwl_columns_are_pwl_columns_plus_ordering_binaries(cases_dir, name, s
     # the same objective, term for term
     assert sopwl.obj_cols.tolist() == kept[pwl.obj_cols].tolist()
     assert sopwl.obj_coefs.tolist() == pwl.obj_coefs.tolist()
+    if segments == 1:
+        # no segment boundary, so no ordering binary: sopwl is the pwl model
+        for field in dataclasses.fields(pwl):
+            assert np.array_equal(getattr(sopwl, field.name), getattr(pwl, field.name))
 
 
 class TestLossPenaltyObjective:

@@ -295,10 +295,12 @@ class TestWriteLp:
         text = write_lp(m)
         assert "<= 4" in text and ">= 1" in text and "= 2" in text
 
-    # sha256 of the LP text, pinned when the model moved to index arrays
+    # sha256 of the LP text, pinned when the model moved to index arrays; the
+    # sopwl pin is that text without the lines naming *_x50, as each block
+    # has one ordering binary per segment boundary
     IEEE33_LP_SHA256 = {
         "pwl": "4fe0fa276dd5835d13370bf7d5d46f74c5efd524cf994032897a1f2738631e6c",
-        "sopwl": "8c783da93efbf9edb0bcf03c5d69b6f39271b32a6dfc7ad42449a4af1ed4b757",
+        "sopwl": "eaffb13fabb25a70d2e78f9572db9e684fa618b9a09649ab13f388f082d6e3dc",
     }
 
     @staticmethod
@@ -316,10 +318,10 @@ class TestWriteLp:
     # sha256 of the LP text of perfbench/cases.feeder_json(1, 400) at 10
     # segments, pinned before the builder emitted all branches as arrays: at
     # this size a coefficient computed with numpy's r**2 in place of Python's
-    # differs in the last digit
+    # differs in the last digit. The sopwl pin is as above, without *_x10
     FEEDER400_LP_SHA256 = {
         "pwl": "6ac9aba1ca9a8b27c688f5e45b400819e8cd38c7f75ddf992074931d963f0435",
-        "sopwl": "3ffbfc2d8569cc7312fe789b8a00543206240e6240847f31167d4651d0af3ed8",
+        "sopwl": "322b47fb81baeb826edde8a47f6cf547d46eba2548f10ff3850abdb9b54d44a6",
     }
 
     @pytest.mark.parametrize("mode", ["pwl", "sopwl"])

@@ -117,7 +117,7 @@ class TestLiftOrdered:
         lifted = lift_ordered(hand, art)
         assert len(lifted.x) == art.model.num_variables
         assert lifted.objective_value == hand.objective_value
-        assert lifted.x[art.blocks["P"].x[0]].tolist() == [1.0, 1.0] + [0.0] * 8
+        assert lifted.x[art.blocks["P"].x[0]].tolist() == [1.0, 1.0] + [0.0] * 7
         # every other column holds the pwl value of the same variable
         kept = np.delete(np.arange(len(lifted.x)), art.ordering)
         assert lifted.x[kept].tolist() == hand.x.tolist()
@@ -312,7 +312,7 @@ class TestArrayPostSolve:
                         (lam for lam, d in enumerate(state.deltas, 1) if d > FEASIBILITY_TOL),
                         default=1,
                     )
-                    expected = [1.0 if lam < last else 0.0 for lam in range(1, n + 1)]
+                    expected = [1.0 if lam < last else 0.0 for lam in range(1, n)]
                     assert lifted.x[sopwl.blocks[kind].x[i]].tolist() == expected
         assert (lifted is not None) == all_ordered
 
