@@ -42,7 +42,11 @@ from .validation import (
 )
 
 if TYPE_CHECKING:
-    from .solvers import ScipyMilpAdapter
+    from .solvers import Relaxation, ScipyMilpAdapter
+
+    # a pwl run: its artifacts, solution and relaxation, the last two None
+    # when the solver raised
+    PwlRun = tuple[DistflowArtifacts, Optional[milp.Solution], Optional[Relaxation]]
 
 
 # --mode both runs each of MODES in turn
@@ -167,34 +171,73 @@ def _output_to(log_path: Path):
         os.close(saved[1])
 
 
+def _signed(solution: milp.Solution, pwl: DistflowArtifacts) -> milp.Solution:
+    """A point of the LP relaxation of the pwl model ``pwl`` with each
+    block's sign binaries set column by column from the sign of
+    ``pos - neg``: ``z_pos`` is 1 where it is positive, ``z_neg`` where it is
+    negative, both 0 where it is 0."""
+    x = solution.x.copy()
+    for block in pwl.blocks.values():
+        up = x[block.pos] - x[block.neg]
+        x[block.z_pos] = np.where(up > 0, 1.0, 0.0)
+        x[block.z_neg] = np.where(up < 0, 1.0, 0.0)
+    return replace(solution, x=x)
+
+
+def _solve_pwl(
+    artifacts: DistflowArtifacts, adapter: ScipyMilpAdapter
+) -> tuple[milp.Solution, Relaxation]:
+    """Solve the pwl model of ``artifacts`` through its LP relaxation first.
+    Returns the solution, its ``solve_seconds`` covering every solve, and the
+    relaxation, which the sopwl LP screen refines under ``--mode both``.
+
+    The sign binaries ``z_pos``/``z_neg`` only split each flow into
+    ``pos - neg``. So when the relaxation's optimum never uses both signs of
+    one flow, that point with its sign binaries set is feasible for the MILP,
+    and its objective is the relaxation's bound ``U``: it is a MILP optimum.
+    It is accepted when ``check_solution`` finds no violated row; otherwise
+    the MILP is solved. The accepted point is stage 1's vertex, which
+    optimises restoration alone, never a loss-minimising stage-2 point: that
+    one comes out ordered, and plain PWL's unordered fillings are what the
+    comparison with sopwl shows."""
+    start = time.perf_counter()
+    relaxation = adapter.relax(artifacts.model)
+    solution = None
+    if relaxation.solution.status == "optimal":
+        solution = _signed(relaxation.solution, artifacts)
+        if milp.check_solution(artifacts.model, solution):
+            solution = None
+    if solution is None:
+        solution = milp.solve(artifacts.model, adapter)
+    return replace(solution, solve_seconds=time.perf_counter() - start), relaxation
+
+
 def _lp_screen(
     case: NetworkCase,
     config: RunConfig,
     artifacts: DistflowArtifacts,
     adapter: ScipyMilpAdapter,
     pwl: Optional[DistflowArtifacts],
+    relaxation: Optional[Relaxation],
 ) -> Optional[milp.Solution]:
     """A certified sopwl optimum from the LP relaxation of the pwl model
     ``pwl`` (built here when None), or None when the relaxation is not tight.
 
-    The relaxation's optimum ``U`` bounds the sopwl optimum. Stage 2 keeps
-    the restoration within 1e-7 * max(1, |U|) of ``U`` and minimises the
-    squared currents, which fills each block's segments in slope order unless
-    another row stops it. ``z_pos``/``z_neg``
-    follow the sign of ``pos - neg``; the point is accepted only when
-    ``lift_ordered`` finds every block ordered and the sopwl model's
-    ``check_solution`` finds no violated row."""
+    ``relaxation`` is that of ``pwl`` when the pwl run solved it, and is
+    solved here when None. Its optimum ``U`` bounds the sopwl optimum.
+    Stage 2 keeps the restoration within 1e-7 * max(1, |U|) of ``U`` and
+    minimises the squared currents, which fills each block's segments in
+    slope order unless another row stops it. The point, with its sign
+    binaries set, is accepted only when ``lift_ordered`` finds every block
+    ordered and the sopwl model's ``check_solution`` finds no violated row."""
     if pwl is None:
         pwl = _build(case, config, MODE_PWL)
-    relaxed = adapter.run_relaxed_two_stage(pwl.model, pwl.isqr)
+    if relaxation is None:
+        relaxation = adapter.relax(pwl.model)
+    relaxed = relaxation.refine(pwl.isqr)
     if relaxed.status != "optimal":
         return None
-    x = relaxed.x.copy()
-    for block in pwl.blocks.values():
-        up = x[block.pos] - x[block.neg]
-        x[block.z_pos] = np.where(up > 0, 1.0, 0.0)
-        x[block.z_neg] = np.where(up < 0, 1.0, 0.0)
-    lifted = lift_ordered(replace(relaxed, x=x), artifacts)
+    lifted = lift_ordered(_signed(relaxed, pwl), artifacts)
     if lifted is None or milp.check_solution(artifacts.model, lifted):
         return None
     return lifted
@@ -204,22 +247,22 @@ def _solve_sopwl(
     case: NetworkCase,
     config: RunConfig,
     artifacts: DistflowArtifacts,
-    pwl: Optional[tuple[DistflowArtifacts, Optional[milp.Solution]]],
+    pwl: Optional[PwlRun],
 ) -> tuple[milp.Solution, str]:
     """Solve the sopwl model by the first path that gives a solution: lift
-    the plain-PWL run's solution (``pwl``, its artifacts and solution, under
-    ``--mode both``) when every filling in it is ordered, then the LP screen
-    on that run's model, then the MILP. Returns the solution and the path's
-    name; its ``solve_seconds`` covers the pwl solve, when one was given, and
-    every path tried."""
+    the plain-PWL run's solution (``pwl``, under ``--mode both``) when every
+    filling in it is ordered, then the LP screen on that run's model and
+    relaxation, then the MILP. Returns the solution and the path's name; its
+    ``solve_seconds`` covers the pwl solve, when one was given, and every
+    path tried."""
     adapter = config.make_adapter()
     start = time.perf_counter()
-    pwl_artifacts, pwl_solution = pwl if pwl is not None else (None, None)
+    pwl_artifacts, pwl_solution, relaxation = pwl if pwl is not None else (None, None, None)
     solution, path = None, "lifted"
     if pwl_solution is not None:
         solution = lift_ordered(pwl_solution, artifacts)
     if solution is None:
-        solution = _lp_screen(case, config, artifacts, adapter, pwl_artifacts)
+        solution = _lp_screen(case, config, artifacts, adapter, pwl_artifacts, relaxation)
         path = "lp_screen"
     if solution is None:
         solution, path = milp.solve(artifacts.model, adapter), "milp"
@@ -233,31 +276,32 @@ def _run_one_mode(
     case: NetworkCase,
     config: RunConfig,
     mode: str,
-    pwl: Optional[tuple[DistflowArtifacts, Optional[milp.Solution]]] = None,
-) -> tuple[int, Optional[ErrorReport], Optional[milp.Solution], DistflowArtifacts]:
-    """Solve and report one mode; sopwl reuses the pwl run ``pwl`` (its
-    artifacts and solution) when given. What the solver prints goes to
-    ``<out>/<mode>/solver.log``. Returns the exit status, the error report
-    (None on failure), the solution (None when the solver raised) and the
-    artifacts."""
+    pwl: Optional[PwlRun] = None,
+) -> tuple[int, Optional[ErrorReport], PwlRun]:
+    """Solve and report one mode; sopwl reuses the pwl run ``pwl`` when
+    given. What the solver prints goes to ``<out>/<mode>/solver.log``.
+    Returns the exit status, the error report (None on failure) and this
+    run's artifacts, solution (None when the solver raised) and relaxation
+    (None but for a pwl run whose solver did not raise)."""
     out = config.out_dir / mode
     out.mkdir(parents=True, exist_ok=True)
     artifacts = _build(case, config, mode)
     model = artifacts.model
-    path = None
+    path = relaxation = None
     try:
         with _output_to(out / "solver.log"):
             if mode == MODE_SOPWL:
                 solution, path = _solve_sopwl(case, config, artifacts, pwl)
             else:
-                solution = milp.solve(model, config.make_adapter())
+                solution, relaxation = _solve_pwl(artifacts, config.make_adapter())
     except Exception as exc:
         print(f"[{mode}] solver failure: {exc}", file=sys.stderr)
-        return 1, None, None, artifacts
+        return 1, None, (artifacts, None, None)
+    run = artifacts, solution, relaxation
     (out / f"{model.name}.sol").write_text(milp.format_solution(solution, model))
     if solution.status not in ("optimal", "feasible"):
         print(f"[{mode}] solve ended with status {solution.status}", file=sys.stderr)
-        return 1, None, solution, artifacts
+        return 1, None, run
 
     violations = milp.check_solution(model, solution)
     for tag, gap in violations:
@@ -292,7 +336,7 @@ def _run_one_mode(
     print(f"[{mode}] status={solution.status} objective={solution.objective_value:.6f}")
     print(text, end="")
     status = 0 if not violations else 1
-    return status, report, solution, artifacts
+    return status, report, run
 
 
 def cmd_solve(config: RunConfig) -> int:
@@ -300,13 +344,13 @@ def cmd_solve(config: RunConfig) -> int:
     modes = MODES if config.mode == "both" else (config.mode,)
     reports = {}
     exit_status = 0
-    pwl = None  # the pwl run's artifacts and solution; sopwl reuses them
+    pwl = None  # the pwl run; sopwl reuses it
     for mode in modes:
-        status, report, solution, artifacts = _run_one_mode(case, config, mode, pwl)
+        status, report, run = _run_one_mode(case, config, mode, pwl)
         exit_status = max(exit_status, status)
         reports[mode] = report
         if mode == MODE_PWL:
-            pwl = artifacts, solution
+            pwl = run
     if config.mode == "both" and None not in reports.values():
         sep = "," if config.report_format == "delimited" else "\t"
         lines = [sep.join(["feeder", "E_p_pwl", "E_p_sopwl", "E_q_pwl", "E_q_sopwl"])]

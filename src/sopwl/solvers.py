@@ -10,17 +10,19 @@ start-up, while the binding alone loads in a few milliseconds. The session
 hands HiGHS the model's own row-wise arrays in one ``passModel`` call; HiGHS's
 column copy of them is the one ``scipy.optimize.milp`` passes, so a first run
 gives that call's point. The object keeps its model and its optimal basis
-between runs, so stage 2 of :meth:`ScipyMilpAdapter.run_relaxed_two_stage`,
-which adds one row and swaps the costs, starts from stage 1's basis instead
-of solving from scratch.
+between runs, so stage 2 of a :class:`Relaxation`, which adds one row and
+swaps the costs, starts from stage 1's basis instead of solving from scratch.
 
 Every MILP run sets two options beyond the time limit. ``mip_rel_gap``
 (:data:`MIP_REL_GAP`, 1e-4) bounds how far a returned MILP objective may lie
 from the optimum. ZI round (:data:`ZI_ROUND_OPTION`) turns on a rounding
 heuristic that HiGHS leaves off by default. It rounds the root LP point into
-an incumbent. On the plain-PWL models of the bundled cases that incumbent is
-already optimal, so the MILP stops at its root node instead of waiting for
-HiGHS's sub-MIP heuristic. An option HiGHS refuses raises ``ValueError``.
+an incumbent. It serves two MILPs only: the pwl MILP that ``solve`` falls
+back to when the pwl model's LP relaxation is not tight (see
+``sopwl.cli._solve_pwl``), and the SO-PWL MILP. On the plain-PWL models of
+the bundled cases its incumbent is already optimal, so such a MILP stops at
+its root node instead of waiting for HiGHS's sub-MIP heuristic. An option
+HiGHS refuses raises ``ValueError``.
 
 Another MILP solver is used through files, outside this module: ``export-lp``
 writes the LP and ``validate --solution`` re-checks that solver's answer in
@@ -41,7 +43,7 @@ import numpy as np
 
 from . import milp
 
-__all__ = ["ScipyMilpAdapter"]
+__all__ = ["Relaxation", "ScipyMilpAdapter"]
 
 # HiGHS's relative MIP gap, set on every MILP run by _HighsSession: a
 # returned objective is within this share of the optimum. HiGHS's own
@@ -51,8 +53,8 @@ MIP_REL_GAP = 1e-4
 # HiGHS's zero-integrality rounding heuristic ("ZI round", Wallace 2010), off
 # in HiGHS by default and on in every MILP run (see the module docstring)
 ZI_ROUND_OPTION = "mip_heuristic_run_zi_round"
-# how far below the LP optimum U stage 2 of the relaxed solve may move the
-# objective, relative to max(1, |U|); read by run_relaxed_two_stage
+# how far below the LP optimum U stage 2 of a relaxation may move the
+# objective, relative to max(1, |U|); read by Relaxation.refine
 STAGE2_SLACK = 1e-7
 # the binding's name in scipy; loaded under it, so that scipy.optimize finds
 # the same module when it is imported later
@@ -130,52 +132,74 @@ class ScipyMilpAdapter:
         )
         return _clip(fixed.x(), a) if fixed.run() == "optimal" else x
 
-    def run_relaxed_two_stage(
-        self, model: milp.MilpModel, stage2: np.ndarray
-    ) -> milp.Solution:
-        """Solve the LP relaxation of ``model`` (integrality dropped) twice.
-
-        Stage 1 optimises the model's objective, whose optimum ``U`` bounds
-        every integer solution. Stage 2 holds the objective within
-        ``STAGE2_SLACK * max(1, |U|)`` of ``U`` and minimises the sum of the
-        variables in the columns ``stage2``. Both stages run on one HiGHS
-        object, so stage 2 starts from stage 1's optimal basis. The stage-2
-        point is returned unrounded (clipped into its bounds, binaries
-        possibly fractional) with ``U`` as its dual bound,
-        ``(U - objective) / |U|`` as its gap (in the model's sense) and 0
-        nodes. Otherwise the status is that of the first stage that is not
-        optimal, and ``U`` is kept when stage 1 found it.
-        Each LP gets the adapter's ``time_limit``.
-        """
+    def relax(self, model: milp.MilpModel) -> Relaxation:
+        """Solve the LP relaxation of ``model`` (integrality dropped) on one
+        HiGHS session, held by the returned :class:`Relaxation` for
+        :meth:`Relaxation.refine`. The LP gets the adapter's ``time_limit``."""
         a = model.arrays
         c = _costs(model)
         lp = _HighsSession(a, c, a.lower, a.upper, self.time_limit)
-        status = lp.run()
+        return Relaxation(model, c, lp, lp.run())
+
+
+class Relaxation:
+    """The LP relaxation of one model, solved in two stages on one HiGHS
+    session.
+
+    Stage 1 (:meth:`ScipyMilpAdapter.relax`) optimises the model's objective,
+    whose optimum ``U`` bounds every integer solution. :attr:`solution` is
+    its point, clipped into its bounds with binaries possibly fractional,
+    with ``U`` as its dual bound, ``(U - objective) / |U|`` as its gap (in
+    the model's sense) and 0 nodes; otherwise it is stage 1's status alone.
+    Stage 2 (:meth:`refine`) holds the objective within
+    ``STAGE2_SLACK * max(1, |U|)`` of ``U`` and minimises the sum of chosen
+    columns, starting from stage 1's optimal basis."""
+
+    def __init__(self, model: milp.MilpModel, c: np.ndarray, lp: _HighsSession, status: str):
+        self._arrays = model.arrays
+        self._c = c
+        self._lp = lp
+        self._sign = -1.0 if model.objective_sense == "max" else 1.0
+        self._refined: Optional[milp.Solution] = None
+        self.bound: Optional[float] = None
         if status != "optimal":
-            return milp.Solution(status, 0.0)
-        # ``fun`` is the optimum of c @ x, so c @ x <= fun + slack holds the
-        # objective near U in either sense
-        fun = lp.objective()
-        sign = -1.0 if model.objective_sense == "max" else 1.0
-        bound = sign * fun + 0.0  # as in run: no -0.0
-        lp.add_row(c, fun + STAGE2_SLACK * max(1.0, abs(bound)))
-        c2 = np.zeros(len(a.names))
-        c2[stage2] = 1.0
-        lp.set_costs(c2)
-        status = lp.run()
-        if status != "optimal":
-            return milp.Solution(status, 0.0, mip_dual_bound=bound)
-        x = _clip(lp.x(), a)
-        objective = _objective(x, a)
-        gap = -sign * (bound - objective) / abs(bound) if bound else 0.0
+            self.solution = milp.Solution(status, 0.0)
+            return
+        self.bound = self._sign * lp.objective() + 0.0  # as in run: no -0.0
+        self.solution = self._at_bound(lp.x())
+
+    def _at_bound(self, x: np.ndarray) -> milp.Solution:
+        """The LP point ``x``, clipped, with ``U`` as its dual bound."""
+        x = _clip(x, self._arrays)
+        objective = _objective(x, self._arrays)
+        bound = self.bound
+        gap = -self._sign * (bound - objective) / abs(bound) if bound else 0.0
         return milp.Solution(
-            "optimal",
-            objective,
-            x,
-            mip_node_count=0,
-            mip_gap=gap,
-            mip_dual_bound=bound,
+            "optimal", objective, x, mip_node_count=0, mip_gap=gap, mip_dual_bound=bound
         )
+
+    def refine(self, stage2: np.ndarray) -> milp.Solution:
+        """Stage 2, minimising the sum of the columns ``stage2``: its point
+        with the statistics :attr:`solution` gives stage 1's, or the status
+        of the first stage that is not optimal, with ``U`` kept when stage 1
+        found it. Stage 2 runs once per relaxation, with the adapter's
+        ``time_limit``; a later call returns the same solution."""
+        if self.bound is None:
+            return self.solution
+        if self._refined is None:
+            lp = self._lp
+            # ``objective()`` is stage 1's optimum of c @ x, so
+            # c @ x <= it + slack holds the objective near U in either sense
+            lp.add_row(self._c, lp.objective() + STAGE2_SLACK * max(1.0, abs(self.bound)))
+            c2 = np.zeros(len(self._c))
+            c2[stage2] = 1.0
+            lp.set_costs(c2)
+            status = lp.run()
+            if status != "optimal":
+                self._refined = milp.Solution(status, 0.0, mip_dual_bound=self.bound)
+            else:
+                self._refined = self._at_bound(lp.x())
+        return self._refined
 
 
 class _HighsSession:

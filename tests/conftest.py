@@ -1,8 +1,14 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
-from sopwl import milp
+from sopwl import cli, milp
+
+# CI runs tier-1 with --hypothesis-profile=ci: every property test then draws
+# the same examples on every run and replays no failing draw saved by an
+# earlier one. Local runs keep hypothesis's random draws and its database.
+settings.register_profile("ci", derandomize=True, database=None)
 
 CASES = Path(__file__).parent / "cases"
 GOLDEN = Path(__file__).parent / "golden"
@@ -21,21 +27,27 @@ def golden_dir() -> Path:
 @pytest.fixture
 def count_solves(monkeypatch):
     """Call to patch ``milp.solve``; returns the list it fills with the name
-    of every model solved. ``tamper(model, solution)`` may rewrite each pwl
-    solution before the caller sees it."""
+    of every model it solves as a MILP. ``tamper(model, solution)`` may
+    rewrite the answer of each pwl run (``cli._solve_pwl``), from its LP
+    relaxation or its MILP, before the caller sees it."""
 
     def install(tamper=None):
         real_solve = milp.solve
+        real_solve_pwl = cli._solve_pwl
         names = []
 
         def solve(model, adapter):
             names.append(model.name)
-            solution = real_solve(model, adapter)
-            if tamper is not None and model.name.endswith("_pwl"):
-                solution = tamper(model, solution)
-            return solution
+            return real_solve(model, adapter)
+
+        def solve_pwl(artifacts, adapter):
+            solution, relaxation = real_solve_pwl(artifacts, adapter)
+            if tamper is not None:
+                solution = tamper(artifacts.model, solution)
+            return solution, relaxation
 
         monkeypatch.setattr(milp, "solve", solve)
+        monkeypatch.setattr(cli, "_solve_pwl", solve_pwl)
         return names
 
     return install

@@ -29,12 +29,14 @@ def test_probe_wraps_every_function_and_records_spans(tmp_path, cases_dir, monke
         # wrap until the program times its own stages (ROADMAP item 4)
         assert probe.missing == ["solvers.highs"]
         probe.begin_run(0, recording=True)
-        args = ["--case", str(cases_dir / "twobus.json"), "--segments", "5", "--mode", "both"]
+        # vlimited3's pwl LP relaxation uses both signs of a flow, so the
+        # pwl run falls back to its MILP
+        args = ["--case", str(cases_dir / "vlimited3.json"), "--segments", "2", "--mode", "both"]
         assert main(["solve", *args, "--out", str(tmp_path)]) == 0
         probe.end_run()
     finally:
         probe.uninstall()
     names = {span.name for span in probe.spans}
-    # sopwl lifts the pwl optimum, so the one solver run is pwl's
+    # sopwl lifts the pwl optimum, so the one MILP run is pwl's
     assert {span.mode for span in probe.spans if span.name == "solvers.run"} == {"pwl"}
     assert {"distflow.build", "validation.branch_errors"} <= names

@@ -293,8 +293,9 @@ class TestSolve:
         out = tmp_path / "run"
         common = ["--case", str(cases_dir / "twobus.json"), "--segments", "5"]
         assert main(["solve", *common, "--mode", "both", "--out", str(out)]) == 0
-        # every pwl filling is ordered: sopwl reuses the pwl optimum, no MILP
-        assert solves == ["twobus_pwl"]
+        # the pwl LP relaxation is tight and every pwl filling is ordered:
+        # pwl takes the relaxation's optimum and sopwl lifts it, no MILP
+        assert solves == []
         pwl = json.loads((out / "pwl" / "run.json").read_text())
         sopwl = json.loads((out / "sopwl" / "run.json").read_text())
         assert pwl["sopwl_path"] is None
@@ -339,9 +340,9 @@ class TestSolve:
         )
         # the tampered pwl solution breaks its own rows; the LP screen
         # certifies a clean sopwl optimum without the MILP, on the pwl run's
-        # own model
+        # own model and relaxation
         assert status == 1
-        assert solves == ["twobus_pwl"]
+        assert solves == []
         assert built == ["pwl", "sopwl"]
         pwl = json.loads((out / "pwl" / "run.json").read_text())
         sopwl = json.loads((out / "sopwl" / "run.json").read_text())
@@ -360,9 +361,10 @@ class TestSolve:
             out = tmp_path / mode
             assert main(["solve", *common, "--mode", mode, "--out", str(out)]) == 0
             metas[mode] = json.loads((out / "sopwl" / "run.json").read_text())
-        # --mode sopwl solves no MILP at all: the LP screen certifies it;
-        # --mode both lifts its own pwl optimum
-        assert solves == ["branching6_pwl"]
+        # neither run solves a MILP: --mode sopwl is certified by the LP
+        # screen; --mode both answers pwl from its LP relaxation and lifts
+        # that optimum
+        assert solves == []
         assert metas["sopwl"]["sopwl_path"] == "lp_screen"
         assert metas["both"]["sopwl_path"] == "lifted"
         alone, both = (metas[m]["objective_value"] for m in ("sopwl", "both"))
@@ -484,7 +486,7 @@ class TestSopwlFallback:
         # optimal, and the screen certifies its point
         case = load_case(cases_dir / "tinyq3.json")
         pwl = _build(case, RunConfig(case="tinyq3", num_segments=2), "pwl")
-        relaxed = solvers.ScipyMilpAdapter().run_relaxed_two_stage(pwl.model, pwl.isqr)
+        relaxed = solvers.ScipyMilpAdapter().relax(pwl.model).refine(pwl.isqr)
         assert relaxed.status == "optimal"
         assert relaxed.mip_dual_bound == pytest.approx(8.46e-6, rel=1e-2)
         # STAGE2_SLACK is absolute below |U| = 1
@@ -520,8 +522,8 @@ class TestSopwlFallback:
         # a relaxation that is not optimal sends the case to the MILP
         monkeypatch.setattr(
             solvers.ScipyMilpAdapter,
-            "run_relaxed_two_stage",
-            lambda self, model, stage2: milp.Solution("infeasible", 0.0),
+            "relax",
+            lambda self, model: solvers.Relaxation(model, None, None, "infeasible"),
         )
         out = tmp_path / "run"
         args = ["--case", str(cases_dir / "tinyq3.json"), "--segments", "2", "--mode", "sopwl"]
@@ -673,8 +675,10 @@ class TestValidate:
         assert main(["solve", *common, "--out", str(tmp_path / "run")]) == 0
         sol_path = tmp_path / "run" / "pwl" / "diverge_pwl.sol"
         lines = sol_path.read_text().splitlines()
-        assert "beta_2 0.0" in lines
-        sol_path.write_text("\n".join("beta_2 1.0" if ln == "beta_2 0.0" else ln for ln in lines))
+        # the pwl LP vertex leaves -0.0 where a MILP point leaves 0.0
+        unrestored = {"beta_2 0.0", "beta_2 -0.0"}
+        assert len(unrestored.intersection(lines)) == 1
+        sol_path.write_text("\n".join("beta_2 1.0" if ln in unrestored else ln for ln in lines))
         capsys.readouterr()
         status = main(["validate", *common, "--solution", str(sol_path)])
         captured = capsys.readouterr()

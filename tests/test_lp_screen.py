@@ -1,9 +1,13 @@
-"""The certified LP screen in front of the SO-PWL MILP: the two-stage LP
-relaxation of the adapter, and a property test of the whole sopwl path on
+"""The certified LP shortcuts in front of the MILPs: the two-stage LP
+relaxation of the adapter, the pwl path that answers from its first stage,
+the SO-PWL screen that refines it, and property tests of both paths on
 random small radial cases."""
 
+import json
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse
@@ -11,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sopwl import milp, solvers
-from sopwl.cli import RunConfig, _build, _solve_sopwl
+from sopwl.cli import RunConfig, _build, _signed, _solve_pwl, _solve_sopwl, main
 from sopwl.milp import BINARY, MilpModel
 from sopwl.network import load_case
 from sopwl.solvers import ScipyMilpAdapter
@@ -28,7 +32,17 @@ class TestRelaxedTwoStage:
         m.add_constraint({"x": 1.0, "y": 1.0}, "<=", 1.5, tag="cap")
         m.set_objective("max", {"x": 1.0, "y": 1.0})
         m.freeze()
-        sol = ScipyMilpAdapter().run_relaxed_two_stage(m, [1])
+        relaxation = ScipyMilpAdapter().relax(m)
+        first = relaxation.solution
+        assert first.status == "optimal"
+        assert first.objective_value == pytest.approx(1.5)
+        assert sum(first.x) == pytest.approx(1.5)
+        assert first.mip_dual_bound == relaxation.bound == pytest.approx(1.5)
+        assert first.mip_node_count == 0
+        assert first.mip_gap == pytest.approx(0.0, abs=1e-12)
+        sol = relaxation.refine([1])
+        # stage 2 runs once: a second call gives the same solution
+        assert relaxation.refine([1]) is sol
         assert sol.status == "optimal"
         assert sol.mip_dual_bound == pytest.approx(1.5)
         assert sol.mip_node_count == 0
@@ -45,7 +59,7 @@ class TestRelaxedTwoStage:
         m.add_constraint({"x": 1.0, "y": 1.0}, ">=", 2.0, tag="need")
         m.set_objective("min", {"x": 1.0, "y": 1.0})
         m.freeze()
-        sol = ScipyMilpAdapter().run_relaxed_two_stage(m, [0])
+        sol = ScipyMilpAdapter().relax(m).refine([0])
         assert sol.mip_dual_bound == pytest.approx(2.0)
         assert sol.x[0] == pytest.approx(0.0, abs=1e-9)
         assert sol.mip_gap == pytest.approx((sol.objective_value - 2.0) / 2.0)
@@ -58,8 +72,9 @@ class TestRelaxedTwoStage:
         m.add_variable("x", 0.0, 0.0)
         m.set_objective("max", {"x": 1.0})
         m.freeze()
-        sol = ScipyMilpAdapter().run_relaxed_two_stage(m, [0])
-        assert math.copysign(1.0, sol.mip_dual_bound) == 1.0
+        relaxation = ScipyMilpAdapter().relax(m)
+        for sol in (relaxation.solution, relaxation.refine([0])):
+            assert math.copysign(1.0, sol.mip_dual_bound) == 1.0
 
     def test_infeasible_first_stage(self):
         m = MilpModel(name="relax_infeasible")
@@ -67,9 +82,11 @@ class TestRelaxedTwoStage:
         m.add_constraint({"x": 1.0}, ">=", 2.0, tag="impossible")
         m.set_objective("max", {"x": 1.0})
         m.freeze()
-        sol = ScipyMilpAdapter().run_relaxed_two_stage(m, [0])
-        assert sol.status == "infeasible"
-        assert len(sol.x) == 0
+        relaxation = ScipyMilpAdapter().relax(m)
+        for sol in (relaxation.solution, relaxation.refine([0])):
+            assert sol.status == "infeasible"
+            assert len(sol.x) == 0
+            assert sol.mip_dual_bound is None
 
 
 class TestLpSession:
@@ -108,7 +125,7 @@ class TestLpSession:
             constraints=[scipy.optimize.LinearConstraint(rows, a.row_lo, a.row_hi)],
             bounds=scipy.optimize.Bounds(a.lower, a.upper),
         )
-        relaxed = ScipyMilpAdapter().run_relaxed_two_stage(model, pwl.isqr)
+        relaxed = ScipyMilpAdapter().relax(model).refine(pwl.isqr)
         assert cold.status == 0 and relaxed.status == "optimal"
         assert model.objective_sense == "max"
         assert relaxed.mip_dual_bound == -cold.fun
@@ -119,19 +136,19 @@ class TestLpSession:
         # infeasible
         pwl = _build(*self._branching6(cases_dir), "pwl")
         model = pwl.model
-        timed_out = ScipyMilpAdapter(time_limit=1e-9).run_relaxed_two_stage(model, pwl.isqr)
-        assert timed_out.status == "error"
+        timed_out = ScipyMilpAdapter(time_limit=1e-9).relax(model)
+        assert timed_out.solution.status == timed_out.refine(pwl.isqr).status == "error"
         huge = MilpModel(name="huge")
         huge.add_variable("x", 0.0, 1.0)
         huge.add_constraint({"x": 1e16}, "<=", 1.0, tag="row")
         huge.set_objective("max", {"x": 1.0})
         huge.freeze()
-        assert ScipyMilpAdapter().run_relaxed_two_stage(huge, [0]).status == "infeasible"
+        assert ScipyMilpAdapter().relax(huge).solution.status == "infeasible"
         unbounded = MilpModel(name="unbounded")
         unbounded.add_variable("x", 0.0, math.inf)
         unbounded.set_objective("max", {"x": 1.0})
         unbounded.freeze()
-        assert ScipyMilpAdapter().run_relaxed_two_stage(unbounded, [0]).status == "unbounded"
+        assert ScipyMilpAdapter().relax(unbounded).solution.status == "unbounded"
 
     def test_unbounded_milp_is_an_error(self):
         # HiGHS ends this MILP kUnboundedOrInfeasible, with no feasible point
@@ -142,7 +159,7 @@ class TestLpSession:
         m.set_objective("max", {"y": 1.0})
         m.freeze()
         assert ScipyMilpAdapter().run(m).status == "error"
-        assert ScipyMilpAdapter().run_relaxed_two_stage(m, [1]).status == "unbounded"
+        assert ScipyMilpAdapter().relax(m).solution.status == "unbounded"
 
     def test_each_stage_gets_the_time_limit(self, cases_dir, monkeypatch):
         # HiGHS's run clock keeps counting across runs on one object, so
@@ -159,11 +176,74 @@ class TestLpSession:
         monkeypatch.setattr(_core, "_Highs", Spy)
         pwl = _build(*self._branching6(cases_dir), "pwl")
         model = pwl.model
-        sol = ScipyMilpAdapter(time_limit=7.5).run_relaxed_two_stage(model, pwl.isqr)
+        sol = ScipyMilpAdapter(time_limit=7.5).relax(model).refine(pwl.isqr)
         assert sol.status == "optimal"
         assert len(runs) == 2
         assert runs[1][0] > 0.0
         assert [limit for _, limit in runs] == [elapsed + 7.5 for elapsed, _ in runs]
+
+
+class TestPwlPath:
+    """``solve`` answers the pwl model from its LP relaxation's first stage
+    when that point, with its sign binaries set, breaks no row, and solves
+    the pwl MILP otherwise; ``--mode both`` refines the same relaxation for
+    the sopwl screen."""
+
+    def test_both_signs_fall_to_the_milp(self, cases_dir, monkeypatch):
+        case = load_case(cases_dir / "twobus.json")
+        pwl = _build(case, RunConfig(case="twobus", num_segments=5), "pwl")
+        real_relax = ScipyMilpAdapter.relax
+
+        def both_signs(adapter, model):
+            # one block's flow split into pos and neg, both > 0
+            relaxation = real_relax(adapter, model)
+            x = relaxation.solution.x.copy()
+            block = pwl.blocks["P"]
+            x[[block.pos[0], block.neg[0]]] += 1e-3
+            relaxation.solution = replace(relaxation.solution, x=x)
+            return relaxation
+
+        monkeypatch.setattr(ScipyMilpAdapter, "relax", both_signs)
+        answers = []
+        real_solve = milp.solve
+
+        def solve(model, adapter):
+            answers.append((model.name, real_solve(model, adapter)))
+            return answers[-1][1]
+
+        monkeypatch.setattr(milp, "solve", solve)
+        solution, relaxation = _solve_pwl(pwl, ScipyMilpAdapter())
+        ((name, answer),) = answers
+        assert name == "twobus_pwl"
+        assert solution.x is answer.x
+        assert solution.objective_value == answer.objective_value
+        assert solution.mip_node_count == answer.mip_node_count
+        assert milp.check_solution(pwl.model, solution) == []
+        # the relaxation stays at hand for the sopwl screen
+        assert relaxation.solution.status == "optimal"
+
+    @pytest.mark.parametrize(
+        "case, runs, path",
+        [("ieee33_4dg_surplus", 2, "lp_screen"), ("ieee33_4dg", 1, "lifted")],
+    )
+    def test_one_relaxation_per_solve(self, tmp_path, monkeypatch, case, runs, path):
+        # pwl's relaxation is stage 1 of the sopwl screen: the surplus case
+        # runs it and stage 2, the headline case runs it alone and lifts
+        calls = []
+        real_run = solvers._HighsSession.run
+
+        def run(session):
+            calls.append(session.mip)
+            return real_run(session)
+
+        monkeypatch.setattr(solvers._HighsSession, "run", run)
+        out = tmp_path / "run"
+        args = ["--case", case, "--mode", "both", "--segments", "10", "--out", str(out)]
+        assert main(["solve", *args]) == 0
+        assert calls == [False] * runs
+        meta = {m: json.loads((out / m / "run.json").read_text()) for m in ("pwl", "sopwl")}
+        assert meta["sopwl"]["sopwl_path"] == path
+        assert meta["pwl"]["mip_node_count"] == 0
 
 
 @st.composite
@@ -251,7 +331,7 @@ def test_sopwl_path_is_certified(drawn):
     config = RunConfig(case=case.name, mode="sopwl", num_segments=segments)
     adapter = ScipyMilpAdapter()
     pwl = _build(case, config, "pwl")
-    bound = adapter.run_relaxed_two_stage(pwl.model, pwl.isqr)
+    bound = adapter.relax(pwl.model).refine(pwl.isqr)
     artifacts = _build(case, config, "sopwl")
     model = artifacts.model
     reference = milp.solve(model, adapter)
@@ -267,3 +347,24 @@ def test_sopwl_path_is_certified(drawn):
     assert milp.check_solution(model, solution) == []
     report = branch_errors(solution, artifacts)
     assert all(r.eso_ok_p and r.eso_ok_q for r in report.records)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_radial_cases())
+def test_pwl_path_is_certified(drawn):
+    case, segments = drawn
+    adapter = ScipyMilpAdapter()
+    pwl = _build(case, RunConfig(case=case.name, num_segments=segments), "pwl")
+    model = pwl.model
+    reference = milp.solve(model, adapter)
+    solution, relaxation = _solve_pwl(pwl, adapter)
+    assert reference.status == solution.status == "optimal"
+    slack = 1e-4 * abs(reference.objective_value) + 1e-5
+    assert abs(solution.objective_value - reference.objective_value) <= slack
+    assert milp.check_solution(model, solution) == []
+    signed = _signed(relaxation.solution, pwl)
+    if milp.check_solution(model, signed) == []:
+        # certified at the relaxation: its stage-1 point, no MILP node
+        assert np.array_equal(solution.x, signed.x)
+        assert solution.mip_node_count == 0
+        assert solution.mip_dual_bound == relaxation.bound
