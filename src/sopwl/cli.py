@@ -287,6 +287,18 @@ def _run_one_mode(
     out.mkdir(parents=True, exist_ok=True)
     artifacts = _build(case, config, mode)
     model = artifacts.model
+    # run.json has these keys on every exit; what needs a point stays null
+    meta = {
+        "case": case.name,
+        "mode": mode,
+        "segments": config.num_segments,
+        "objective_variant": config.objective,
+        "status": "error",
+        **dict.fromkeys(["sopwl_path", "objective_value", "solve_seconds", "mip_node_count"]),
+        **dict.fromkeys(["mip_gap", "mip_dual_bound", "max_e_p_percent", "violations"]),
+        **model.arrays.sizes(),
+    }
+    run_json = out / "run.json"
     path = relaxation = None
     try:
         with _output_to(out / "solver.log"):
@@ -296,11 +308,18 @@ def _run_one_mode(
                 solution, relaxation = _solve_pwl(artifacts, config.make_adapter())
     except Exception as exc:
         print(f"[{mode}] solver failure: {exc}", file=sys.stderr)
+        run_json.write_text(json.dumps(meta, indent=1) + "\n")
         return 1, None, (artifacts, None, None)
     run = artifacts, solution, relaxation
+    meta.update(
+        status=solution.status, sopwl_path=path, solve_seconds=solution.solve_seconds,
+        mip_node_count=solution.mip_node_count, mip_gap=solution.mip_gap,
+        mip_dual_bound=solution.mip_dual_bound,
+    )
     (out / f"{model.name}.sol").write_text(milp.format_solution(solution, model))
     if solution.status not in ("optimal", "feasible"):
         print(f"[{mode}] solve ended with status {solution.status}", file=sys.stderr)
+        run_json.write_text(json.dumps(meta, indent=1) + "\n")
         return 1, None, run
 
     violations = milp.check_solution(model, solution)
@@ -316,23 +335,11 @@ def _run_one_mode(
     )
     (out / f"report.{ext}").write_text(text)
     (out / "fillings.txt").write_text(filling_dump(solution, artifacts))
-    meta = {
-        "case": case.name,
-        "mode": mode,
-        "segments": config.num_segments,
-        "objective_variant": config.objective,
-        "status": solution.status,
-        "sopwl_path": path,
-        "objective_value": solution.objective_value,
-        "solve_seconds": solution.solve_seconds,
-        "mip_node_count": solution.mip_node_count,
-        "mip_gap": solution.mip_gap,
-        "mip_dual_bound": solution.mip_dual_bound,
-        "max_e_p_percent": report.max_e_p,
-        "violations": len(violations),
-        **model.arrays.sizes(),
-    }
-    (out / "run.json").write_text(json.dumps(meta, indent=1) + "\n")
+    meta.update(
+        objective_value=solution.objective_value, max_e_p_percent=report.max_e_p,
+        violations=len(violations),
+    )
+    run_json.write_text(json.dumps(meta, indent=1) + "\n")
     print(f"[{mode}] status={solution.status} objective={solution.objective_value:.6f}")
     print(text, end="")
     status = 0 if not violations else 1

@@ -4,14 +4,15 @@ direct substitution.
 
 The model is stored in integer-indexed form. Variable ``i`` is the ``i``-th
 declared; row ``r`` holds the terms ``cols[s:e]``/``coefs[s:e]`` with
-``s, e = row_start[r], row_start[r + 1]``. Variables and rows are appended in
-bulk, as arrays (:meth:`MilpModel.add_variables`, :meth:`MilpModel.add_rows`);
-each call checks its whole input and appends nothing when a check fails.
-:meth:`MilpModel.add_variable` and :meth:`MilpModel.add_constraint` are the
-one-item case of the same calls. The model keeps what each call appended as
-numpy arrays; :meth:`MilpModel.freeze` concatenates them once
+``s, e = row_start[r], row_start[r + 1]``. It is built in bulk only, by
+column: :meth:`MilpModel.add_variables`, :meth:`MilpModel.add_rows` and
+:meth:`MilpModel.set_objective_columns`. Each call checks its whole input and
+appends nothing when a check fails. The model keeps what each call appended
+as numpy arrays; :meth:`MilpModel.freeze` concatenates them once
 (:class:`ModelArrays`), and the solver adapter, the re-check and the LP writer
-read those.
+read those. :attr:`MilpModel.variables` and :attr:`MilpModel.constraints`, one
+object per variable and per row, serve the benchmark's model sizes
+(``perfbench/run.py``) and the tests.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import re
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -67,8 +68,6 @@ FEASIBILITY_TOL = 1e-6
 
 # The default time limit of one solve, in seconds.
 DEFAULT_TIMEOUT_SECONDS = 600.0
-
-Terms = Mapping[str, float] | Sequence[tuple[str, float]]
 
 
 @dataclass(frozen=True)
@@ -146,13 +145,6 @@ class ModelArrays:
             "nnz": len(self.coefs),
             "binaries": int(self.binary.sum()),
         }
-
-
-def _unzip(terms: Terms) -> tuple[tuple, tuple]:
-    """Names and coefficients of a term mapping or a sequence of pairs."""
-    if type(terms) is dict or isinstance(terms, Mapping):
-        return tuple(terms), tuple(terms.values())
-    return tuple(zip(*terms)) or ((), ())
 
 
 def _first(mask: np.ndarray) -> int:
@@ -245,18 +237,6 @@ class MilpModel:
         self._gathered = None
         return range(first, first + k)
 
-    def add_variable(
-        self,
-        name: str,
-        lower: float = -math.inf,
-        upper: float = math.inf,
-        kind: str = CONTINUOUS,
-    ) -> str:
-        if kind not in (CONTINUOUS, BINARY):
-            raise ValueError(f"unknown variable kind {kind!r}")
-        self.add_variables([name], lower, upper, kind == BINARY)
-        return name
-
     def add_rows(
         self,
         cols: Sequence[int] | np.ndarray,
@@ -340,30 +320,11 @@ class MilpModel:
 
     def _name_index(self) -> dict[str, int]:
         """Each variable's column by name; built on the first lookup, as
-        only a model addressed by name (tests, small models, a solution
-        text) needs it."""
+        only a model addressed by name (a solution text, the tests) needs
+        it."""
         if self._index is None:
             self._index = dict(zip(self._names, range(len(self._names))))
         return self._index
-
-    def _columns(self, names: tuple[str, ...], where: str) -> list[int]:
-        try:
-            return list(map(self._name_index().__getitem__, names))
-        except KeyError as exc:
-            raise ValueError(
-                f"{where}: reference to undeclared variable {exc.args[0]!r}"
-            ) from None
-
-    def add_constraint(self, terms: Terms, sense: str, rhs: float, tag: str) -> int:
-        """Append a row and return its index."""
-        self._require_unfrozen()
-        names, coefs = _unzip(terms)
-        cols = self._columns(names, tag)
-        return self.add_rows(cols, coefs, (0, len(cols)), (sense,), (rhs,), (tag,)).start
-
-    def set_objective(self, sense: str, terms: Terms) -> None:
-        names, coefs = _unzip(terms)
-        self.set_objective_columns(sense, self._columns(names, "objective"), coefs)
 
     def set_objective_columns(
         self, sense: str, cols: Sequence[int], coefs: Sequence[float]
@@ -427,7 +388,7 @@ class MilpModel:
             raise ModelFrozenError("freeze the model before reading its arrays")
         return self._gather()
 
-    # -- read-only views, for tests and small models -----------------------
+    # -- read-only views, for perfbench/run.py's model sizes and the tests --
 
     @property
     def variables(self) -> tuple[Variable, ...]:
@@ -437,33 +398,17 @@ class MilpModel:
             map(Variable, a.names, a.lower.tolist(), a.upper.tolist(), kinds, range(len(kinds)))
         )
 
-    def _rows(self, rows: Iterable[int]) -> list[LinearConstraint]:
+    @property
+    def constraints(self) -> tuple[LinearConstraint, ...]:
         a = self._gather()
         names, cols, coefs = a.names, a.cols.tolist(), a.coefs.tolist()
         start, senses, rhs = a.row_start.tolist(), a.senses.tolist(), a.rhs.tolist()
-        views = []
-        for r in rows:
-            s, e = start[r], start[r + 1]
-            terms = tuple(zip([names[j] for j in cols[s:e]], coefs[s:e]))
-            views.append(LinearConstraint(terms, SENSES[senses[r]], rhs[r], self._tags[r]))
-        return views
-
-    @property
-    def objective_terms(self) -> tuple[tuple[str, float], ...]:
-        return tuple((self._names[j], c) for j, c in zip(self._obj_cols, self._obj_coefs))
-
-    @property
-    def constraints(self) -> tuple[LinearConstraint, ...]:
-        return tuple(self._rows(range(len(self._tags))))
-
-    def variable(self, name: str) -> Variable:
-        i = self._name_index()[name]
-        a = self._gather()
-        kind = BINARY if a.binary[i] else CONTINUOUS
-        return Variable(name, float(a.lower[i]), float(a.upper[i]), kind, i)
-
-    def constraints_by_tag(self, prefix: str) -> list[LinearConstraint]:
-        return self._rows(r for r, t in enumerate(self._tags) if t.startswith(prefix))
+        return tuple(
+            LinearConstraint(
+                tuple(zip([names[j] for j in cols[s:e]], coefs[s:e])), SENSES[sense], b, tag
+            )
+            for s, e, sense, b, tag in zip(start, start[1:], senses, rhs, self._tags)
+        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,6 +15,8 @@ from sopwl.cli import RunConfig, _build, main
 from sopwl.distflow import MODES, BuildOptions, build_distflow, build_restoration_objective
 from sopwl.network import bundled_case_path, load_case
 
+from helpers import columns
+
 
 class TestExportLp:
     def test_golden_fixture(self, tmp_path, cases_dir, golden_dir):
@@ -313,8 +315,8 @@ class TestSolve:
     ):
         def unordered(model, solution):
             # half a segment, then a full one: the P filling is not ordered
-            d1, d2 = model.variable("P_1_2_d1").index, model.variable("P_1_2_d2").index
-            h = model.variable("P_1_2_d1").upper
+            d1, d2 = columns(model, "P_1_2_d1", "P_1_2_d2")
+            h = model.arrays.upper[d1]
             x = solution.x.copy()
             x[[d1, d2]] = h / 2, h
             return replace(solution, x=x)
@@ -536,6 +538,60 @@ class TestSopwlFallback:
         # HiGHS's zero bound of the negated objective is written unsigned
         assert meta["objective_value"] == 0.0
         assert '"mip_dual_bound": 0.0' in text
+
+
+class TestFailedSolve:
+    """A solve that raises, or that ends without a point, still writes
+    run.json: the keys of a solved run and the model's sizes, with null in
+    every field that needs a point."""
+
+    SIZES = ("vars", "rows", "nnz", "binaries")
+
+    @staticmethod
+    def _solve(tmp_path, cases_dir, name):
+        out = tmp_path / name
+        args = ["--case", str(cases_dir / "tinyq3.json"), "--segments", "2", "--mode", "sopwl"]
+        status = main(["solve", *args, "--out", str(out)])
+        return status, json.loads((out / "sopwl" / "run.json").read_text())
+
+    def test_solver_raises(self, tmp_path, cases_dir, monkeypatch, capsys):
+        _, solved = self._solve(tmp_path, cases_dir, "solved")
+
+        def relax(self, model):
+            raise RuntimeError("no HiGHS today")
+
+        monkeypatch.setattr(solvers.ScipyMilpAdapter, "relax", relax)
+        capsys.readouterr()
+        status, meta = self._solve(tmp_path, cases_dir, "failed")
+        assert status == 1
+        assert "[sopwl] solver failure: no HiGHS today" in capsys.readouterr().err
+        assert list(meta) == list(solved)
+        assert [meta[k] for k in self.SIZES] == [solved[k] for k in self.SIZES]
+        assert meta["status"] == "error"
+        assert [k for k, v in meta.items() if v is not None] == [
+            "case", "mode", "segments", "objective_variant", "status", *self.SIZES
+        ]
+
+    def test_solve_ends_without_a_point(self, tmp_path, cases_dir, monkeypatch, capsys):
+        _, solved = self._solve(tmp_path, cases_dir, "solved")
+        monkeypatch.setattr(
+            solvers.ScipyMilpAdapter,
+            "relax",
+            lambda self, model: solvers.Relaxation(model, None, None, "infeasible"),
+        )
+        infeasible = milp.Solution("infeasible", 0.0, mip_node_count=3, mip_gap=0.5)
+        monkeypatch.setattr(milp, "solve", lambda model, adapter: infeasible)
+        capsys.readouterr()
+        status, meta = self._solve(tmp_path, cases_dir, "failed")
+        assert status == 1
+        assert "[sopwl] solve ended with status infeasible" in capsys.readouterr().err
+        assert list(meta) == list(solved)
+        assert [meta[k] for k in self.SIZES] == [solved[k] for k in self.SIZES]
+        assert (meta["status"], meta["sopwl_path"]) == ("infeasible", "milp")
+        assert (meta["mip_node_count"], meta["mip_gap"], meta["mip_dual_bound"]) == (3, 0.5, None)
+        assert meta["solve_seconds"] >= 0.0
+        point = ("objective_value", "max_e_p_percent", "violations")
+        assert [meta[k] for k in point] == [None, None, None]
 
 
 class TestBadSettings:

@@ -16,6 +16,8 @@ from sopwl.network import bundled_case_path, load_case
 from sopwl.pwl import PwlGrid
 from sopwl.solvers import ScipyMilpAdapter
 
+from helpers import columns
+
 
 @pytest.fixture(scope="module")
 def ieee33():
@@ -34,7 +36,8 @@ def _first_branch(case, segments):
     m = MilpModel()
     art = build_distflow(m, case, BuildOptions(num_segments=segments))
     key = case.branches[0].key.replace("-", "_")
-    p, q, d1 = (m.variable(name) for name in (f"P_{key}", f"Q_{key}", f"P_{key}_d1"))
+    variables = m.variables
+    p, q, d1 = (variables[j] for j in columns(m, f"P_{key}", f"Q_{key}", f"P_{key}_d1"))
     return p, q, d1, art.seg_width[0, 0]
 
 
@@ -81,8 +84,9 @@ class TestEmitBlock:
         # one ordering binary per segment boundary, each in one eq20 and one
         # eq21 row
         assert sum(1 for v in m.variables if v.kind == "binary") == 2 + 49
-        assert len(m.constraints_by_tag("eq20")) == 49
-        assert len(m.constraints_by_tag("eq21")) == 49
+        tags = [c.tag for c in m.constraints]
+        assert sum(tag.startswith("eq20") for tag in tags) == 49
+        assert sum(tag.startswith("eq21") for tag in tags) == 49
         assert [m.variables[j].kind for j in block.x[0]] == ["binary"] * 49
 
     def test_single_segment(self):
@@ -94,8 +98,7 @@ class TestEmitBlock:
         assert m.variables[delta].upper == pytest.approx(1.0)
         # no segment boundary: no ordering binary and no ordering row
         assert block.x.shape == (1, 0)
-        assert len(m.constraints_by_tag("eq20")) == 0
-        assert len(m.constraints_by_tag("eq21")) == 0
+        assert not any(c.tag.startswith(("eq20", "eq21")) for c in m.constraints)
 
     def test_frozen_model_rejected(self):
         grid = PwlGrid(1.0, 5)
@@ -145,8 +148,9 @@ class TestBuildDistflow:
         opts = BuildOptions(num_segments=5, mode="pwl")
         m = MilpModel()
         art = build_distflow(m, twobus, opts)
-        (bal,) = m.constraints_by_tag("balanceP_2")
-        terms = {m.variable(name).index: c for name, c in bal.terms}
+        (bal,) = [c for c in m.constraints if c.tag == "balanceP_2"]
+        names, coefs = zip(*bal.terms)
+        terms = dict(zip(columns(m, *names), coefs))
         assert terms == {
             art.blocks["P"].y[0, 0]: 1.0,
             art.isqr[0]: pytest.approx(-0.01),
@@ -233,14 +237,15 @@ def test_sopwl_columns_are_pwl_columns_plus_ordering_binaries(cases_dir, name, s
         # bit for bit (branching6's branches have three different widths)
         h = art.seg_width[:, 0].tolist()
         for kind in ("P", "Q"):
-            assert [m.variable(f"{kind}_{key}_d1").upper for key in keys] == h
+            d1 = columns(m, *(f"{kind}_{key}_d1" for key in keys))
+            assert arrays[mode].upper[d1].tolist() == h
         margins = {
             f"eq20_{key}_{kind}_l{lam}": -EPSILON_PLUS_WIDTHS * width
             for key, width in zip(keys, h)
             for kind in ("P", "Q")
             for lam in range(1, segments)
         }
-        eq20 = {row.tag: row.rhs for row in m.constraints_by_tag("eq20")}
+        eq20 = {row.tag: row.rhs for row in m.constraints if row.tag.startswith("eq20")}
         assert eq20 == (margins if mode == "sopwl" else {})
     pwl, sopwl = arrays["pwl"], arrays["sopwl"]
     assert len(ordering["pwl"]) == 0
@@ -270,7 +275,8 @@ class TestLossPenaltyObjective:
         m = MilpModel()
         art = build_distflow(m, twobus, opts)
         build_restoration_objective(m, art)
-        terms = {m.variable(name).index: c for name, c in m.objective_terms}
+        a = m.freeze().arrays
+        terms = dict(zip(a.obj_cols.tolist(), a.obj_coefs.tolist()))
         # each branch's loss r * Isqr at weight 1
         assert terms[art.isqr[0]] == -twobus.branches[0].r_pu == pytest.approx(-0.01)
         assert m.objective_sense == "max"

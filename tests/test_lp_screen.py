@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from sopwl import milp, solvers
 from sopwl.cli import RunConfig, _build, _signed, _solve_pwl, _solve_sopwl, main
-from sopwl.milp import BINARY, MilpModel
+from sopwl.milp import MilpModel
 from sopwl.network import load_case
 from sopwl.solvers import ScipyMilpAdapter
 from sopwl.validation import branch_errors
@@ -27,10 +27,10 @@ class TestRelaxedTwoStage:
         # stage 1 takes the fractional optimum 1.5; stage 2 keeps it and puts
         # as little as it can on y, so x, a binary, stays at 1
         m = MilpModel(name="relax")
-        m.add_variable("x", 0, 1, kind=BINARY)
-        m.add_variable("y", 0.0, 1.0)
-        m.add_constraint({"x": 1.0, "y": 1.0}, "<=", 1.5, tag="cap")
-        m.set_objective("max", {"x": 1.0, "y": 1.0})
+        m.add_variables(["x"], 0, 1, binary=True)
+        m.add_variables(["y"], 0.0, 1.0)
+        m.add_rows([0, 1], [1.0, 1.0], [0, 2], ["<="], [1.5], ["cap"])
+        m.set_objective_columns("max", [0, 1], [1.0, 1.0])
         m.freeze()
         relaxation = ScipyMilpAdapter().relax(m)
         first = relaxation.solution
@@ -54,10 +54,9 @@ class TestRelaxedTwoStage:
 
     def test_min_sense_gap(self):
         m = MilpModel(name="relax_min")
-        m.add_variable("x", 0.0, 4.0)
-        m.add_variable("y", 0.0, 4.0)
-        m.add_constraint({"x": 1.0, "y": 1.0}, ">=", 2.0, tag="need")
-        m.set_objective("min", {"x": 1.0, "y": 1.0})
+        m.add_variables(["x", "y"], 0.0, 4.0)
+        m.add_rows([0, 1], [1.0, 1.0], [0, 2], [">="], [2.0], ["need"])
+        m.set_objective_columns("min", [0, 1], [1.0, 1.0])
         m.freeze()
         sol = ScipyMilpAdapter().relax(m).refine([0])
         assert sol.mip_dual_bound == pytest.approx(2.0)
@@ -69,8 +68,8 @@ class TestRelaxedTwoStage:
         # a maximising model's bound is HiGHS's negated optimum; a zero one
         # is written 0.0, never -0.0
         m = MilpModel(name="relax_zero")
-        m.add_variable("x", 0.0, 0.0)
-        m.set_objective("max", {"x": 1.0})
+        m.add_variables(["x"], 0.0, 0.0)
+        m.set_objective_columns("max", [0], [1.0])
         m.freeze()
         relaxation = ScipyMilpAdapter().relax(m)
         for sol in (relaxation.solution, relaxation.refine([0])):
@@ -78,9 +77,9 @@ class TestRelaxedTwoStage:
 
     def test_infeasible_first_stage(self):
         m = MilpModel(name="relax_infeasible")
-        m.add_variable("x", 0.0, 1.0)
-        m.add_constraint({"x": 1.0}, ">=", 2.0, tag="impossible")
-        m.set_objective("max", {"x": 1.0})
+        m.add_variables(["x"], 0.0, 1.0)
+        m.add_rows([0], [1.0], [0, 1], [">="], [2.0], ["impossible"])
+        m.set_objective_columns("max", [0], [1.0])
         m.freeze()
         relaxation = ScipyMilpAdapter().relax(m)
         for sol in (relaxation.solution, relaxation.refine([0])):
@@ -139,14 +138,14 @@ class TestLpSession:
         timed_out = ScipyMilpAdapter(time_limit=1e-9).relax(model)
         assert timed_out.solution.status == timed_out.refine(pwl.isqr).status == "error"
         huge = MilpModel(name="huge")
-        huge.add_variable("x", 0.0, 1.0)
-        huge.add_constraint({"x": 1e16}, "<=", 1.0, tag="row")
-        huge.set_objective("max", {"x": 1.0})
+        huge.add_variables(["x"], 0.0, 1.0)
+        huge.add_rows([0], [1e16], [0, 1], ["<="], [1.0], ["row"])
+        huge.set_objective_columns("max", [0], [1.0])
         huge.freeze()
         assert ScipyMilpAdapter().relax(huge).solution.status == "infeasible"
         unbounded = MilpModel(name="unbounded")
-        unbounded.add_variable("x", 0.0, math.inf)
-        unbounded.set_objective("max", {"x": 1.0})
+        unbounded.add_variables(["x"], 0.0, math.inf)
+        unbounded.set_objective_columns("max", [0], [1.0])
         unbounded.freeze()
         assert ScipyMilpAdapter().relax(unbounded).solution.status == "unbounded"
 
@@ -154,9 +153,9 @@ class TestLpSession:
         # HiGHS ends this MILP kUnboundedOrInfeasible, with no feasible point
         # found, while its relaxation is kUnbounded
         m = MilpModel(name="unbounded_mip")
-        m.add_variable("b", 0, 1, kind=BINARY)
-        m.add_variable("y", 0.0, math.inf)
-        m.set_objective("max", {"y": 1.0})
+        m.add_variables(["b"], 0, 1, binary=True)
+        m.add_variables(["y"], 0.0, math.inf)
+        m.set_objective_columns("max", [1], [1.0])
         m.freeze()
         assert ScipyMilpAdapter().run(m).status == "error"
         assert ScipyMilpAdapter().relax(m).solution.status == "unbounded"

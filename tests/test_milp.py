@@ -1,4 +1,3 @@
-import collections
 import hashlib
 import math
 import os
@@ -6,7 +5,6 @@ import re
 import subprocess
 import sys
 import tempfile
-import types
 import warnings
 from pathlib import Path
 
@@ -40,12 +38,14 @@ from sopwl.cli import RunConfig, _build
 from sopwl.network import bundled_case_path, load_case
 from sopwl.solvers import ScipyMilpAdapter
 
+from helpers import columns
+
 
 def simple_model():
     m = MilpModel(name="simple")
-    m.add_variable("x", lower=0.0, upper=1.0, kind=BINARY)
-    m.add_constraint({"x": 1.0}, "<=", 1.0, tag="cap")
-    m.set_objective("max", {"x": 1.0})
+    m.add_variables(["x"], 0.0, 1.0, binary=True)
+    m.add_rows([0], [1.0], [0, 1], ["<="], [1.0], ["cap"])
+    m.set_objective_columns("max", [0], [1.0])
     return m
 
 
@@ -53,8 +53,7 @@ class TestBuild:
     def test_basic(self):
         m = simple_model()
         assert len(m.variables) == 1
-        assert len(m.constraints) == 1
-        assert m.constraints_by_tag("cap")
+        assert [c.tag for c in m.constraints] == ["cap"]
 
     def test_empty_model_valid(self):
         m = MilpModel()
@@ -63,74 +62,54 @@ class TestBuild:
 
     def test_duplicate_name(self):
         m = MilpModel()
-        m.add_variable("x")
+        m.add_variables(["x"])
         with pytest.raises(ValueError, match="duplicate"):
-            m.add_variable("x")
+            m.add_variables(["x"])
 
     def test_dangling_reference(self):
         m = MilpModel()
         with pytest.raises(ValueError, match="undeclared"):
-            m.add_constraint({"ghost": 1.0}, "<=", 1.0, tag="t")
+            m.add_rows([0], [1.0], [0, 1], ["<="], [1.0], ["t"])
 
     def test_invalid_bounds(self):
         m = MilpModel()
         with pytest.raises(ValueError):
-            m.add_variable("x", lower=2.0, upper=1.0)
+            m.add_variables(["x"], lower=2.0, upper=1.0)
         with pytest.raises(ValueError):
-            m.add_variable("z", lower=0.0, upper=2.0, kind=BINARY)
-
-    @pytest.mark.parametrize(
-        "wrap",
-        [collections.OrderedDict, types.MappingProxyType, collections.Counter],
-        ids=["OrderedDict", "MappingProxyType", "Counter"],
-    )
-    def test_non_dict_mapping_terms(self, wrap):
-        m = MilpModel()
-        m.add_variable("xa")
-        m.add_variable("yb")
-        m.add_constraint(wrap({"xa": 1.0, "yb": -2.0}), "<=", 1.0, tag="t")
-        m.set_objective("min", wrap({"yb": 3.0}))
-        assert m.constraints[0].terms == (("xa", 1.0), ("yb", -2.0))
-        assert m.objective_terms == (("yb", 3.0),)
+            m.add_variables(["z"], lower=0.0, upper=2.0, binary=True)
 
     def test_duplicate_term(self):
         m = MilpModel()
-        m.add_variable("x")
+        m.add_variables(["x"])
         with pytest.raises(ValueError, match="duplicate"):
-            m.add_constraint([("x", 1.0), ("x", 2.0)], "<=", 1.0, tag="t")
+            m.add_rows([0, 0], [1.0, 2.0], [0, 2], ["<="], [1.0], ["t"])
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_coefficient(self, bad):
         m = MilpModel()
-        m.add_variable("x")
+        m.add_variables(["x"])
         with pytest.raises(ValueError, match="t: non-finite coefficient on x"):
-            m.add_constraint({"x": bad}, "<=", 1.0, tag="t")
+            m.add_rows([0], [bad], [0, 1], ["<="], [1.0], ["t"])
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_rhs(self, bad):
         m = MilpModel()
-        m.add_variable("x")
+        m.add_variables(["x"])
         with pytest.raises(ValueError, match="t: non-finite right-hand side"):
-            m.add_constraint({"x": 1.0}, "<=", bad, tag="t")
+            m.add_rows([0], [1.0], [0, 1], ["<="], [bad], ["t"])
 
     def test_unknown_sense(self):
         m = MilpModel()
-        m.add_variable("x")
+        m.add_variables(["x"])
         with pytest.raises(ValueError, match="unknown sense '<'"):
-            m.add_constraint({"x": 1.0}, "<", 1.0, tag="t")
-
-    def test_undeclared_objective_variable(self):
-        m = MilpModel()
-        m.add_variable("x")
-        with pytest.raises(ValueError, match="objective: reference to undeclared variable 'ghost'"):
-            m.set_objective("max", [("x", 1.0), ("ghost", 1.0)])
+            m.add_rows([0], [1.0], [0, 1], ["<"], [1.0], ["t"])
 
     def test_rejected_row_leaves_no_trace(self):
         m = MilpModel()
-        m.add_variable("x")
+        m.add_variables(["x"])
         with pytest.raises(ValueError, match="undeclared"):
-            m.add_constraint([("x", 1.0), ("ghost", 1.0)], "<=", 1.0, tag="t")
-        m.add_constraint({"x": 2.0}, ">=", 0.0, tag="ok")
+            m.add_rows([0, 1], [1.0, 1.0], [0, 2], ["<="], [1.0], ["t"])
+        m.add_rows([0], [2.0], [0, 1], [">="], [0.0], ["ok"])
         m.freeze()
         assert m.constraints == (LinearConstraint((("x", 2.0),), ">=", 0.0, "ok"),)
         assert m.arrays.sizes() == {"vars": 1, "rows": 1, "nnz": 1, "binaries": 0}
@@ -138,10 +117,11 @@ class TestBuild:
     def test_lookup_by_name_after_a_later_declaration(self):
         m = MilpModel()
         m.add_variables(["a", "b"], 0.0, 1.0)
-        assert m.variable("b").index == 1  # the first lookup by name
+        assert columns(m, "b") == [1]  # the first lookup by name
         m.add_variables(["c"], 0.0, 2.0)
-        assert m.variable("c") == Variable("c", 0.0, 2.0, CONTINUOUS, 2)
-        m.add_constraint({"c": 1.0, "a": 1.0}, "<=", 1.0, tag="r")
+        assert columns(m, "c") == [2]
+        assert m.variables[2] == Variable("c", 0.0, 2.0, CONTINUOUS, 2)
+        m.add_rows(columns(m, "c", "a"), [1.0, 1.0], [0, 2], ["<="], [1.0], ["r"])
         assert m.constraints[0].terms == (("c", 1.0), ("a", 1.0))
         m.add_variables(["d"], 0.0, 5.0)
         m.freeze()
@@ -151,23 +131,45 @@ class TestBuild:
     def test_duplicate_after_lookup_by_name(self):
         m = MilpModel()
         m.add_variables(["a", "b"])
-        m.variable("a")  # the first lookup by name
+        columns(m, "a")  # the first lookup by name
         with pytest.raises(ValueError, match="duplicate variable name 'a'"):
             m.add_variables(["e", "a"])
         with pytest.raises(ValueError, match="duplicate variable name 'e'"):
             m.add_variables(["e", "e"])
         with pytest.raises(KeyError):
-            m.variable("e")  # the rejected calls declared nothing
+            columns(m, "e")  # the rejected calls declared nothing
         m.add_variables(["e"])
-        assert m.variable("e").index == 2
+        assert columns(m, "e") == [2]
 
     def test_frozen_is_immutable(self):
         m = simple_model()
         m.freeze()
         with pytest.raises(ModelFrozenError):
-            m.add_variable("y")
+            m.add_variables(["y"])
         with pytest.raises(ModelFrozenError):
-            m.add_constraint({"x": 1.0}, "<=", 2.0, tag="t")
+            m.add_rows([0], [1.0], [0, 1], ["<="], [2.0], ["t"])
+
+
+class TestViews:
+    @pytest.mark.parametrize("mode", ["pwl", "sopwl"])
+    def test_views_count_the_model_sizes(self, mode):
+        # perfbench/run.py:model_sizes counts the benchmark's model sizes
+        # from these views, in these four ways
+        case = load_case(bundled_case_path("ieee33_4dg"))
+        m = MilpModel(name=f"{case.name}_{mode}")
+        art = build_distflow(m, case, BuildOptions(num_segments=3, mode=mode))
+        build_restoration_objective(m, art)
+        sizes = m.freeze().arrays.sizes()
+        assert sizes == {
+            "vars": len(m.variables),
+            "rows": len(m.constraints),
+            "nnz": sum(len(c.terms) for c in m.constraints),
+            "binaries": sum(1 for v in m.variables if v.kind == BINARY),
+        }
+        # a sign pair per P and Q block, and in sopwl an ordering binary per
+        # segment boundary
+        per_block = 2 if mode == "pwl" else 2 + (3 - 1)
+        assert sizes["binaries"] == 2 * len(case.branches) * per_block
 
 
 def _three_variables():
@@ -188,13 +190,14 @@ class TestBulk:
             [0, 1, 2, 1], [1.0, -2.0, 1.0, 3.0], [0, 2, 2, 4], ["<=", "=", ">="], [1.0, 0.0, -1.0],
             ["r0", "r1", "r2"],
         )
+        # the same variables and rows, one per call
         one = MilpModel(name="bulk")
-        one.add_variable("a", 0.0, 1.0)
-        one.add_variable("b", -1.0, 1.0)
-        one.add_variable("c", 0.0, 1.0, kind=BINARY)
-        one.add_constraint([("a", 1.0), ("b", -2.0)], "<=", 1.0, tag="r0")
-        one.add_constraint([], "=", 0.0, tag="r1")
-        one.add_constraint([("c", 1.0), ("b", 3.0)], ">=", -1.0, tag="r2")
+        one.add_variables(["a"], 0.0, 1.0)
+        one.add_variables(["b"], -1.0, 1.0)
+        one.add_variables(["c"], 0.0, 1.0, binary=True)
+        one.add_rows([0, 1], [1.0, -2.0], [0, 2], ["<="], [1.0], ["r0"])
+        one.add_rows([], [], [0, 0], ["="], [0.0], ["r1"])
+        one.add_rows([2, 1], [1.0, 3.0], [0, 2], [">="], [-1.0], ["r2"])
         assert bulk.variables == one.variables
         assert bulk.constraints == one.constraints
         text = write_lp(bulk.freeze())
@@ -277,9 +280,8 @@ class TestWriteLp:
 
     def test_binary_pair_row(self):
         m = MilpModel(name="pair")
-        m.add_variable("z_plus", lower=0, upper=1, kind=BINARY)
-        m.add_variable("z_minus", lower=0, upper=1, kind=BINARY)
-        m.add_constraint([("z_plus", 1.0), ("z_minus", 1.0)], "<=", 1.0, tag="signpair")
+        m.add_variables(["z_plus", "z_minus"], lower=0, upper=1, binary=True)
+        m.add_rows([0, 1], [1.0, 1.0], [0, 2], ["<="], [1.0], ["signpair"])
         m.freeze()
         text = write_lp(m)
         assert " signpair: 1 z_plus + 1 z_minus <= 1" in text
@@ -287,10 +289,9 @@ class TestWriteLp:
 
     def test_all_senses(self):
         m = MilpModel()
-        m.add_variable("x", lower=0, upper=5)
-        m.add_constraint({"x": 1.0}, "<=", 4.0, tag="le")
-        m.add_constraint({"x": 1.0}, ">=", 1.0, tag="ge")
-        m.add_constraint({"x": 1.0}, "=", 2.0, tag="eq")
+        m.add_variables(["x"], lower=0, upper=5)
+        senses, rhs, tags = ["<=", ">=", "="], [4.0, 1.0, 2.0], ["le", "ge", "eq"]
+        m.add_rows([0, 0, 0], [1.0, 1.0, 1.0], [0, 1, 2, 3], senses, rhs, tags)
         m.freeze()
         text = write_lp(m)
         assert "<= 4" in text and ">= 1" in text and "= 2" in text
@@ -332,7 +333,7 @@ class TestWriteLp:
     def test_repeat_rejected_across_pieces(self):
         n = LP_CHUNK_ROWS + 2
         m = MilpModel()
-        m.add_variable("x")
+        m.add_variables(["x"])
         tags = [f"u{i}" for i in range(n)]
         m.add_rows(np.zeros(n), np.ones(n), np.arange(n + 1), ["<="] * n, np.ones(n), tags)
         m.freeze()
@@ -345,7 +346,7 @@ class TestWriteLp:
         assert rows[-1] == f" u{n - 1}: 1 x <= 1"
         # the first and the last row share a tag but fall in different pieces
         m = MilpModel()
-        m.add_variable("x")
+        m.add_variables(["x"])
         tags[-1] = "u0"
         m.add_rows(np.zeros(n), np.ones(n), np.arange(n + 1), ["<="] * n, np.ones(n), tags)
         m.freeze()
@@ -356,14 +357,14 @@ class TestWriteLp:
         # a name with a trailing newline would split its LP lines in two
         for name in ("bad name", "x\n"):
             m = MilpModel()
-            m.add_variable(name)
+            m.add_variables([name])
             m.freeze()
             with pytest.raises(ValueError, match="not LP-format-safe"):
                 write_lp(m)
         # the model name is the text's first line, a comment
         for name in ("m\nMinimize", "m\r"):
             m = MilpModel(name=name)
-            m.add_variable("x")
+            m.add_variables(["x"])
             m.freeze()
             with pytest.raises(ValueError, match="holds a line break"):
                 write_lp(m)
@@ -383,7 +384,7 @@ class TestWriteLp:
     def test_unsafe_variable_name_named(self, names, bad):
         m = MilpModel()
         m.add_variables(names)
-        m.add_constraint({names[0]: 1.0}, "<=", 1.0, tag="ok")
+        m.add_rows([0], [1.0], [0, 1], ["<="], [1.0], ["ok"])
         m.freeze()
         with pytest.raises(ValueError, match=f"^name {re.escape(repr(bad))} is not LP"):
             lp_chunks(m)
@@ -392,14 +393,14 @@ class TestWriteLp:
         # the first bad name is looked for among variable names, then tags
         m = MilpModel()
         m.add_variables(["x", "y z"])
-        m.add_constraint({"x": 1.0}, "<=", 1.0, tag="1bad")
+        m.add_rows([0], [1.0], [0, 1], ["<="], [1.0], ["1bad"])
         m.freeze()
         with pytest.raises(ValueError, match="^name 'y z' is not LP"):
             lp_chunks(m)
 
     def test_pieces_checked_before_the_first(self):
         m = MilpModel()
-        m.add_variable("bad name")
+        m.add_variables(["bad name"])
         m.freeze()
         with pytest.raises(ValueError, match="not LP-format-safe"):
             lp_chunks(m)  # raises without a piece being asked for
@@ -408,9 +409,8 @@ class TestWriteLp:
         # a row tag is the row's LP name, held to the rule of variable names
         for tag in ["1a", ".b", "a:b", "a-b", "", "\u00e9:x", "a\nb"]:
             m = MilpModel()
-            m.add_variable("x")
-            m.add_constraint({"x": 1.0}, "<=", 1.0, tag="ok")
-            m.add_constraint({"x": 1.0}, "<=", 1.0, tag=tag)
+            m.add_variables(["x"])
+            m.add_rows([0, 0], [1.0, 1.0], [0, 1, 2], ["<=", "<="], [1.0, 1.0], ["ok", tag])
             m.freeze()
             with pytest.raises(ValueError, match=f"^name {re.escape(repr(tag))} is not LP"):
                 lp_chunks(m)
@@ -563,8 +563,7 @@ class TestParseSolution:
         # a variable whose name starts with "obj" is a variable, not the
         # objective
         m = MilpModel()
-        m.add_variable("objx", lower=0.0, upper=5.0)
-        m.add_variable("y", lower=0.0, upper=5.0)
+        m.add_variables(["objx", "y"], lower=0.0, upper=5.0)
         m.freeze()
         sol = parse_solution("optimal\nobjx 3\ny 1\n", m)
         assert sol.objective_value == 0.0
@@ -659,8 +658,7 @@ class TestSolutionText:
     def test_round_trip(self, drawn, data):
         names, solution = drawn
         m = MilpModel()
-        for name in names:
-            m.add_variable(name)
+        m.add_variables(names)
         m.freeze()
         # the value lines in any order, one of them also given earlier with
         # another value: the last line of a name wins
@@ -692,8 +690,8 @@ class TestCheckSolution:
 
     def test_violation_reported_by_tag(self):
         m = MilpModel()
-        m.add_variable("x", lower=0, upper=10)
-        m.add_constraint({"x": 1.0}, "<=", 1.0, tag="cap:branch")
+        m.add_variables(["x"], lower=0, upper=10)
+        m.add_rows([0], [1.0], [0, 1], ["<="], [1.0], ["cap:branch"])
         m.freeze()
         sol = Solution(status="feasible", objective_value=0.0, x=np.array([3.0]))
         violations = check_solution(m, sol)
@@ -702,9 +700,8 @@ class TestCheckSolution:
     def test_nan_reported_against_its_rows(self):
         m = MilpModel()
         m.add_variables(["x", "y"], 0.0, 5.0)
-        m.add_constraint({"x": 1.0, "y": 1.0}, "<=", 1.0, tag="sum")
-        m.add_constraint({"y": 1.0}, "<=", 5.0, tag="y_only")
-        m.add_constraint({"x": 1.0}, ">=", 0.0, tag="x_only")
+        senses, tags = ["<=", "<=", ">="], ["sum", "y_only", "x_only"]
+        m.add_rows([0, 1, 1, 0], [1.0] * 4, [0, 2, 3, 4], senses, [1.0, 5.0, 0.0], tags)
         m.freeze()
         sol = Solution(status="feasible", objective_value=0.0, x=np.array([math.nan, 4.0]))
         violations = check_solution(m, sol)
@@ -719,11 +716,14 @@ class TestCheckSolution:
         # miss their bounds by 1.5 and 0.09999999999999998
         m = MilpModel()
         m.add_variables(["a", "b", "c", "e"], -math.inf, math.inf)
-        m.add_constraint({"a": 1e16, "b": 1.0, "c": -1e16}, "<=", -0.5, tag="cancel")
-        m.add_constraint({"b": 0.1, "c": 0.2, "a": 0.3}, "<=", 0.5, tag="tenths")
-        m.add_constraint([], "=", 0.0, tag="empty")
-        m.add_constraint({"c": 1.0, "e": 2.0}, ">=", -1.0, tag="nan")
-        m.add_constraint({"e": 3.0}, "<=", 1.0, tag="nan_only")
+        m.add_rows(
+            columns(m, "a", "b", "c", "b", "c", "a", "c", "e", "e"),
+            [1e16, 1.0, -1e16, 0.1, 0.2, 0.3, 1.0, 2.0, 3.0],
+            [0, 3, 6, 6, 8, 9],
+            ["<=", "<=", "=", ">=", "<="],
+            [-0.5, 0.5, 0.0, -1.0, 1.0],
+            ["cancel", "tenths", "empty", "nan", "nan_only"],
+        )
         a = m.freeze().arrays
         assert " empty: 0 __dummy__ = 0\n" in write_lp(m)
         x = np.array([1.0, 1.0, 1.0, math.nan])
@@ -762,10 +762,16 @@ class TestCheckSolutionProperty:
     def test_matches_row_by_row_substitution(self, drawn):
         names, rows, values = drawn
         m = MilpModel()
-        for name in names:
-            m.add_variable(name)
-        for terms, sense, rhs, tag in rows:
-            m.add_constraint(terms, sense, rhs, tag=tag)
+        m.add_variables(names)
+        terms = [term for row in rows for term in row[0]]
+        m.add_rows(
+            columns(m, *(name for name, _ in terms)),
+            [c for _, c in terms],
+            np.cumsum([0] + [len(row[0]) for row in rows]),
+            [sense for _, sense, _, _ in rows],
+            [rhs for _, _, rhs, _ in rows],
+            [tag for _, _, _, tag in rows],
+        )
         m.freeze()
 
         expected = []
@@ -786,8 +792,8 @@ class TestCheckSolutionProperty:
 class TestSolve:
     def test_single_var(self):
         m = MilpModel(name="one")
-        m.add_variable("x", lower=0.0, upper=1.0)
-        m.set_objective("max", {"x": 1.0})
+        m.add_variables(["x"], lower=0.0, upper=1.0)
+        m.set_objective_columns("max", [0], [1.0])
         m.freeze()
         sol = solve(m, ScipyMilpAdapter())
         assert sol.status == "optimal"
@@ -796,20 +802,18 @@ class TestSolve:
 
     def test_binary_packing(self):
         m = MilpModel(name="pack")
-        m.add_variable("x", 0, 1, kind=BINARY)
-        m.add_variable("y", 0, 1, kind=BINARY)
-        m.add_constraint({"x": 1.0, "y": 1.0}, "<=", 1.0, tag="one")
-        m.set_objective("max", {"x": 1.0, "y": 1.0})
+        m.add_variables(["x", "y"], 0, 1, binary=True)
+        m.add_rows([0, 1], [1.0, 1.0], [0, 2], ["<="], [1.0], ["one"])
+        m.set_objective_columns("max", [0, 1], [1.0, 1.0])
         m.freeze()
         sol = solve(m, ScipyMilpAdapter())
         assert sol.objective_value == pytest.approx(1.0)
 
     def test_infeasible(self):
         m = MilpModel(name="bad")
-        m.add_variable("x", lower=0, upper=10)
-        m.add_constraint({"x": 1.0}, ">=", 2.0, tag="lo")
-        m.add_constraint({"x": 1.0}, "<=", 1.0, tag="hi")
-        m.set_objective("min", {"x": 1.0})
+        m.add_variables(["x"], lower=0, upper=10)
+        m.add_rows([0, 0], [1.0, 1.0], [0, 1, 2], [">=", "<="], [2.0, 1.0], ["lo", "hi"])
+        m.set_objective_columns("min", [0], [1.0])
         m.freeze()
         sol = solve(m, ScipyMilpAdapter())
         assert sol.status == "infeasible"
@@ -856,11 +860,10 @@ class TestScipyAdapter:
         # min(max(x, lo), hi) keeps -0.0 at a zero bound, and round() of a
         # binary gives an int, so a binary never reads -0.0
         m = MilpModel(name="snap")
-        m.add_variable("b", 0, 1, kind=BINARY)
-        m.add_variable("c", 0, 1, kind=BINARY)
-        m.add_variable("y", lower=0.0, upper=2.0)
-        m.add_variable("z", lower=-1.0, upper=1.0)
-        m.set_objective("max", {"y": 1.0, "z": 0.5})
+        m.add_variables(["b", "c"], 0, 1, binary=True)
+        m.add_variables(["y"], lower=0.0, upper=2.0)
+        m.add_variables(["z"], lower=-1.0, upper=1.0)
+        m.set_objective_columns("max", [2, 3], [1.0, 0.5])
         m.freeze()
         self._fake_milp(monkeypatch, np.array([-0.0, 0.5000001, -0.0, 2.5]))
         sol = ScipyMilpAdapter().run(m)
@@ -878,12 +881,12 @@ class TestScipyAdapter:
         # point is re-solved as an LP with b fixed at its value, not as a
         # second MILP
         m = MilpModel(name="dust")
-        m.add_variable("b", 0, 1, kind=BINARY)
-        m.add_variable("y", lower=0.0, upper=1.0)
-        m.add_variable("z", lower=-1.0, upper=10.0)
-        m.add_constraint({"z": 1.0, "y": -4.0}, "=", 0.0, tag="link")
-        m.add_constraint({"y": 1.0, "b": -1.0}, "<=", 0.0, tag="gate")
-        m.set_objective("min", {"z": 1.0, "b": 1.0})
+        m.add_variables(["b"], 0, 1, binary=True)
+        m.add_variables(["y"], lower=0.0, upper=1.0)
+        m.add_variables(["z"], lower=-1.0, upper=10.0)
+        rows = columns(m, "z", "y", "y", "b"), [1.0, -4.0, 1.0, -1.0], [0, 2, 4]
+        m.add_rows(*rows, ["=", "<="], [0.0, 0.0], ["link", "gate"])
+        m.set_objective_columns("min", columns(m, "z", "b"), [1.0, 1.0])
         m.freeze()
         assert check_solution(m, Solution("optimal", 0.0, np.array([1.0, 0.0, -2e-6])))
         runs = self._fake_milp(monkeypatch, np.array([1.0, -5e-7, -2e-6]))
@@ -899,10 +902,9 @@ class TestScipyAdapter:
     @staticmethod
     def _packing():
         m = MilpModel(name="pack")
-        m.add_variable("x", 0, 1, kind=BINARY)
-        m.add_variable("y", 0, 1, kind=BINARY)
-        m.add_constraint({"x": 1.0, "y": 1.0}, "<=", 1.0, tag="one")
-        m.set_objective("max", {"x": 1.0, "y": 1.0})
+        m.add_variables(["x", "y"], 0, 1, binary=True)
+        m.add_rows([0, 1], [1.0, 1.0], [0, 2], ["<="], [1.0], ["one"])
+        m.set_objective_columns("max", [0, 1], [1.0, 1.0])
         return m.freeze()
 
     def test_zi_round_is_on_and_silent(self, monkeypatch):
@@ -1040,10 +1042,10 @@ print(repr(solution.objective_value))
         assert sol.objective_value == 1.0
         assert sol.mip_dual_bound == pytest.approx(1.0)
         none = MilpModel(name="no_incumbent")
-        none.add_variable("b", 0, 1, kind=BINARY)
-        none.add_variable("y", 0.0, 1.0)
-        none.add_constraint({"b": 1.0, "y": 1.0}, ">=", 3.0, tag="need")
-        none.set_objective("max", {"b": 1.0})
+        none.add_variables(["b"], 0, 1, binary=True)
+        none.add_variables(["y"], 0.0, 1.0)
+        none.add_rows([0, 1], [1.0, 1.0], [0, 2], [">="], [3.0], ["need"])
+        none.set_objective_columns("max", [0], [1.0])
         sol = ScipyMilpAdapter().run(none.freeze())
         assert sol.status == "error"
         assert len(sol.x) == 0
@@ -1051,8 +1053,8 @@ print(repr(solution.objective_value))
 
     def test_lp_has_no_mip_statistics(self):
         m = MilpModel(name="lp")
-        m.add_variable("x", lower=0.0, upper=1.0)
-        m.set_objective("max", {"x": 1.0})
+        m.add_variables(["x"], lower=0.0, upper=1.0)
+        m.set_objective_columns("max", [0], [1.0])
         sol = ScipyMilpAdapter().run(m.freeze())
         assert sol.status == "optimal"
         assert (sol.mip_node_count, sol.mip_gap, sol.mip_dual_bound) == (None, None, None)
