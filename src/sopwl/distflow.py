@@ -208,25 +208,33 @@ class _Batch:
         self._rhs.append(np.broadcast_to(rhs, (self.count, k)))
         self._tags.append(self._per_item(templates, args))
 
+    @staticmethod
+    def _joined(parts: list[np.ndarray]) -> np.ndarray:
+        """The parts side by side, raveled in declaration order. The list is
+        emptied, so that no part outlives its copy in the join."""
+        joined = np.hstack(parts).ravel()
+        parts.clear()
+        return joined
+
     def emit(self, model: MilpModel) -> None:
         if self._width != self.stride:
             raise ValueError(f"items declared {self._width} variables, not {self.stride}")
         model.add_variables(
-            np.hstack(self._names).ravel().tolist(),
-            np.hstack(self._lower).ravel(),
-            np.hstack(self._upper).ravel(),
+            self._joined(self._names).tolist(),
+            self._joined(self._lower),
+            self._joined(self._upper),
             np.tile(np.concatenate(self._binary), self.count),
         )
         lengths = np.tile(np.asarray(self._lengths, dtype=np.intp), self.count)
         row_start = np.zeros(len(lengths) + 1, dtype=np.intp)
         np.cumsum(lengths, out=row_start[1:])
         model.add_rows(
-            np.hstack(self._cols).ravel(),
-            np.hstack(self._coefs).ravel(),
+            self._joined(self._cols),
+            self._joined(self._coefs),
             row_start,
             np.tile(np.asarray(self._senses), self.count),
-            np.hstack(self._rhs).ravel(),
-            np.hstack(self._tags).ravel().tolist(),
+            self._joined(self._rhs),
+            self._joined(self._tags).tolist(),
         )
 
 

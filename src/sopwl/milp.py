@@ -108,16 +108,26 @@ class ModelArrays:
     row_start: np.ndarray  # rows + 1 offsets into cols/coefs
     senses: np.ndarray  # index into SENSES per row
     rhs: np.ndarray
-    row_lo: np.ndarray  # -inf for a "<=" row
-    row_hi: np.ndarray  # +inf for a ">=" row
     obj_cols: np.ndarray  # may repeat a column; repeats add up
     obj_coefs: np.ndarray
 
+    # The row bounds and the term rows are built on first use, as only a
+    # solve or a check needs them.
+
+    @cached_property
+    def row_lo(self) -> np.ndarray:
+        """Each row's lower bound: its right-hand side, -inf for a "<=" row."""
+        return np.where(self.senses == SENSES.index("<="), -np.inf, self.rhs)
+
+    @cached_property
+    def row_hi(self) -> np.ndarray:
+        """Each row's upper bound: its right-hand side, +inf for a ">=" row."""
+        return np.where(self.senses == SENSES.index(">="), np.inf, self.rhs)
+
     @cached_property
     def term_rows(self) -> np.ndarray:
-        """The row of each term, in term order, for :meth:`missed_rows`;
-        built on first use, as only a solve or a check needs it."""
-        return np.repeat(np.arange(len(self.row_lo)), np.diff(self.row_start))
+        """The row of each term, in term order, for :meth:`missed_rows`."""
+        return np.repeat(np.arange(len(self.rhs)), np.diff(self.row_start))
 
     def outside_bounds(self, x: np.ndarray) -> np.ndarray:
         """The columns whose value in ``x`` lies beyond a bound by more than
@@ -131,7 +141,7 @@ class ModelArrays:
         # each row's terms are added in the order they were given, starting
         # from 0.0, as a CSR product adds them, so every row value is that
         # product's bit for bit
-        lhs = np.bincount(self.term_rows, self.coefs * x[self.cols], minlength=len(self.row_lo))
+        lhs = np.bincount(self.term_rows, self.coefs * x[self.cols], minlength=len(self.rhs))
         # the infinite bound of an inequality gives -inf; for an equality the
         # two differences are exact negatives, so this is |lhs - rhs|
         gap = np.maximum(self.row_lo - lhs, lhs - self.row_hi)
@@ -141,7 +151,7 @@ class ModelArrays:
     def sizes(self) -> dict[str, int]:
         return {
             "vars": len(self.names),
-            "rows": len(self.row_lo),
+            "rows": len(self.rhs),
             "nnz": len(self.coefs),
             "binaries": int(self.binary.sum()),
         }
@@ -157,8 +167,9 @@ class MilpModel:
     def __init__(self, name: str = "model"):
         self.name = name
         self._names: list[str] = []
-        # the names declared, for the duplicate check; dropped by freeze()
-        self._declared: Optional[set[str]] = set()
+        # the hashes of the names declared, sorted, for the duplicate check;
+        # dropped by freeze()
+        self._hashes: Optional[np.ndarray] = np.empty(0, dtype=np.int64)
         # name -> column, built on the first lookup by name (_name_index)
         self._index: Optional[dict[str, int]] = None
         self._tags: list[str] = []
@@ -202,6 +213,10 @@ class MilpModel:
         one per name. Rejects a name already declared or given twice, a lower
         bound above the upper one (or NaN) and binary bounds outside [0, 1];
         a rejected call appends nothing. The arrays are copied.
+
+        Duplicates are found by hash: only the names whose hash occurs twice
+        among those declared and given are compared by value, so that the
+        model keeps one integer per name for the check, not a set of names.
         """
         self._require_unfrozen()
         names = list(names)
@@ -210,13 +225,19 @@ class MilpModel:
         upper = np.broadcast_to(np.array(upper, dtype=float), (k,))
         binary = np.broadcast_to(np.array(binary, dtype=bool), (k,))
         first = len(self._names)
-        new = set(names)
-        if len(new) != k or not self._declared.isdisjoint(new):
-            seen = set(self._declared)
+        new = np.fromiter(map(hash, names), np.int64, k)
+        new.sort()
+        # a stable sort merges the two sorted runs in one pass
+        hashes = np.sort(np.concatenate((self._hashes, new)), kind="stable")
+        repeated = hashes[1:] == hashes[:-1]
+        if repeated.any():
+            shared = set(hashes[1:][repeated].tolist())
+            seen = {name for name in self._names if hash(name) in shared}
             for name in names:
-                if name in seen:
-                    raise ValueError(f"duplicate variable name {name!r}")
-                seen.add(name)
+                if hash(name) in shared:
+                    if name in seen:
+                        raise ValueError(f"duplicate variable name {name!r}")
+                    seen.add(name)
         disordered = ~(lower <= upper)
         if disordered.any():
             i = _first(disordered)
@@ -226,10 +247,7 @@ class MilpModel:
         outside = binary & ((lower < 0) | (upper > 1))
         if outside.any():
             raise ValueError(f"{names[_first(outside)]}: binary bounds must lie within [0, 1]")
-        # merge the smaller set into the larger
-        if len(new) > len(self._declared):
-            new, self._declared = self._declared, new
-        self._declared |= new
+        self._hashes = hashes
         if self._index is not None:
             self._index.update(zip(names, range(first, first + k)))
         self._names.extend(names)
@@ -254,14 +272,16 @@ class MilpModel:
         row. Rejects an unknown sense, a column that is not a declared
         variable, a column given twice in one row, and a non-finite
         coefficient or right-hand side, naming the row's tag; a rejected call
-        appends nothing. The arrays are copied.
+        appends nothing. An array of ``cols``, ``coefs`` or ``rhs`` that is
+        already of its dtype (``intp``, ``float``) is kept, not copied, so
+        the caller must not change it afterwards.
         """
         self._require_unfrozen()
-        cols = np.array(cols, dtype=np.intp)
-        coefs = np.array(coefs, dtype=float)
+        cols = np.asarray(cols, dtype=np.intp)
+        coefs = np.asarray(coefs, dtype=float)
         row_start = np.asarray(row_start, dtype=np.intp)
         senses = np.asarray(senses)
-        rhs = np.array(rhs, dtype=float)
+        rhs = np.asarray(rhs, dtype=float)
         tags = list(tags)
         n = len(tags)
         if (
@@ -296,7 +316,10 @@ class MilpModel:
             k = _first(undeclared)
             raise ValueError(f"{tag_of(k)}: reference to undeclared variable column {cols[k]}")
         # (row, column) pairs as one key: a repeat sorts next to its twin
-        keys = np.sort(np.repeat(np.arange(n, dtype=np.int64), lengths) * num_vars + cols)
+        keys = np.repeat(np.arange(n, dtype=np.int64), lengths)
+        keys *= num_vars
+        keys += cols
+        keys.sort()
         repeated = keys[1:] == keys[:-1]
         if repeated.any():
             row, col = divmod(int(keys[_first(repeated)]), num_vars)
@@ -330,11 +353,17 @@ class MilpModel:
         self, sense: str, cols: Sequence[int], coefs: Sequence[float]
     ) -> None:
         """Set the objective to ``sum(coefs[k] * x[cols[k]])``; a column
-        given twice counts twice."""
+        given twice counts twice. Rejects a column that is not a declared
+        variable, naming it; a rejected call leaves the objective as it
+        was."""
         self._require_unfrozen()
         if sense not in ("min", "max"):
             raise ValueError(f"objective sense must be 'min' or 'max', got {sense!r}")
-        self._obj_cols = list(cols)
+        cols = list(cols)
+        for col in cols:
+            if not 0 <= col < len(self._names):
+                raise ValueError(f"objective: reference to undeclared variable column {col}")
+        self._obj_cols = cols
         self._obj_coefs = list(coefs)
         self.objective_sense = sense
         self._gathered = None
@@ -361,8 +390,6 @@ class MilpModel:
                 row_start=row_start,
                 senses=senses,
                 rhs=rhs,
-                row_lo=np.where(senses == SENSES.index("<="), -np.inf, rhs),
-                row_hi=np.where(senses == SENSES.index(">="), np.inf, rhs),
                 obj_cols=np.asarray(self._obj_cols, dtype=np.intp),
                 obj_coefs=np.asarray(self._obj_coefs, dtype=float),
             )
@@ -370,7 +397,7 @@ class MilpModel:
 
     def freeze(self) -> "MilpModel":
         self._frozen = True
-        self._declared = None
+        self._hashes = None
         self._gather()
         return self
 
@@ -448,15 +475,19 @@ def _format_coef(c: float) -> str:
     return repr(c) if c != int(c) else str(int(c))
 
 
-def _term_prefix(c: float) -> str:
-    """The signed coefficient that precedes a name after the first in an
-    expression, with the space that parts it from the name before."""
-    return (" - " if c < 0 else " + ") + _format_coef(abs(c)) + " "
-
-
-def _lead_prefix(c: float) -> str:
-    """The coefficient that precedes the first name of an expression."""
-    return ("- " if c < 0 else "") + _format_coef(abs(c)) + " "
+def _coef_texts(coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two texts per distinct value of ``coefs``, each made once from the
+    value's sign and magnitude: the signed coefficient that precedes a name
+    after the first in an expression, with the space that parts it from the
+    name before (`` - 2.5 ``), and the coefficient that precedes the first
+    name (``- 2.5 ``); then the index of each coefficient's value. As in
+    :func:`_texts`, ``-0.0`` and ``0.0`` both give ``0``, unsigned."""
+    distinct, inverse = np.unique(coefs, return_inverse=True)
+    values = distinct.tolist()
+    magnitudes = [_format_coef(abs(c)) + " " for c in values]
+    terms = [(" - " if c < 0 else " + ") + m for c, m in zip(values, magnitudes)]
+    leads = [("- " if c < 0 else "") + m for c, m in zip(values, magnitudes)]
+    return np.array(terms, dtype=object), np.array(leads, dtype=object), inverse
 
 
 def _bound_text(c: float) -> str:
@@ -474,9 +505,10 @@ def _texts(values: np.ndarray, text: Callable[[float], str]) -> np.ndarray:
 
 def _expression(cols: np.ndarray, coefs: np.ndarray, name_of: np.ndarray) -> str:
     """``coef name`` terms joined by their signs."""
-    terms = _texts(coefs, _term_prefix) + name_of[cols]
-    terms[0] = _lead_prefix(coefs[0].item()) + name_of[cols[0]]
-    return "".join(terms.tolist())
+    terms, leads, value = _coef_texts(coefs)
+    prefixes = terms[value]
+    prefixes[0] = leads[value[0]]
+    return "".join((prefixes + name_of[cols]).tolist())
 
 
 # Which columns a view of the LP keeps: one flag per column, or None for all.
@@ -507,31 +539,40 @@ def _rows_text(
     <rhs>``, an expression without terms written ``0 __dummy__``; for each
     view, only the rows that hold no column it leaves out.
 
-    The text is one join of two pieces per nonzero: the signed coefficient
-    with the space before it (on a row's first term, the row's head and the
-    coefficient without ``"+ "``), and the name (on a row's last term,
-    followed by the row's sense and right-hand side). The pieces are built
-    once; a view joins those of the rows it keeps."""
+    The text is one join of pieces that are all looked up, none made per
+    row: per row ``"\\n "``, the tag, ``": "`` with the lead coefficient,
+    the first name, the signed coefficient and the name of each further
+    term, then the sense with the right-hand side. Each distinct
+    coefficient and each distinct (sense, right-hand side) is formatted
+    once. A row without terms is laid out as one whose lead is ``": 0 "``
+    and whose name is ``__dummy__``. A view joins the pieces of the rows it
+    keeps."""
     start = a.row_start[rows.start : rows.stop + 1]
     terms = slice(start[0], start[-1])
     cols, coefs = a.cols[terms], a.coefs[terms]
     start = start - start[0]
-    used = start[1:] > start[:-1]
-    first, last = start[:-1][used], start[1:][used] - 1
-    head = "\n " + np.array(tags, dtype=object) + ": "
-    sense = np.array([" <= ", " = ", " >= "], dtype=object)[a.senses[rows]]
-    tail = sense + _texts(a.rhs[rows], _format_coef)
-    pieces = np.empty((len(cols), 2), dtype=object)
-    pieces[:, 0] = _texts(coefs, _term_prefix)
-    pieces[first, 0] = head[used] + _texts(coefs[first], _lead_prefix)
-    pieces[:, 1] = name_of[cols]
-    pieces[last, 1] += tail[used]
-    empty = np.flatnonzero(~used)
-    if empty.size:
-        dummy = np.stack([head[empty] + "0 __dummy__", tail[empty]], axis=1)
-        pieces = np.insert(pieces, start[empty], dummy, axis=0)
-    # a row's pieces: two per term, two for a row without terms
-    width = 2 * np.maximum(np.diff(start), 1)
+    lengths = np.diff(start)
+    used = lengths > 0
+    # a row's pieces: "\n ", tag, lead, name, two per further term, tail
+    width = 2 * np.maximum(lengths, 1) + 3
+    end = np.cumsum(width)
+    at = end - width
+    pieces = np.empty(end[-1], dtype=object)
+    pieces[at] = "\n "
+    pieces[at + 1] = tags
+    # each term's coefficient then its name, from the lead's place on
+    coef_at = 2 * np.arange(len(cols)) + np.repeat(at + 2 - 2 * start[:-1], lengths)
+    term_texts, leads, value = _coef_texts(coefs)
+    pieces[coef_at] = term_texts[value]
+    pieces[coef_at + 1] = name_of[cols]
+    pieces[at[used] + 2] = (": " + leads)[value[start[:-1][used]]]
+    empty = at[~used]
+    pieces[empty + 2] = ": 0 "
+    pieces[empty + 3] = "__dummy__"
+    rhs, rhs_value = np.unique(a.rhs[rows], return_inverse=True)
+    rhs_texts = [_format_coef(b) for b in rhs.tolist()]
+    tails = [[sense + b for b in rhs_texts] for sense in (" <= ", " = ", " >= ")]
+    pieces[end - 1] = np.array(tails, dtype=object)[a.senses[rows], rhs_value]
     kept = []
     for keep in keeps:
         if keep is not None:
@@ -539,7 +580,7 @@ def _rows_text(
             dropped = np.concatenate(([0], np.cumsum(~keep[cols])))
             keep = np.repeat(dropped[start[1:]] == dropped[start[:-1]], width)
         kept.append(keep)
-    return _view_texts(pieces.ravel(), kept)
+    return _view_texts(pieces, kept)
 
 
 def _lower_text(c: float) -> str:
@@ -574,22 +615,26 @@ def _unsafe_name(names: Sequence[str], tags: Sequence[str]) -> Optional[str]:
     """The first of ``names`` then ``tags`` that ``_LP_NAME_RE`` does not
     match in full, or None.
 
-    All of them are checked at once, as one text with each item between two
-    line breaks: it holds one line break more than there are items (so no
-    item holds one), only ASCII, only the characters of a name, and no line
-    starts with a digit or ``.`` or is empty. Only when that fails are the
-    items matched one by one, so that the first bad one is named. (A
-    ``fullmatch`` of a repeated group over the text would need far more
-    memory.)"""
-    text = "\n".join(itertools.chain(("",), names, tags, ("",)))
-    if (
-        text.count("\n") == len(names) + len(tags) + 1
-        and text.isascii()
-        and not text.encode("ascii").translate(None, _LP_NAME_BYTES)
-        and _LP_BAD_START_RE.search(text) is None
-    ):
-        return None
-    return next(itertools.filterfalse(_LP_NAME_RE.fullmatch, itertools.chain(names, tags)), None)
+    The items are checked ``LP_CHUNK_ROWS`` at a time, each block as one
+    text with each item between two line breaks: it holds one line break
+    more than there are items (so no item holds one), only ASCII, only the
+    characters of a name, and no line starts with a digit or ``.`` or is
+    empty. Only when that fails are the block's items matched one by one, so
+    that the first bad one is named. (A ``fullmatch`` of a repeated group
+    over the text would need far more memory.)"""
+    items = itertools.chain(names, tags)
+    while block := list(itertools.islice(items, LP_CHUNK_ROWS)):
+        text = "\n".join(itertools.chain(("",), block, ("",)))
+        if not (
+            text.count("\n") == len(block) + 1
+            and text.isascii()
+            and not text.encode("ascii").translate(None, _LP_NAME_BYTES)
+            and _LP_BAD_START_RE.search(text) is None
+        ):
+            bad = next(itertools.filterfalse(_LP_NAME_RE.fullmatch, block), None)
+            if bad is not None:
+                return bad
+    return None
 
 
 def lp_view_chunks(

@@ -1,10 +1,13 @@
+import gc
 import hashlib
+import importlib.util
 import math
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -140,6 +143,56 @@ class TestBuild:
             columns(m, "e")  # the rejected calls declared nothing
         m.add_variables(["e"])
         assert columns(m, "e") == [2]
+
+    def test_duplicate_across_calls_then_declared_again(self):
+        m = MilpModel()
+        m.add_variables(["x", "y"])
+        with pytest.raises(ValueError, match="^duplicate variable name 'y'$"):
+            m.add_variables(["z", "y"])
+        with pytest.raises(ValueError, match="^w: lower bound 2.0 > upper 1.0$"):
+            m.add_variables(["w"], lower=2.0, upper=1.0)
+        # the rejected calls declared nothing, so their names are still free
+        assert m.add_variables(["z", "w"]) == range(2, 4)
+        with pytest.raises(ValueError, match="^duplicate variable name 'w'$"):
+            m.add_variables(["w"])
+
+    def test_names_that_share_a_hash_are_distinct(self):
+        class SameHash(str):
+            def __hash__(self):
+                return 7
+
+        m = MilpModel()
+        m.add_variables([SameHash("a"), SameHash("b")])
+        m.add_variables([SameHash("c"), "d"])
+        with pytest.raises(ValueError, match="^duplicate variable name 'b'$"):
+            m.add_variables([SameHash("e"), SameHash("b")])
+        with pytest.raises(ValueError, match="^duplicate variable name 'e'$"):
+            m.add_variables([SameHash("e"), SameHash("e")])
+        assert m.add_variables([SameHash("e")]) == range(4, 5)
+        assert [v.name for v in m.freeze().variables] == ["a", "b", "c", "d", "e"]
+
+    def test_add_rows_keeps_an_array_of_its_dtype(self):
+        m = MilpModel()
+        m.add_variables(["x", "y"])
+        cols = np.array([0, 1], dtype=np.intp)
+        coefs = np.array([1.0, 2.0])
+        rhs = np.array([3.0])
+        m.add_rows(cols, coefs, [0, 2], ["<="], rhs, ["r"])
+        kept_cols, kept_coefs, _, _, kept_rhs = m._row_parts[-1]
+        assert np.shares_memory(kept_cols, cols)
+        assert np.shares_memory(kept_coefs, coefs)
+        assert np.shares_memory(kept_rhs, rhs)
+
+    @pytest.mark.parametrize("col", [2, -1])
+    def test_objective_column_outside_the_model(self, col):
+        m = MilpModel()
+        m.add_variables(["x", "y"], 0.0, 1.0)
+        m.set_objective_columns("max", [1], [2.0])
+        message = f"^objective: reference to undeclared variable column {col}$"
+        with pytest.raises(ValueError, match=message):
+            m.set_objective_columns("min", [0, col], [1.0, 1.0])
+        # the rejected call left the objective as it was
+        assert write_lp(m.freeze()).splitlines()[1:3] == ["Maximize", " obj: 2 y"]
 
     def test_frozen_is_immutable(self):
         m = simple_model()
@@ -287,6 +340,25 @@ class TestWriteLp:
         assert " signpair: 1 z_plus + 1 z_minus <= 1" in text
         assert "Binary" in text
 
+    def test_row_text_of_edge_coefficients(self):
+        m = MilpModel(name="edge")
+        m.add_variables(["a", "b", "c"], 0.0, 1.0)
+        m.add_rows(
+            [0, 1, 2, 0, 1, 2, 1],
+            [-2.5, -0.0, 2.0, 1e16, 1e-07, -1e16, -0.0],
+            [0, 3, 3, 6, 7],
+            ["<=", "=", ">=", "<="],
+            [-0.0, 2.0, 1e-07, 1e16],
+            ["lead", "none", "large", "zero"],
+        )
+        rows = write_lp(m.freeze()).split("Subject To\n")[1].split("\nBounds")[0]
+        assert rows.splitlines() == [
+            " lead: - 2.5 a + 0 b + 2 c <= 0",
+            " none: 0 __dummy__ = 2",
+            " large: 10000000000000000 a + 1e-07 b - 10000000000000000 c >= 1e-07",
+            " zero: 0 b <= 10000000000000000",
+        ]
+
     def test_all_senses(self):
         m = MilpModel()
         m.add_variables(["x"], lower=0, upper=5)
@@ -387,6 +459,26 @@ class TestWriteLp:
         m.add_rows([0], [1.0], [0, 1], ["<="], [1.0], ["ok"])
         m.freeze()
         with pytest.raises(ValueError, match=f"^name {re.escape(repr(bad))} is not LP"):
+            lp_chunks(m)
+
+    def test_first_bad_name_past_the_first_block(self):
+        # names and tags are checked LP_CHUNK_ROWS at a time, across the
+        # border between them
+        n = LP_CHUNK_ROWS + 3
+        names = [f"v{i}" for i in range(n)]
+        names[n - 2] = "1bad"
+        tags = ["ok", "2bad"]
+        m = MilpModel()
+        m.add_variables(names)
+        m.add_rows([0, 0], [1.0, 1.0], [0, 1, 2], ["<=", "<="], [1.0, 1.0], tags)
+        m.freeze()
+        with pytest.raises(ValueError, match="^name '1bad' is not LP"):
+            lp_chunks(m)
+        m = MilpModel()
+        m.add_variables(names[: LP_CHUNK_ROWS - 1])
+        m.add_rows([0, 0], [1.0, 1.0], [0, 1, 2], ["<=", "<="], [1.0, 1.0], tags)
+        m.freeze()
+        with pytest.raises(ValueError, match="^name '2bad' is not LP"):
             lp_chunks(m)
 
     def test_bad_variable_named_before_a_bad_tag(self):
@@ -522,6 +614,43 @@ class TestLpViews:
         texts = _view_texts(m, [("full", ()), ("part", dropped)])
         assert texts[0] == write_lp(m)
         assert texts[1] == write_lp(_spec_model("part", variables, rows, [(1, 1.0)], dropped))
+
+
+def _feeder_case(tmp_path, num_buses):
+    """``perfbench/cases.feeder_json(1, num_buses)``, the case of the
+    benchmark's ``feeder-export`` workload at 1600 buses, loaded."""
+    path = Path(__file__).parents[1] / "perfbench" / "cases.py"
+    spec = importlib.util.spec_from_file_location("perfbench_cases", path)
+    cases = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cases)
+    case_path = tmp_path / "feeder.json"
+    case_path.write_text(cases.feeder_json(1, num_buses))
+    return load_case(case_path)
+
+
+class TestFootprint:
+    def test_export_peak_stays_near_the_model(self, tmp_path):
+        """The build and the writing of both views of ``export-lp`` hold each
+        large array once: under tracemalloc, their peak stays within 1.4
+        times the frozen model's size (about 1.29 on this case). A build
+        that keeps each batch's parts next to their join, or a name check
+        that joins every name at once, reads about 1.5."""
+        case = _feeder_case(tmp_path, 1600)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            m = MilpModel(case.name)
+            art = build_distflow(m, case, BuildOptions(num_segments=10, mode="sopwl"))
+            build_restoration_objective(m, art)
+            m.freeze()
+            gc.collect()
+            frozen = tracemalloc.get_traced_memory()[0]
+            for _ in milp.lp_view_chunks(m, [("pwl", art.ordering), ("sopwl", ())]):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.4 * frozen, f"peak {peak / frozen:.3f} times the model"
 
 
 class TestParseSolution:
