@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import time
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -43,10 +44,6 @@ from .validation import (
 
 if TYPE_CHECKING:
     from .solvers import Relaxation, ScipyMilpAdapter
-
-    # a pwl run: its artifacts, solution and relaxation, the last two None
-    # when the solver raised
-    PwlRun = tuple[DistflowArtifacts, Optional[milp.Solution], Optional[Relaxation]]
 
 
 # --mode both runs each of MODES in turn
@@ -184,12 +181,11 @@ def _signed(solution: milp.Solution, pwl: DistflowArtifacts) -> milp.Solution:
     return replace(solution, x=x)
 
 
-def _solve_pwl(
-    artifacts: DistflowArtifacts, adapter: ScipyMilpAdapter
-) -> tuple[milp.Solution, Relaxation]:
-    """Solve the pwl model of ``artifacts`` through its LP relaxation first.
-    Returns the solution, its ``solve_seconds`` covering every solve, and the
-    relaxation, which the sopwl LP screen refines under ``--mode both``.
+def _pwl_answer(
+    pwl: DistflowArtifacts, relaxation: Relaxation, adapter: ScipyMilpAdapter
+) -> milp.Solution:
+    """The pwl model's answer: its LP relaxation's stage-1 point, or its
+    MILP's when that point breaks a row.
 
     The sign binaries ``z_pos``/``z_neg`` only split each flow into
     ``pos - neg``. So when the relaxation's optimum never uses both signs of
@@ -200,96 +196,63 @@ def _solve_pwl(
     optimises restoration alone, never a loss-minimising stage-2 point: that
     one comes out ordered, and plain PWL's unordered fillings are what the
     comparison with sopwl shows."""
-    start = time.perf_counter()
-    relaxation = adapter.relax(artifacts.model)
-    solution = None
     if relaxation.solution.status == "optimal":
-        solution = _signed(relaxation.solution, artifacts)
-        if milp.check_solution(artifacts.model, solution):
-            solution = None
-    if solution is None:
-        solution = milp.solve(artifacts.model, adapter)
-    return replace(solution, solve_seconds=time.perf_counter() - start), relaxation
+        solution = _signed(relaxation.solution, pwl)
+        if not milp.check_solution(pwl.model, solution):
+            return solution
+    return milp.solve(pwl.model, adapter)
 
 
-def _lp_screen(
-    case: NetworkCase,
-    config: RunConfig,
+def _sopwl_answer(
     artifacts: DistflowArtifacts,
+    pwl: DistflowArtifacts,
+    relaxation: Relaxation,
     adapter: ScipyMilpAdapter,
-    pwl: Optional[DistflowArtifacts],
-    relaxation: Optional[Relaxation],
-) -> Optional[milp.Solution]:
-    """A certified sopwl optimum from the LP relaxation of the pwl model
-    ``pwl`` (built here when None), or None when the relaxation is not tight.
-
-    ``relaxation`` is that of ``pwl`` when the pwl run solved it, and is
-    solved here when None. Its optimum ``U`` bounds the sopwl optimum.
-    Stage 2 keeps the restoration within 1e-7 * max(1, |U|) of ``U`` and
-    minimises the squared currents, which fills each block's segments in
-    slope order unless another row stops it. The point, with its sign
-    binaries set, is accepted only when ``lift_ordered`` finds every block
-    ordered and the sopwl model's ``check_solution`` finds no violated row."""
-    if pwl is None:
-        pwl = _build(case, config, MODE_PWL)
-    if relaxation is None:
-        relaxation = adapter.relax(pwl.model)
-    relaxed = relaxation.refine(pwl.isqr)
-    if relaxed.status != "optimal":
-        return None
-    lifted = lift_ordered(_signed(relaxed, pwl), artifacts)
-    if lifted is None or milp.check_solution(artifacts.model, lifted):
-        return None
-    return lifted
-
-
-def _solve_sopwl(
-    case: NetworkCase,
-    config: RunConfig,
-    artifacts: DistflowArtifacts,
-    pwl: Optional[PwlRun],
+    pwl_solution: Optional[milp.Solution] = None,
 ) -> tuple[milp.Solution, str]:
-    """Solve the sopwl model by the first path that gives a solution: lift
-    the plain-PWL run's solution (``pwl``, under ``--mode both``) when every
-    filling in it is ordered, then the LP screen on that run's model and
-    relaxation, then the MILP. Returns the solution and the path's name; its
-    ``solve_seconds`` covers the pwl solve, when one was given, and every
-    path tried."""
-    adapter = config.make_adapter()
-    start = time.perf_counter()
-    pwl_artifacts, pwl_solution, relaxation = pwl if pwl is not None else (None, None, None)
-    solution, path = None, "lifted"
+    """The sopwl model's answer and the name of the path that gave it, the
+    first of three:
+
+    - ``lifted``: ``pwl_solution``, the pwl run's answer under
+      ``--mode both``, lifted when every filling in it is ordered;
+    - ``lp_screen``: a point of ``relaxation``, the LP relaxation of the pwl
+      model ``pwl``, whose optimum ``U`` bounds the sopwl optimum. Stage 2
+      keeps the restoration within 1e-7 * max(1, |U|) of ``U`` and minimises
+      the squared currents, which fills each block's segments in slope order
+      unless another row stops it. The point, with its sign binaries set, is
+      accepted only when ``lift_ordered`` finds every block ordered and the
+      sopwl model's ``check_solution`` finds no violated row;
+    - ``milp``: the sopwl MILP."""
     if pwl_solution is not None:
-        solution = lift_ordered(pwl_solution, artifacts)
-    if solution is None:
-        solution = _lp_screen(case, config, artifacts, adapter, pwl_artifacts, relaxation)
-        path = "lp_screen"
-    if solution is None:
-        solution, path = milp.solve(artifacts.model, adapter), "milp"
-    spent = time.perf_counter() - start
-    if pwl_solution is not None:
-        spent += pwl_solution.solve_seconds
-    return replace(solution, solve_seconds=spent), path
+        lifted = lift_ordered(pwl_solution, artifacts)
+        if lifted is not None:
+            return lifted, "lifted"
+    relaxed = relaxation.refine(pwl.isqr)
+    if relaxed.status == "optimal":
+        screened = lift_ordered(_signed(relaxed, pwl), artifacts)
+        if screened is not None and not milp.check_solution(artifacts.model, screened):
+            return screened, "lp_screen"
+    return milp.solve(artifacts.model, adapter), "milp"
 
 
 def _run_one_mode(
-    case: NetworkCase,
     config: RunConfig,
-    mode: str,
-    pwl: Optional[PwlRun] = None,
-) -> tuple[int, Optional[ErrorReport], PwlRun]:
-    """Solve and report one mode; sopwl reuses the pwl run ``pwl`` when
-    given. What the solver prints goes to ``<out>/<mode>/solver.log``.
-    Returns the exit status, the error report (None on failure) and this
-    run's artifacts, solution (None when the solver raised) and relaxation
-    (None but for a pwl run whose solver did not raise)."""
+    artifacts: DistflowArtifacts,
+    answer: Callable[[], tuple[milp.Solution, Optional[str]]],
+    carried: float = 0.0,
+) -> tuple[int, Optional[ErrorReport], Optional[milp.Solution]]:
+    """Solve and report the model of ``artifacts``: ``answer()`` gives its
+    solution and sopwl path, and ``solve_seconds`` is the time that call
+    takes plus ``carried``. What the solver prints goes to
+    ``<out>/<mode>/solver.log``. Returns the exit status, the error report
+    (None on failure) and the solution (None when the solver raised)."""
+    mode = artifacts.options.mode
+    model = artifacts.model
     out = config.out_dir / mode
     out.mkdir(parents=True, exist_ok=True)
-    artifacts = _build(case, config, mode)
-    model = artifacts.model
     # run.json has these keys on every exit; what needs a point stays null
     meta = {
-        "case": case.name,
+        "case": artifacts.case.name,
         "mode": mode,
         "segments": config.num_segments,
         "objective_variant": config.objective,
@@ -299,18 +262,16 @@ def _run_one_mode(
         **model.arrays.sizes(),
     }
     run_json = out / "run.json"
-    path = relaxation = None
     try:
         with _output_to(out / "solver.log"):
-            if mode == MODE_SOPWL:
-                solution, path = _solve_sopwl(case, config, artifacts, pwl)
-            else:
-                solution, relaxation = _solve_pwl(artifacts, config.make_adapter())
+            start = time.perf_counter()
+            solution, path = answer()
+            seconds = time.perf_counter() - start
     except Exception as exc:
         print(f"[{mode}] solver failure: {exc}", file=sys.stderr)
         run_json.write_text(json.dumps(meta, indent=1) + "\n")
-        return 1, None, (artifacts, None, None)
-    run = artifacts, solution, relaxation
+        return 1, None, None
+    solution = replace(solution, solve_seconds=carried + seconds)
     meta.update(
         status=solution.status, sopwl_path=path, solve_seconds=solution.solve_seconds,
         mip_node_count=solution.mip_node_count, mip_gap=solution.mip_gap,
@@ -320,7 +281,7 @@ def _run_one_mode(
     if solution.status not in ("optimal", "feasible"):
         print(f"[{mode}] solve ended with status {solution.status}", file=sys.stderr)
         run_json.write_text(json.dumps(meta, indent=1) + "\n")
-        return 1, None, run
+        return 1, None, solution
 
     violations = milp.check_solution(model, solution)
     for tag, gap in violations:
@@ -343,21 +304,36 @@ def _run_one_mode(
     print(f"[{mode}] status={solution.status} objective={solution.objective_value:.6f}")
     print(text, end="")
     status = 0 if not violations else 1
-    return status, report, run
+    return status, report, solution
 
 
 def cmd_solve(config: RunConfig) -> int:
     case = load_case(config.resolve_case_path())
     modes = MODES if config.mode == "both" else (config.mode,)
+    # every answer rests on the pwl model's LP relaxation, so pwl is built
+    # for every mode; --mode sopwl alone builds it for the LP screen only
+    pwl = _build(case, config, MODE_PWL)
+    sopwl = _build(case, config, MODE_SOPWL) if MODE_SOPWL in modes else None
+    adapter = config.make_adapter()
+    # solved once, by the first run, inside its solver.log and its clock
+    relaxation = functools.cache(lambda: adapter.relax(pwl.model))
     reports = {}
     exit_status = 0
-    pwl = None  # the pwl run; sopwl reuses it
-    for mode in modes:
-        status, report, run = _run_one_mode(case, config, mode, pwl)
+    pwl_solution = None  # the pwl run's answer, which sopwl lifts
+    if MODE_PWL in modes:
+        exit_status, reports[MODE_PWL], pwl_solution = _run_one_mode(
+            config, pwl, lambda: (_pwl_answer(pwl, relaxation(), adapter), None)
+        )
+    if sopwl is not None:
+        # sopwl's solve_seconds also covers the pwl run its answer rests on
+        carried = pwl_solution.solve_seconds if pwl_solution is not None else 0.0
+        status, reports[MODE_SOPWL], _ = _run_one_mode(
+            config,
+            sopwl,
+            lambda: _sopwl_answer(sopwl, pwl, relaxation(), adapter, pwl_solution),
+            carried,
+        )
         exit_status = max(exit_status, status)
-        reports[mode] = report
-        if mode == MODE_PWL:
-            pwl = run
     if config.mode == "both" and None not in reports.values():
         sep = "," if config.report_format == "delimited" else "\t"
         lines = [sep.join(["feeder", "E_p_pwl", "E_p_sopwl", "E_q_pwl", "E_q_sopwl"])]

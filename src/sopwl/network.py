@@ -98,17 +98,27 @@ def _parents_first(case: NetworkCase) -> tuple[Branch, ...]:
         raise CaseError(
             f"{len(case.branches)} branches for {len(case.buses)} buses: not a tree"
         )
+    for bus in case.buses:
+        if bus.v_sqr_min > bus.v_sqr_max:
+            raise CaseError(
+                f"bus {bus.id}: v_sqr_min {bus.v_sqr_min} > v_sqr_max {bus.v_sqr_max}"
+            )
     children: dict[int, list[Branch]] = {b: [] for b in bus_ids}
-    has_parent = {case.root}
+    fed_by: dict[int, Branch] = {}  # each non-root bus's branch from its parent
     for br in case.branches:
         if br.from_bus not in bus_ids or br.to_bus not in bus_ids:
             raise CaseError(f"branch {br.key} references unknown bus")
-        if br.to_bus in has_parent:
+        if br.to_bus == case.root:
             raise CaseError(
                 f"branch {br.key} is oriented toward the root; "
                 "branches must run parent -> child"
             )
-        has_parent.add(br.to_bus)
+        if br.to_bus in fed_by:
+            raise CaseError(
+                f"bus {br.to_bus} is fed by two branches, {fed_by[br.to_bus].key} "
+                f"and {br.key}; each bus but the root has one parent"
+            )
+        fed_by[br.to_bus] = br
         children[br.from_bus].append(br)
     for what, items in (("load", case.loads), ("generator", case.generators)):
         seen: set[int] = set()

@@ -19,7 +19,7 @@ from the optimum. ZI round (:data:`ZI_ROUND_OPTION`) turns on a rounding
 heuristic that HiGHS leaves off by default. It rounds the root LP point into
 an incumbent. It serves two MILPs only: the pwl MILP that ``solve`` falls
 back to when the pwl model's LP relaxation is not tight (see
-``sopwl.cli._solve_pwl``), and the SO-PWL MILP. On the plain-PWL models of
+``sopwl.cli._pwl_answer``), and the SO-PWL MILP. On the plain-PWL models of
 the bundled cases its incumbent is already optimal, so such a MILP stops at
 its root node instead of waiting for HiGHS's sub-MIP heuristic. An option
 HiGHS refuses raises ``ValueError``.

@@ -28,26 +28,26 @@ def golden_dir() -> Path:
 def count_solves(monkeypatch):
     """Call to patch ``milp.solve``; returns the list it fills with the name
     of every model it solves as a MILP. ``tamper(model, solution)`` may
-    rewrite the answer of each pwl run (``cli._solve_pwl``), from its LP
+    rewrite the answer of each pwl run (``cli._pwl_answer``), from its LP
     relaxation or its MILP, before the caller sees it."""
 
     def install(tamper=None):
         real_solve = milp.solve
-        real_solve_pwl = cli._solve_pwl
+        real_pwl_answer = cli._pwl_answer
         names = []
 
         def solve(model, adapter):
             names.append(model.name)
             return real_solve(model, adapter)
 
-        def solve_pwl(artifacts, adapter):
-            solution, relaxation = real_solve_pwl(artifacts, adapter)
+        def pwl_answer(pwl, relaxation, adapter):
+            solution = real_pwl_answer(pwl, relaxation, adapter)
             if tamper is not None:
-                solution = tamper(artifacts.model, solution)
-            return solution, relaxation
+                solution = tamper(pwl.model, solution)
+            return solution
 
         monkeypatch.setattr(milp, "solve", solve)
-        monkeypatch.setattr(cli, "_solve_pwl", solve_pwl)
+        monkeypatch.setattr(cli, "_pwl_answer", pwl_answer)
         return names
 
     return install

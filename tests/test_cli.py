@@ -373,6 +373,48 @@ class TestSolve:
         assert alone == pytest.approx(both, rel=1e-4)
         assert metas["sopwl"]["violations"] == metas["both"]["violations"] == 0
 
+    def test_sopwl_seconds_cover_the_pwl_run(self, tmp_path, cases_dir, monkeypatch):
+        # under --mode both the sopwl answer rests on the pwl run, so sopwl's
+        # solve_seconds covers the pwl run's as well as its own
+        real_answer = cli._pwl_answer
+
+        def slow_answer(pwl, relaxation, adapter):
+            time.sleep(0.2)
+            return real_answer(pwl, relaxation, adapter)
+
+        monkeypatch.setattr(cli, "_pwl_answer", slow_answer)
+        out = tmp_path / "run"
+        args = ["--case", str(cases_dir / "twobus.json"), "--mode", "both", "--segments", "5"]
+        assert main(["solve", *args, "--out", str(out)]) == 0
+        meta = {m: json.loads((out / m / "run.json").read_text()) for m in ("pwl", "sopwl")}
+        assert meta["sopwl"]["sopwl_path"] == "lifted"
+        assert meta["pwl"]["solve_seconds"] >= 0.2
+        assert meta["sopwl"]["solve_seconds"] >= meta["pwl"]["solve_seconds"]
+
+    def test_sopwl_alone_seconds_cover_the_relaxation(self, tmp_path, cases_dir, monkeypatch):
+        # --mode sopwl alone solves the pwl relaxation within its own clock,
+        # but builds the pwl model outside it: a build is not a solve
+        real_relax = solvers.ScipyMilpAdapter.relax
+        real_build = cli.build_distflow
+
+        def slow_relax(adapter, model):
+            time.sleep(0.2)
+            return real_relax(adapter, model)
+
+        def slow_build(model, case, options):
+            if options.mode == "pwl":
+                time.sleep(0.5)
+            return real_build(model, case, options)
+
+        monkeypatch.setattr(solvers.ScipyMilpAdapter, "relax", slow_relax)
+        monkeypatch.setattr(cli, "build_distflow", slow_build)
+        out = tmp_path / "run"
+        args = ["--case", str(cases_dir / "tinyq3.json"), "--segments", "2", "--mode", "sopwl"]
+        assert main(["solve", *args, "--out", str(out)]) == 0
+        meta = json.loads((out / "sopwl" / "run.json").read_text())
+        assert meta["sopwl_path"] == "lp_screen"
+        assert 0.2 <= meta["solve_seconds"] < 0.5
+
     def test_solver_output_goes_to_log(self, tmp_path, cases_dir, monkeypatch, capfd):
         real_run = solvers._HighsSession.run
 

@@ -14,8 +14,8 @@ import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sopwl import milp, solvers
-from sopwl.cli import RunConfig, _build, _signed, _solve_pwl, _solve_sopwl, main
+from sopwl import cli, milp, solvers
+from sopwl.cli import RunConfig, _build, _pwl_answer, _signed, _sopwl_answer, main
 from sopwl.milp import MilpModel
 from sopwl.network import load_case
 from sopwl.solvers import ScipyMilpAdapter
@@ -108,7 +108,9 @@ class TestLpSession:
             return real_run(session)
 
         monkeypatch.setattr(solvers._HighsSession, "run", no_milp)
-        solution, path = _solve_sopwl(case, config, artifacts, None)
+        pwl = _build(case, config, "pwl")
+        adapter = ScipyMilpAdapter()
+        solution, path = _sopwl_answer(artifacts, pwl, adapter.relax(pwl.model), adapter)
         assert path == "lp_screen"
         assert solution.status == "optimal"
 
@@ -211,7 +213,9 @@ class TestPwlPath:
             return answers[-1][1]
 
         monkeypatch.setattr(milp, "solve", solve)
-        solution, relaxation = _solve_pwl(pwl, ScipyMilpAdapter())
+        adapter = ScipyMilpAdapter()
+        relaxation = adapter.relax(pwl.model)
+        solution = _pwl_answer(pwl, relaxation, adapter)
         ((name, answer),) = answers
         assert name == "twobus_pwl"
         assert solution.x is answer.x
@@ -222,12 +226,35 @@ class TestPwlPath:
         assert relaxation.solution.status == "optimal"
 
     @pytest.mark.parametrize(
-        "case, runs, path",
-        [("ieee33_4dg_surplus", 2, "lp_screen"), ("ieee33_4dg", 1, "lifted")],
+        "case, mode, runs, built, path",
+        [
+            pytest.param(
+                "ieee33_4dg_surplus", "both", 2, ["pwl", "sopwl"], "lp_screen",
+                id="ieee33_4dg_surplus-2-lp_screen",
+            ),
+            pytest.param(
+                "ieee33_4dg_surplus", "sopwl", 2, ["pwl", "sopwl"], "lp_screen",
+                id="ieee33_4dg_surplus-sopwl-2-lp_screen",
+            ),
+            pytest.param(
+                "ieee33_4dg_surplus", "pwl", 1, ["pwl"], None, id="ieee33_4dg_surplus-pwl-1"
+            ),
+            pytest.param(
+                "ieee33_4dg", "both", 1, ["pwl", "sopwl"], "lifted", id="ieee33_4dg-1-lifted"
+            ),
+            pytest.param(
+                "ieee33_4dg", "sopwl", 2, ["pwl", "sopwl"], "lp_screen",
+                id="ieee33_4dg-sopwl-2-lp_screen",
+            ),
+            pytest.param("ieee33_4dg", "pwl", 1, ["pwl"], None, id="ieee33_4dg-pwl-1"),
+        ],
     )
-    def test_one_relaxation_per_solve(self, tmp_path, monkeypatch, case, runs, path):
+    def test_one_relaxation_per_solve(
+        self, tmp_path, monkeypatch, case, mode, runs, built, path
+    ):
         # pwl's relaxation is stage 1 of the sopwl screen: the surplus case
-        # runs it and stage 2, the headline case runs it alone and lifts
+        # runs it and stage 2, the headline case under --mode both runs it
+        # alone and lifts. Every mode builds pwl, and each model once
         calls = []
         real_run = solvers._HighsSession.run
 
@@ -235,14 +262,26 @@ class TestPwlPath:
             calls.append(session.mip)
             return real_run(session)
 
+        builds = []
+        real_build = cli.build_distflow
+
+        def build(model, case, options):
+            builds.append(options.mode)
+            return real_build(model, case, options)
+
         monkeypatch.setattr(solvers._HighsSession, "run", run)
+        monkeypatch.setattr(cli, "build_distflow", build)
         out = tmp_path / "run"
-        args = ["--case", case, "--mode", "both", "--segments", "10", "--out", str(out)]
+        args = ["--case", case, "--mode", mode, "--segments", "10", "--out", str(out)]
         assert main(["solve", *args]) == 0
         assert calls == [False] * runs
-        meta = {m: json.loads((out / m / "run.json").read_text()) for m in ("pwl", "sopwl")}
-        assert meta["sopwl"]["sopwl_path"] == path
-        assert meta["pwl"]["mip_node_count"] == 0
+        assert builds == built
+        modes = ["pwl", "sopwl"] if mode == "both" else [mode]
+        meta = {m: json.loads((out / m / "run.json").read_text()) for m in modes}
+        # a pwl run's run.json has a null sopwl_path
+        assert meta[modes[-1]]["sopwl_path"] == path
+        if "pwl" in meta:
+            assert meta["pwl"]["mip_node_count"] == 0
 
 
 @st.composite
@@ -330,7 +369,8 @@ def test_sopwl_path_is_certified(drawn):
     config = RunConfig(case=case.name, mode="sopwl", num_segments=segments)
     adapter = ScipyMilpAdapter()
     pwl = _build(case, config, "pwl")
-    bound = adapter.relax(pwl.model).refine(pwl.isqr)
+    relaxation = adapter.relax(pwl.model)
+    bound = relaxation.refine(pwl.isqr)
     artifacts = _build(case, config, "sopwl")
     model = artifacts.model
     reference = milp.solve(model, adapter)
@@ -338,7 +378,7 @@ def test_sopwl_path_is_certified(drawn):
     # HiGHS's row tolerance lets the MILP exceed the LP bound by a hair
     assert bound.mip_dual_bound >= reference.objective_value - 1e-5
 
-    solution, path = _solve_sopwl(case, config, artifacts, None)
+    solution, path = _sopwl_answer(artifacts, pwl, relaxation, adapter)
     assert path in ("lp_screen", "milp")
     if path == "lp_screen":
         slack = 1e-4 * abs(reference.objective_value) + 1e-5
@@ -356,7 +396,8 @@ def test_pwl_path_is_certified(drawn):
     pwl = _build(case, RunConfig(case=case.name, num_segments=segments), "pwl")
     model = pwl.model
     reference = milp.solve(model, adapter)
-    solution, relaxation = _solve_pwl(pwl, adapter)
+    relaxation = adapter.relax(model)
+    solution = _pwl_answer(pwl, relaxation, adapter)
     assert reference.status == solution.status == "optimal"
     slack = 1e-4 * abs(reference.objective_value) + 1e-5
     assert abs(solution.objective_value - reference.objective_value) <= slack

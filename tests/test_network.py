@@ -120,8 +120,12 @@ class TestTreeRules:
 
     def test_bus_with_two_parents(self):
         # a connected tree, but bus 2 is fed from both 1 and 3
-        with pytest.raises(CaseError, match="oriented toward the root"):
+        with pytest.raises(CaseError, match="bus 2 is fed by two branches, 1-2 and 3-2"):
             load_case(_doc([(1, 2), (3, 2)]))
+
+    def test_duplicated_branch(self):
+        with pytest.raises(CaseError, match="bus 2 is fed by two branches, 1-2 and 1-2"):
+            load_case(_doc([(1, 2), (1, 2)]))
 
     def test_cycle_away_from_root(self):
         # every non-root bus has one parent, but 3 and 4 feed each other
@@ -133,6 +137,16 @@ class TestTreeRules:
         case = load_case(cases_dir / "branching6.json")
         assert [br.key for br in case.branches] == ["2-4", "4-6", "1-2", "3-5", "2-3"]
         assert [br.key for br in case.order] == ["1-2", "2-4", "2-3", "4-6", "3-5"]
+
+
+def test_crossed_voltage_bounds_rejected():
+    # caught here, not later as a bound error of the built model's V_2
+    doc = _doc([(1, 2), (2, 3)])
+    doc["buses"][1].update(v_sqr_min=1.2, v_sqr_max=0.9)
+    with pytest.raises(CaseError, match=r"^bus 2: v_sqr_min 1\.2 > v_sqr_max 0\.9$"):
+        load_case(doc)
+    doc["buses"][1].update(v_sqr_min=1.0, v_sqr_max=1.0)
+    assert load_case(doc).buses[1].v_sqr_min == 1.0  # a fixed voltage is allowed
 
 
 _LOAD = {"bus": 2, "p_pu": 0.01, "q_pu": 0.005}
