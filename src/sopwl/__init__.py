@@ -1,19 +1,4 @@
 """Self-optimal piecewise-linearized DistFlow constraints for distribution
 system MILP optimization."""
 
-from .pwl import (
-    EsoWitness,
-    FillingState,
-    PwlGrid,
-    compensation_witness,
-    eso_error,
-    eso_fill,
-    is_eso,
-    lambda_up,
-    min_pwl_oracle,
-    pwl_value,
-    relative_error,
-    segment_slope,
-)
-
 __version__ = "0.1.0"

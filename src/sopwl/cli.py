@@ -19,8 +19,6 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional
 
-import numpy as np
-
 from . import milp
 from .distflow import (
     MODE_PWL,
@@ -37,9 +35,11 @@ from .validation import (
     ErrorReport,
     SweepDivergence,
     branch_errors,
+    delimited_error,
     filling_dump,
     lift_ordered,
     radial_sweep,
+    signed,
 )
 
 if TYPE_CHECKING:
@@ -48,7 +48,13 @@ if TYPE_CHECKING:
 
 # --mode both runs each of MODES in turn
 RUN_MODES = (*MODES, "both")
-REPORT_FORMATS = ("table", "delimited")
+# each --format: its report's file extension and renderer, and the column
+# separator of the comparison under --mode both
+_REPORT_FORMS = {
+    "table": ("txt", ErrorReport.to_table, "\t"),
+    "delimited": ("csv", ErrorReport.to_delimited, ","),
+}
+REPORT_FORMATS = tuple(_REPORT_FORMS)
 
 
 @dataclass
@@ -168,19 +174,6 @@ def _output_to(log_path: Path):
         os.close(saved[1])
 
 
-def _signed(solution: milp.Solution, pwl: DistflowArtifacts) -> milp.Solution:
-    """A point of the LP relaxation of the pwl model ``pwl`` with each
-    block's sign binaries set column by column from the sign of
-    ``pos - neg``: ``z_pos`` is 1 where it is positive, ``z_neg`` where it is
-    negative, both 0 where it is 0."""
-    x = solution.x.copy()
-    for block in pwl.blocks.values():
-        up = x[block.pos] - x[block.neg]
-        x[block.z_pos] = np.where(up > 0, 1.0, 0.0)
-        x[block.z_neg] = np.where(up < 0, 1.0, 0.0)
-    return replace(solution, x=x)
-
-
 def _pwl_answer(
     pwl: DistflowArtifacts, relaxation: Relaxation, adapter: ScipyMilpAdapter
 ) -> milp.Solution:
@@ -197,7 +190,7 @@ def _pwl_answer(
     one comes out ordered, and plain PWL's unordered fillings are what the
     comparison with sopwl shows."""
     if relaxation.solution.status == "optimal":
-        solution = _signed(relaxation.solution, pwl)
+        solution = signed(relaxation.solution, pwl.blocks.values())
         if not milp.check_solution(pwl.model, solution):
             return solution
     return milp.solve(pwl.model, adapter)
@@ -229,7 +222,7 @@ def _sopwl_answer(
             return lifted, "lifted"
     relaxed = relaxation.refine(pwl.isqr)
     if relaxed.status == "optimal":
-        screened = lift_ordered(_signed(relaxed, pwl), artifacts)
+        screened = lift_ordered(signed(relaxed, pwl.blocks.values()), artifacts)
         if screened is not None and not milp.check_solution(artifacts.model, screened):
             return screened, "lp_screen"
     return milp.solve(artifacts.model, adapter), "milp"
@@ -288,12 +281,8 @@ def _run_one_mode(
         print(f"[{mode}] constraint {tag} violated by {gap:.3e}", file=sys.stderr)
 
     report = branch_errors(solution, artifacts, zero_flow_floor=config.zero_flow_floor)
-    ext = "csv" if config.report_format == "delimited" else "txt"
-    text = (
-        report.to_delimited()
-        if config.report_format == "delimited"
-        else report.to_table()
-    )
+    ext, render, _ = _REPORT_FORMS[config.report_format]
+    text = render(report)
     (out / f"report.{ext}").write_text(text)
     (out / "fillings.txt").write_text(filling_dump(solution, artifacts))
     meta.update(
@@ -335,19 +324,13 @@ def cmd_solve(config: RunConfig) -> int:
         )
         exit_status = max(exit_status, status)
     if config.mode == "both" and None not in reports.values():
-        sep = "," if config.report_format == "delimited" else "\t"
+        ext, _, sep = _REPORT_FORMS[config.report_format]
         lines = [sep.join(["feeder", "E_p_pwl", "E_p_sopwl", "E_q_pwl", "E_q_sopwl"])]
         pwl_rec = {r.branch_key: r for r in reports[MODE_PWL].records}
         for r in reports[MODE_SOPWL].records:
             p = pwl_rec[r.branch_key]
-
-            def fmt(e):
-                return "negligible" if e is None else f"{e:.6f}"
-
-            lines.append(
-                sep.join([r.branch_key, fmt(p.e_p), fmt(r.e_p), fmt(p.e_q), fmt(r.e_q)])
-            )
-        ext = "csv" if config.report_format == "delimited" else "txt"
+            errors = map(delimited_error, [p.e_p, r.e_p, p.e_q, r.e_q])
+            lines.append(sep.join([r.branch_key, *errors]))
         (config.out_dir / f"comparison.{ext}").write_text("\n".join(lines) + "\n")
     return exit_status
 

@@ -20,10 +20,9 @@ from __future__ import annotations
 import itertools
 import math
 import re
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -161,6 +160,23 @@ def _first(mask: np.ndarray) -> int:
     return int(np.argmax(mask))
 
 
+def _repeat(hashes: np.ndarray, items: Iterable[str]) -> Optional[str]:
+    """The first of ``items`` that an earlier one repeats, or None, given
+    ``hashes``, the hashes of all of ``items``, sorted. Only the items whose
+    hash occurs twice are compared by value, so that only they are held in a
+    set."""
+    repeated = hashes[1:] == hashes[:-1]
+    if not repeated.any():
+        return None
+    shared, seen = set(hashes[1:][repeated].tolist()), set()
+    for item in items:
+        if hash(item) in shared:
+            if item in seen:
+                return item
+            seen.add(item)
+    return None
+
+
 class MilpModel:
     """Single-writer model; freeze() makes it immutable and shareable."""
 
@@ -229,15 +245,10 @@ class MilpModel:
         new.sort()
         # a stable sort merges the two sorted runs in one pass
         hashes = np.sort(np.concatenate((self._hashes, new)), kind="stable")
-        repeated = hashes[1:] == hashes[:-1]
-        if repeated.any():
-            shared = set(hashes[1:][repeated].tolist())
-            seen = {name for name in self._names if hash(name) in shared}
-            for name in names:
-                if hash(name) in shared:
-                    if name in seen:
-                        raise ValueError(f"duplicate variable name {name!r}")
-                    seen.add(name)
+        # the names declared hold no repeat, so the first is among names
+        repeat = _repeat(hashes, itertools.chain(self._names, names))
+        if repeat is not None:
+            raise ValueError(f"duplicate variable name {repeat!r}")
         disordered = ~(lower <= upper)
         if disordered.any():
             i = _first(disordered)
@@ -404,10 +415,6 @@ class MilpModel:
     @property
     def num_variables(self) -> int:
         return len(self._names)
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
 
     @property
     def arrays(self) -> ModelArrays:
@@ -657,8 +664,6 @@ def lp_view_chunks(
     variable name and row tag must be LP-format-safe, and no two rows may
     share a tag. A row's tag is its name in the LP text. The names and tags
     are checked on the whole model, which holds those of every view."""
-    if not model.frozen:
-        raise ModelFrozenError("freeze the model before exporting")
     a = model.arrays
     keeps: list[Keep] = []
     for name, dropped in views:
@@ -682,17 +687,11 @@ def lp_view_chunks(
     bad = _unsafe_name(a.names, tags)
     if bad is not None:
         raise ValueError(f"name {bad!r} is not LP-format-safe")
-    # hashes first, so that only the tags whose hash another tag shares are
-    # held in a set
     hashes = np.fromiter(map(hash, tags), np.int64, len(tags))
-    values, counts = np.unique(hashes, return_counts=True)
-    if (counts > 1).any():
-        shared, seen = set(values[counts > 1].tolist()), set()
-        for tag in tags:
-            if hash(tag) in shared:
-                if tag in seen:
-                    raise ValueError(f"row tag {tag!r} is held by more than one row")
-                seen.add(tag)
+    hashes.sort()
+    repeat = _repeat(hashes, tags)
+    if repeat is not None:
+        raise ValueError(f"row tag {repeat!r} is held by more than one row")
     return _lp_pieces(model, [name for name, _ in views], keeps)
 
 
@@ -859,10 +858,6 @@ def check_solution(model: MilpModel, solution: Solution) -> list[tuple[str, floa
 
 
 def solve(model: MilpModel, adapter: ScipyMilpAdapter) -> Solution:
-    """Run ``adapter`` on the frozen ``model`` and time it."""
-    if not model.frozen:
-        raise ModelFrozenError("freeze the model before solving")
-    start = time.perf_counter()
-    solution = adapter.run(model)
-    elapsed = time.perf_counter() - start
-    return replace(solution, solve_seconds=elapsed)
+    """Run ``adapter`` on the frozen ``model``: the one MILP entry point,
+    which ``perfbench/tracing.py`` and the tests wrap."""
+    return adapter.run(model)

@@ -6,21 +6,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .distflow import EPSILON_PLUS_WIDTHS, MODES, DistflowArtifacts, emit_pwl_block
+from .distflow import EPSILON_PLUS_WIDTHS, MODES, BlockColumns, DistflowArtifacts, emit_pwl_block
 from .milp import FEASIBILITY_TOL, MilpModel, Solution
 from .network import NetworkCase
 from .pwl import FillingState, relative_error
 
 __all__ = [
     "BranchErrorRecord",
+    "delimited_error",
     "ErrorReport",
     "SweepResult",
     "SweepDivergence",
     "extract_filling",
+    "signed",
     "lift_ordered",
     "branch_errors",
     "check_unordered_feasibility",
@@ -73,6 +75,22 @@ def _pwl_values(d: np.ndarray, h: np.ndarray) -> np.ndarray:
     return f
 
 
+def signed(solution: Solution, blocks: Iterable[BlockColumns]) -> Solution:
+    """``solution`` with the sign binaries of each of ``blocks`` set column
+    by column from the sign of ``pos - neg``: ``z_pos`` is 1 where it is
+    positive, ``z_neg`` where it is negative, both 0 where it is 0.
+
+    A point of the pwl model's LP relaxation that never uses both signs of
+    one flow becomes, so set, a point of the pwl MILP (the a-posteriori
+    exactness argument of Farivar & Low 2013)."""
+    x = solution.x.copy()
+    for block in blocks:
+        up = x[block.pos] - x[block.neg]
+        x[block.z_pos] = np.where(up > 0, 1.0, 0.0)
+        x[block.z_neg] = np.where(up < 0, 1.0, 0.0)
+    return replace(solution, x=x)
+
+
 def lift_ordered(
     solution: Solution, artifacts: DistflowArtifacts
 ) -> Optional[Solution]:
@@ -120,6 +138,11 @@ class BranchErrorRecord:
     eso_ok_q: bool
 
 
+def delimited_error(e: Optional[float]) -> str:
+    """An error in percent as the delimited report and the comparison write it."""
+    return "negligible" if e is None else f"{e:.6f}"
+
+
 @dataclass(frozen=True)
 class ErrorReport:
     mode: str
@@ -142,8 +165,7 @@ class ErrorReport:
     def to_delimited(self) -> str:
         lines = [",".join(["feeder", "mode", "E_p", "E_q", "eso_ok"])]
         for r in self.records:
-            e_p = "negligible" if r.e_p is None else f"{r.e_p:.6f}"
-            e_q = "negligible" if r.e_q is None else f"{r.e_q:.6f}"
+            e_p, e_q = delimited_error(r.e_p), delimited_error(r.e_q)
             eso_ok = str(r.eso_ok_p and r.eso_ok_q).lower()
             lines.append(",".join([r.branch_key, self.mode, e_p, e_q, eso_ok]))
         return "\n".join(lines) + "\n"
@@ -236,13 +258,14 @@ def check_unordered_feasibility(state: FillingState) -> tuple[bool, bool]:
         (y,) = model.add_variables(["y"], -grid.y_max, grid.y_max)
         block = emit_pwl_block(model, y, grid, mode)
         model.freeze()
-        # the sign split and its binaries stay 0 on the negative side
+        # the sign split stays 0 on the negative side
         x = np.zeros(model.num_variables)
-        x[[y, block.pos[0, 0], block.z_pos[0, 0]]] = total, total, 1.0
+        x[[y, block.pos[0, 0]]] = total, total
         x[block.delta[0]] = state.deltas
         # the ordering binaries as lift_ordered sets them; plain mode has none
         used = np.asarray(state.deltas[1:]) > FEASIBILITY_TOL
         x[block.x[0]] = used[: block.x.shape[1]]
+        x = signed(Solution("optimal", 0.0, x), [block]).x
         a = model.arrays
         results.append(not a.outside_bounds(x).size and not a.missed_rows(x)[0].size)
     return results[0], results[1]

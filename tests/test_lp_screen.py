@@ -14,8 +14,8 @@ import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sopwl import cli, milp, solvers
-from sopwl.cli import RunConfig, _build, _pwl_answer, _signed, _sopwl_answer, main
+from sopwl import cli, milp, solvers, validation
+from sopwl.cli import RunConfig, _build, _pwl_answer, _sopwl_answer, main
 from sopwl.milp import MilpModel
 from sopwl.network import load_case
 from sopwl.solvers import ScipyMilpAdapter
@@ -402,7 +402,7 @@ def test_pwl_path_is_certified(drawn):
     slack = 1e-4 * abs(reference.objective_value) + 1e-5
     assert abs(solution.objective_value - reference.objective_value) <= slack
     assert milp.check_solution(model, solution) == []
-    signed = _signed(relaxation.solution, pwl)
+    signed = validation.signed(relaxation.solution, pwl.blocks.values())
     if milp.check_solution(model, signed) == []:
         # certified at the relaxation: its stage-1 point, no MILP node
         assert np.array_equal(solution.x, signed.x)

@@ -425,6 +425,24 @@ class TestWriteLp:
         with pytest.raises(ValueError, match="row tag 'u0' is held by more than one row"):
             lp_chunks(m)
 
+    def test_tags_that_share_a_hash_are_distinct(self):
+        class SameHash(str):
+            def __hash__(self):
+                return 7
+
+        def model(tags):
+            m = MilpModel()
+            m.add_variables(["x"])
+            n = len(tags)
+            m.add_rows(np.zeros(n), np.ones(n), np.arange(n + 1), ["<="] * n, np.ones(n), tags)
+            return m.freeze()
+
+        text = write_lp(model([SameHash("a"), SameHash("b"), "c"]))
+        rows = text.split("Subject To\n")[1].splitlines()[:3]
+        assert rows == [" a: 1 x <= 1", " b: 1 x <= 1", " c: 1 x <= 1"]
+        with pytest.raises(ValueError, match="^row tag 'b' is held by more than one row$"):
+            lp_chunks(model([SameHash("a"), SameHash("b"), "c", SameHash("b")]))
+
     def test_unsafe_name(self):
         # a name with a trailing newline would split its LP lines in two
         for name in ("bad name", "x\n"):
@@ -927,7 +945,6 @@ class TestSolve:
         sol = solve(m, ScipyMilpAdapter())
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(1.0)
-        assert sol.solve_seconds is not None
 
     def test_binary_packing(self):
         m = MilpModel(name="pack")
@@ -947,9 +964,22 @@ class TestSolve:
         sol = solve(m, ScipyMilpAdapter())
         assert sol.status == "infeasible"
 
-    def test_requires_frozen(self):
+    # every reader of a model's arrays refuses an unfrozen model
+    @pytest.mark.parametrize(
+        "read",
+        [
+            pytest.param(lambda m: solve(m, ScipyMilpAdapter()), id="solve"),
+            pytest.param(lambda m: milp.lp_view_chunks(m, [(m.name, ())]), id="lp_view_chunks"),
+            pytest.param(
+                lambda m: check_solution(m, Solution("optimal", 0.0, np.zeros(1))),
+                id="check_solution",
+            ),
+            pytest.param(lambda m: ScipyMilpAdapter().relax(m), id="relax"),
+        ],
+    )
+    def test_requires_frozen(self, read):
         with pytest.raises(ModelFrozenError):
-            solve(simple_model(), ScipyMilpAdapter())
+            read(simple_model())
 
     def test_in_process_solve_uses_no_text_or_file(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
