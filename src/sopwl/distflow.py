@@ -7,8 +7,7 @@ carries the big-M/binary rows that force ordered segment filling.
 
 Every branch declares the same variables and rows, so the builder describes
 one branch as a template of array columns and emits all branches with one
-bulk call for the variables and one for the rows (:class:`_Batch`);
-:func:`emit_pwl_block` is the same emitter for a single block.
+bulk call for the variables and one for the rows (:class:`_Batch`).
 
 The build hands back the column of every variable it declared
 (:class:`DistflowArtifacts`); past the build a variable is addressed by its
@@ -26,14 +25,12 @@ import numpy as np
 
 from .milp import MilpModel
 from .network import NetworkCase
-from .pwl import PwlGrid
 
 __all__ = [
     "BuildOptions",
     "BlockColumns",
     "DistflowArtifacts",
     "EPSILON_PLUS_WIDTHS",
-    "emit_pwl_block",
     "build_distflow",
     "build_restoration_objective",
 ]
@@ -297,24 +294,6 @@ def _emit_blocks(
     return BlockColumns(y, delta, pos, neg, z_pos, z_neg, x)
 
 
-def emit_pwl_block(
-    model: MilpModel,
-    y: int,
-    grid: PwlGrid,
-    mode: str,
-) -> BlockColumns:
-    """Declare segment/sign/binary variables and constraint rows for one
-    linearized square of column ``y``, returning their columns (one row).
-    Names start ``y_y_``; tags are ``eq6_y_y``, ``eq20_y_y_l1`` and so on."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    batch = _Batch(1, model.num_variables, _block_width(grid.num_segments, mode))
-    y_max, h = _column([grid.y_max]), _column([grid.seg_width])
-    cols = _emit_blocks(batch, np.array([[y]]), y_max, h, grid.num_segments, mode, ["y_y"], ["y_y"])
-    batch.emit(model)
-    return cols
-
-
 def build_distflow(
     model: MilpModel, case: NetworkCase, options: BuildOptions
 ) -> DistflowArtifacts:
@@ -342,7 +321,7 @@ def build_distflow(
     names = [br.key.replace("-", "_") for br in branches]
     bounds = _flow_bounds(case)
     y_max = _column(bounds)
-    # each branch's segment width, PwlGrid.seg_width of its grid
+    # each branch's segment width: n equal segments of [0, y_max]
     h = y_max / options.num_segments
     # squares taken on Python floats: numpy's r**2 differs from Python's in
     # the last digit for some r, which would change the LP text

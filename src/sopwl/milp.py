@@ -61,8 +61,8 @@ _LP_BAD_START_RE = re.compile(r"\n[0-9.\n]")
 # read by the two checks of a vector, ModelArrays.outside_bounds and
 # ModelArrays.missed_rows, and by the ordered-filling tests of
 # validation.lift_ordered and branch_errors' eso_ok flag (on top of the
-# segment slack); lift_ordered and validation.check_unordered_feasibility
-# count a segment holding more than this as used.
+# segment slack); lift_ordered, and the tests' criterion-5 check in
+# tests/reference.py, count a segment holding more than this as used.
 FEASIBILITY_TOL = 1e-6
 
 # The default time limit of one solve, in seconds.

@@ -10,10 +10,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .distflow import EPSILON_PLUS_WIDTHS, MODES, BlockColumns, DistflowArtifacts, emit_pwl_block
-from .milp import FEASIBILITY_TOL, MilpModel, Solution
+from .distflow import EPSILON_PLUS_WIDTHS, BlockColumns, DistflowArtifacts
+from .milp import FEASIBILITY_TOL, Solution
 from .network import NetworkCase
-from .pwl import FillingState, relative_error
 
 __all__ = [
     "BranchErrorRecord",
@@ -24,8 +23,8 @@ __all__ = [
     "extract_filling",
     "signed",
     "lift_ordered",
+    "relative_error",
     "branch_errors",
-    "check_unordered_feasibility",
     "radial_sweep",
 ]
 
@@ -57,17 +56,19 @@ def extract_filling(
 
 
 def _ordered(d: np.ndarray, h: np.ndarray, tol: float | np.ndarray) -> np.ndarray:
-    """:func:`sopwl.pwl.is_eso` of every row of the fillings ``d`` (segment
+    """The ordered-filling test of every row of the fillings ``d`` (segment
     widths ``h`` and tolerances ``tol`` broadcast as columns): no segment
-    short of full (``>= h - tol``) comes before a used one (not ``<= tol``)."""
+    short of full (``>= h - tol``) comes before a used one (not ``<= tol``).
+    The tests hold it to the scalar ``is_eso`` of ``tests/reference.py``."""
     full = d >= h - tol
     used_from = np.logical_or.accumulate(~(d <= tol)[:, ::-1], axis=1)[:, ::-1]
     return ~(~full[:, :-1] & used_from[:, 1:]).any(axis=1)
 
 
 def _pwl_values(d: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """:func:`sopwl.pwl.pwl_value` of every row of ``d``, summed segment by
-    segment in the same order, so each value has the same bits."""
+    """The PWL value, slope times segment value summed, of every row of
+    ``d``, summed segment by segment in the order of the scalar
+    ``pwl_value`` of ``tests/reference.py``, so each value has its bits."""
     slopes = np.arange(1, 2 * d.shape[1], 2) * h
     f = np.zeros(len(d))
     for lam in range(d.shape[1]):
@@ -103,8 +104,8 @@ def lift_ordered(
     fillings are all ordered is a sopwl optimum within the same gap. Every
     value is copied into its column; in each block ``x_lam`` is 1 when
     segment ``lam + 1`` holds more than ``FEASIBILITY_TOL`` and 0 otherwise,
-    as ``eq21`` reads it. A filling that passes :func:`sopwl.pwl.is_eso` at
-    that tolerance meets ``eq20`` and ``eq21`` within the tolerance of
+    as ``eq21`` reads it. A filling that passes :func:`_ordered` at that
+    tolerance meets ``eq20`` and ``eq21`` within the tolerance of
     :func:`check_solution`. Clipping into ``[0, h]`` changes no such verdict,
     so the check reads the clipped filling.
 
@@ -123,6 +124,16 @@ def lift_ordered(
             return None
         x[artifacts.blocks[kind].x] = d[:, 1:] > tol
     return replace(solution, x=x)
+
+
+def relative_error(approx: float, y: float) -> float:
+    """Relative approximation error |approx - y**2| / y**2 in percent.
+
+    Undefined at y = 0; callers must treat zero-flow branches specially.
+    """
+    if y == 0:
+        raise ValueError("relative error is undefined at y = 0")
+    return abs(approx - y * y) / (y * y) * 100.0
 
 
 @dataclass(frozen=True)
@@ -195,7 +206,7 @@ def branch_errors(
     flagged negligible and excluded from summaries. Without
     ``zero_flow_floor`` each branch's floor is its segment width times
     ``ZERO_FLOW_FLOOR_WIDTHS``. A filling is flagged ordered when
-    :func:`sopwl.pwl.is_eso` passes it at the ``eq20`` margin,
+    :func:`_ordered` passes it at the ``eq20`` margin,
     ``EPSILON_PLUS_WIDTHS`` segment widths, plus ``FEASIBILITY_TOL``."""
     fillings = extract_filling(solution, artifacts)
     h = artifacts.seg_width
@@ -242,33 +253,6 @@ def filling_dump(solution: Solution, artifacts: DistflowArtifacts) -> str:
             head = f"{br.key} {kind}"
             lines += [f"{head}{tail}{d!r}" for tail, d in zip(tails, deltas)]
     return "\n".join(lines) + "\n"
-
-
-def check_unordered_feasibility(state: FillingState) -> tuple[bool, bool]:
-    """Substitute a candidate filling into a standalone linearized-square
-    block in each mode and report (feasible in plain mode, feasible in
-    ordered mode) by direct constraint evaluation. Rows and bounds hold
-    within ``FEASIBILITY_TOL``, which also decides which segments count as
-    used."""
-    grid = state.grid
-    total = state.total
-    results = []
-    for mode in MODES:
-        model = MilpModel(name=f"witness_{mode}")
-        (y,) = model.add_variables(["y"], -grid.y_max, grid.y_max)
-        block = emit_pwl_block(model, y, grid, mode)
-        model.freeze()
-        # the sign split stays 0 on the negative side
-        x = np.zeros(model.num_variables)
-        x[[y, block.pos[0, 0]]] = total, total
-        x[block.delta[0]] = state.deltas
-        # the ordering binaries as lift_ordered sets them; plain mode has none
-        used = np.asarray(state.deltas[1:]) > FEASIBILITY_TOL
-        x[block.x[0]] = used[: block.x.shape[1]]
-        x = signed(Solution("optimal", 0.0, x), [block]).x
-        a = model.arrays
-        results.append(not a.outside_bounds(x).size and not a.missed_rows(x)[0].size)
-    return results[0], results[1]
 
 
 @dataclass(frozen=True)

@@ -1,30 +1,32 @@
-"""Piecewise linearization of y**2 on [0, y_max] and the ordered-filling
-(error-self-optimal) condition.
+"""The tests' independent references.
 
-All operations here are pure and take nonnegative y; sign handling lives in
-the MILP sign-split emitted by :mod:`sopwl.distflow`.
+The scalar PWL math, one value at a time: piecewise linearization of y**2 on
+[0, y_max] and the ordered-filling (error-self-optimal) condition. The program
+runs the vectorized twins in :mod:`sopwl.validation` (``_ordered`` is
+:func:`is_eso` of every row, ``_pwl_values`` :func:`pwl_value` of every row),
+which the tests compare against these. All operations here are pure and take
+nonnegative y; sign handling lives in the MILP sign-split emitted by
+:mod:`sopwl.distflow`.
+
+Then two references on built models: :func:`check_unordered_feasibility`
+(acceptance criterion 5) and :func:`exact_pwl`, the pwl optimum by branching
+on flow signs, which does not rest on HiGHS's branch and bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Optional
 
-__all__ = [
-    "PwlGrid",
-    "FillingState",
-    "EsoWitness",
-    "segment_slope",
-    "lambda_up",
-    "eso_fill",
-    "pwl_value",
-    "relative_error",
-    "is_eso",
-    "eso_error",
-    "min_pwl_oracle",
-    "compensation_witness",
-]
+import numpy as np
+
+from sopwl import solvers
+from sopwl.distflow import MODES, BuildOptions, DistflowArtifacts, build_distflow
+from sopwl.milp import DEFAULT_TIMEOUT_SECONDS, FEASIBILITY_TOL, MilpModel, Solution, check_solution
+from sopwl.network import load_case
+from sopwl.validation import signed
 
 # Rounding room, relative to max(1, h) or max(1, y_max), of this module's own
 # checks: FillingState's segment range, _check_domain's flow range and the
@@ -138,16 +140,6 @@ def pwl_value(state: FillingState) -> float:
     )
 
 
-def relative_error(approx: float, y: float) -> float:
-    """Relative approximation error |approx - y**2| / y**2 in percent.
-
-    Undefined at y = 0; callers must treat zero-flow branches specially.
-    """
-    if y == 0:
-        raise ValueError("relative error is undefined at y = 0")
-    return abs(approx - y * y) / (y * y) * 100.0
-
-
 def is_eso(state: FillingState, tol: float) -> bool:
     """True iff the filling is ordered: full segments, then at most one
     partial segment, then empty segments (each comparison within ``tol``)."""
@@ -241,3 +233,86 @@ def compensation_witness(state: FillingState) -> Optional[EsoWitness]:
                     remainder=min(deficit, excess),
                 )
     return None
+
+
+TWOBUS = Path(__file__).parent / "cases" / "twobus.json"
+
+
+def check_unordered_feasibility(state: FillingState) -> tuple[bool, bool]:
+    """Substitute a candidate filling into the P block of ``twobus``, built
+    at the filling's segment count in each mode, and report (feasible in
+    plain mode, feasible in ordered mode) by direct evaluation of the
+    block's bounds and rows.
+
+    The filling is scaled to the build's segment width. The flow, its
+    positive side and the segments take the filling, the sign binaries are
+    set by :func:`sopwl.validation.signed`, and the ordering binaries as
+    ``lift_ordered`` sets them: a segment holding more than
+    ``FEASIBILITY_TOL`` counts as used. A row of the block holds only the
+    block's columns and one besides the flow, which leaves out the root's
+    balance row: it holds the flow alone."""
+    case = load_case(TWOBUS)
+    results = []
+    for mode in MODES:
+        model = MilpModel(name=f"witness_{mode}")
+        artifacts = build_distflow(
+            model, case, BuildOptions(num_segments=state.grid.num_segments, mode=mode)
+        )
+        model.freeze()
+        block = artifacts.blocks["P"]
+        deltas = np.asarray(state.deltas) * (artifacts.seg_width[0, 0] / state.grid.seg_width)
+        x = np.zeros(model.num_variables)
+        x[[block.y[0, 0], block.pos[0, 0]]] = deltas.sum()
+        x[block.delta[0]] = deltas
+        x[block.x[0]] = (deltas[1:] > FEASIBILITY_TOL)[: block.x.shape[1]]
+        x = signed(Solution("optimal", 0.0, x), [block]).x
+        a = model.arrays
+        cols = {int(j) for f in fields(block) for j in getattr(block, f.name)[0]}
+        starts = a.row_start.tolist()
+        terms = [set(a.cols[i:j].tolist()) for i, j in zip(starts, starts[1:])]
+        rows = {r for r, t in enumerate(terms) if t <= cols and t - {block.y[0, 0]}}
+        outside = set(a.outside_bounds(x).tolist()) & cols
+        missed = set(a.missed_rows(x)[0].tolist()) & rows
+        results.append(not outside and not missed)
+    return results[0], results[1]
+
+
+def exact_pwl(artifacts: DistflowArtifacts) -> Solution:
+    """The optimum of the pwl model of ``artifacts``, without HiGHS's branch
+    and bound: the model's only binaries are its sign binaries, so with
+    every flow's sign fixed it is an LP.
+
+    Depth first, each node solves the LP relaxation on a fresh session with
+    some ``pos``/``neg`` upper bounds set to 0. A node whose LP is no better
+    than the incumbent is pruned. A node whose point, signed by
+    :func:`sopwl.validation.signed`, passes ``check_solution`` is a leaf.
+    Any other node branches on the block with the largest ``min(pos, neg)``:
+    one child drops its ``pos``, the other its ``neg``. Exact to HiGHS's LP
+    tolerance; "infeasible" when no node's LP has a point."""
+    model = artifacts.model
+    a = model.arrays
+    c = solvers._costs(model)
+    blocks = list(artifacts.blocks.values())
+    pos = np.concatenate([block.pos[:, 0] for block in blocks])
+    neg = np.concatenate([block.neg[:, 0] for block in blocks])
+    best, best_cost = Solution("infeasible", 0.0), math.inf
+    nodes = [a.upper]
+    while nodes:
+        upper = nodes.pop()
+        lp = solvers._HighsSession(a, c, a.lower, upper, DEFAULT_TIMEOUT_SECONDS)
+        if lp.run() != "optimal" or lp.objective() >= best_cost:
+            continue
+        x = solvers._clip(lp.x(), a)
+        point = signed(Solution("optimal", solvers._objective(x, a), x), blocks)
+        if not check_solution(model, point):
+            best, best_cost = point, lp.objective()
+            continue
+        mixed = np.minimum(x[pos], x[neg])
+        i = int(np.argmax(mixed))
+        if not mixed[i] > 0.0:
+            raise RuntimeError(f"{model.name}: a signed point using one sign per flow breaks a row")
+        for side in (pos, neg):
+            child = upper.copy()
+            child[side[i]] = 0.0
+            nodes.append(child)
+    return best

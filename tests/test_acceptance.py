@@ -19,20 +19,21 @@ from sopwl.distflow import (
 )
 from sopwl.milp import MilpModel, check_solution, solve, write_lp
 from sopwl.network import bundled_case_path, load_case
-from sopwl.pwl import (
+from sopwl.solvers import ScipyMilpAdapter
+from sopwl.validation import (
+    branch_errors,
+    lift_ordered,
+    radial_sweep,
+)
+
+from reference import (
     FillingState,
     PwlGrid,
+    check_unordered_feasibility,
     eso_error,
     eso_fill,
     min_pwl_oracle,
     pwl_value,
-)
-from sopwl.solvers import ScipyMilpAdapter
-from sopwl.validation import (
-    branch_errors,
-    check_unordered_feasibility,
-    lift_ordered,
-    radial_sweep,
 )
 
 CASES = Path(__file__).parent / "cases"

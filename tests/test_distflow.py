@@ -9,11 +9,9 @@ from sopwl.distflow import (
     BuildOptions,
     build_distflow,
     build_restoration_objective,
-    emit_pwl_block,
 )
-from sopwl.milp import _LP_NAME_RE, MilpModel, check_solution, solve, write_lp
+from sopwl.milp import _LP_NAME_RE, MilpModel, ModelFrozenError, check_solution, solve, write_lp
 from sopwl.network import bundled_case_path, load_case
-from sopwl.pwl import PwlGrid
 from sopwl.solvers import ScipyMilpAdapter
 
 from helpers import columns
@@ -60,61 +58,60 @@ class TestFlowBound:
 
 
 class TestEmitBlock:
-    def _base_model(self, grid):
-        m = MilpModel()
-        (y,) = m.add_variables(["y"], -grid.y_max, grid.y_max)
-        return m, y
+    """The P block of a ``twobus`` build: the linearized square of its one
+    branch's flow ``P_1_2``."""
 
-    def test_plain_counts(self):
-        grid = PwlGrid(1.0, 50)
-        m, y = self._base_model(grid)
-        block = emit_pwl_block(m, y, grid, "pwl")
-        # 50 segments + 2 sign vars + flow var itself
-        assert len(m.variables) == 1 + 50 + 2 + 2
-        assert sum(1 for v in m.variables if v.kind == "binary") == 2
-        assert len(m.constraints) == 5  # sign split, total, two links, pair cap
-        assert block.y.tolist() == [[y]]
+    @staticmethod
+    def _block(twobus, segments, mode):
+        """The model, the P block's columns, its variables (named
+        ``P_1_2_...``) and its row tags (holding ``_1_2_P``)."""
+        m = MilpModel()
+        art = build_distflow(m, twobus, BuildOptions(num_segments=segments, mode=mode))
+        variables = [v for v in m.variables if v.name.startswith("P_1_2_")]
+        tags = [c.tag for c in m.constraints if "_1_2_P" in c.tag]
+        return m, art.blocks["P"], variables, tags
+
+    def test_plain_counts(self, twobus):
+        m, block, variables, tags = self._block(twobus, 50, "pwl")
+        # 50 segments + 2 sign vars + 2 sign binaries
+        assert len(variables) == 50 + 2 + 2
+        assert sum(1 for v in variables if v.kind == "binary") == 2
+        assert len(tags) == 5  # sign split, total, two links, pair cap
+        assert block.y.tolist() == [columns(m, "P_1_2")]
         assert block.delta.shape == (1, 50)
         assert block.x.shape == (1, 0)
 
-    def test_ordered_counts(self):
-        grid = PwlGrid(1.0, 50)
-        m, y = self._base_model(grid)
-        block = emit_pwl_block(m, y, grid, "sopwl")
+    def test_ordered_counts(self, twobus):
+        m, block, variables, tags = self._block(twobus, 50, "sopwl")
         # one ordering binary per segment boundary, each in one eq20 and one
         # eq21 row
-        assert sum(1 for v in m.variables if v.kind == "binary") == 2 + 49
-        tags = [c.tag for c in m.constraints]
+        assert sum(1 for v in variables if v.kind == "binary") == 2 + 49
         assert sum(tag.startswith("eq20") for tag in tags) == 49
         assert sum(tag.startswith("eq21") for tag in tags) == 49
         assert [m.variables[j].kind for j in block.x[0]] == ["binary"] * 49
 
-    def test_single_segment(self):
-        grid = PwlGrid(1.0, 1)
-        m, y = self._base_model(grid)
-        block = emit_pwl_block(m, y, grid, "sopwl")
+    def test_single_segment(self, twobus):
+        m, block, _, tags = self._block(twobus, 1, "sopwl")
         # the one segment spans the whole range
         (delta,) = block.delta[0]
-        assert m.variables[delta].upper == pytest.approx(1.0)
+        assert m.variables[delta].upper == pytest.approx(m.variables[block.y[0, 0]].upper)
         # no segment boundary: no ordering binary and no ordering row
         assert block.x.shape == (1, 0)
-        assert not any(c.tag.startswith(("eq20", "eq21")) for c in m.constraints)
+        assert not any(tag.startswith(("eq20", "eq21")) for tag in tags)
 
-    def test_frozen_model_rejected(self):
-        grid = PwlGrid(1.0, 5)
-        m, y = self._base_model(grid)
+    def test_frozen_model_rejected(self, twobus):
+        m = MilpModel()
         m.freeze()
-        with pytest.raises(Exception):
-            emit_pwl_block(m, y, grid, "pwl")
+        with pytest.raises(ModelFrozenError):
+            build_distflow(m, twobus, BuildOptions(num_segments=5))
 
-    def test_segment_bounds(self):
-        grid = PwlGrid(1.0, 4)
-        m, y = self._base_model(grid)
-        block = emit_pwl_block(m, y, grid, "pwl")
+    def test_segment_bounds(self, twobus):
+        m, block, _, _ = self._block(twobus, 4, "pwl")
+        y_max = m.variables[block.y[0, 0]].upper
         for j in block.delta[0]:
             v = m.variables[j]
             assert v.lower == 0.0
-            assert v.upper == pytest.approx(grid.seg_width)
+            assert v.upper == pytest.approx(y_max / 4)
 
 
 class TestBuildDistflow:
@@ -163,8 +160,6 @@ class TestBuildDistflow:
     def test_tags_are_the_lp_row_names(self, twobus, mode):
         m = MilpModel()
         build_distflow(m, twobus, BuildOptions(num_segments=3, mode=mode))
-        (y,) = m.add_variables(["y"], -1.0, 1.0)
-        emit_pwl_block(m, y, PwlGrid(1.0, 3), mode)
         tags = [c.tag for c in m.constraints]
         assert all(map(_LP_NAME_RE.fullmatch, tags))
         assert len(set(tags)) == len(tags)

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sopwl.pwl import (
+from sopwl.validation import relative_error
+
+from reference import (
     EsoWitness,
     FillingState,
     PwlGrid,
@@ -15,7 +17,6 @@ from sopwl.pwl import (
     lambda_up,
     min_pwl_oracle,
     pwl_value,
-    relative_error,
     segment_slope,
 )
 

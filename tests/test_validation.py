@@ -25,17 +25,25 @@ from sopwl.milp import (
     solve,
 )
 from sopwl.network import bundled_case_path, load_case
-from sopwl.pwl import FillingState, PwlGrid, eso_fill, is_eso, pwl_value
 from sopwl.solvers import ScipyMilpAdapter
 from sopwl.validation import (
     SWEEP_MAX_ITER,
     SweepDivergence,
     branch_errors,
-    check_unordered_feasibility,
     extract_filling,
     filling_dump,
     lift_ordered,
     radial_sweep,
+    relative_error,
+)
+
+from reference import (
+    FillingState,
+    PwlGrid,
+    check_unordered_feasibility,
+    eso_fill,
+    is_eso,
+    pwl_value,
 )
 
 GRID = PwlGrid(10.0, 5)
@@ -150,8 +158,6 @@ class TestBranchErrors:
     def test_unordered_hand_filling(self):
         # f([1,2,2,0,0]) = 34 against y^2 = 25 -> 36 %
         state = FillingState(grid=GRID, deltas=(1, 2, 2, 0, 0))
-        from sopwl.pwl import pwl_value, relative_error
-
         assert relative_error(pwl_value(state), 5.0) == pytest.approx(36.0)
 
     def test_negligible_flow_excluded(self, solved_twobus):
@@ -279,7 +285,7 @@ def _fillings(draw):
 
 
 class TestArrayPostSolve:
-    """The array post-solve agrees with the scalar reference of ``pwl.py``,
+    """The array post-solve agrees with the scalar math of ``reference.py``,
     block by block: the ordered-filling verdicts of ``lift_ordered`` and
     ``branch_errors`` (``is_eso`` at their tolerances), the lifted ordering
     binaries, and the PWL value to the bit."""
